@@ -11,12 +11,11 @@ from .addr import (
     AliasTrie,
     NybblePrefix,
     NybbleSeq,
-    alias_match,
     format_address,
     parse_address,
     parse_prefix,
 )
-from .alias import AliasDetector, alias_score, filter_aliased
+from .alias import AliasDetector, filter_aliased
 from .classify import (
     LabeledSeedCorpus,
     PatternLabel,
@@ -38,10 +37,8 @@ from .metrics import (
     CandidateSet,
     EvaluationReport,
     allocate_budget,
-    cosine_sim,
     diversity,
     evaluate,
-    jaccard_sim,
     novelty,
     pattern_quality,
 )
@@ -51,7 +48,6 @@ from .oracle import (
     ProbeStatus,
     UniverseOracle,
     UniverseSpec,
-    build_universe,
     sample_seeds,
 )
 
@@ -76,22 +72,17 @@ __all__ = [
     "TrainSchedule",
     "UniverseOracle",
     "UniverseSpec",
-    "alias_match",
-    "alias_score",
     "allocate_budget",
-    "build_universe",
     "classify_entropy",
     "classify_ipv62vec",
     "classify_rfc",
     "classify_rfc_corpus",
-    "cosine_sim",
     "diversity",
     "evaluate",
     "filter_aliased",
     "format_address",
     "generate_candidates",
     "grad_check",
-    "jaccard_sim",
     "load_checkpoint",
     "novelty",
     "parse_address",

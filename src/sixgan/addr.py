@@ -2,15 +2,18 @@
 
 Every address in the toolkit is carried as a fixed sequence of 32 nybbles
 (hex digits, most significant first).  This module converts between that
-representation and the usual text forms, and provides a nybble-granular
-prefix trie used to answer "is this address under a known aliased prefix,
-and how long is the longest matching prefix".
+representation and the usual text forms, and provides the longest-prefix
+matcher used to answer "is this address under a known aliased prefix, and
+how long is the longest matching prefix".
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+
+import numpy as np
 
 log = logging.getLogger("sixgan.addr")
 
@@ -213,62 +216,40 @@ def parse_prefix(text: str) -> NybblePrefix:
 
 
 class AliasTrie:
-    """Nybble-granular prefix tree answering longest-prefix queries.
+    """Longest-prefix matcher over aliased nybble prefixes.
 
-    Immutable once built: insert all prefixes, then share freely across
-    readers.
+    Holds one set of prefix keys per distinct prefix length and checks the
+    longest length first, so a query costs one set lookup per distinct
+    length, however many prefixes there are.  Immutable once built; share
+    freely across readers.
     """
 
-    __slots__ = ("_root", "_count")
+    __slots__ = ("_by_len",)
 
-    def __init__(self, prefixes: "list[NybblePrefix] | None" = None):
-        self._root: dict = {}
-        self._count = 0
-        for p in prefixes or []:
-            self.insert(p)
-
-    def insert(self, prefix: NybblePrefix) -> None:
-        node = self._root
-        for v in prefix.nybbles:
-            node = node.setdefault(v, {})
-        if not node.get("$", False):
-            node["$"] = True
-            self._count += 1
+    def __init__(self, prefixes: "Iterable[NybblePrefix]" = ()):
+        by_len: dict[int, set[tuple[int, ...]]] = {}
+        for p in prefixes:
+            by_len.setdefault(len(p), set()).add(p.nybbles)
+        self._by_len = sorted(by_len.items(), reverse=True)
 
     def __len__(self) -> int:
-        return self._count
+        return sum(len(keys) for _, keys in self._by_len)
+
+    def _match(self, nybbles: tuple[int, ...]) -> int | None:
+        for length, keys in self._by_len:
+            if nybbles[:length] in keys:
+                return length
+        return None
 
     def match(self, seq: NybbleSeq) -> int | None:
-        """Length of the longest inserted prefix that prefixes seq, else None."""
-        node = self._root
-        best: int | None = None
-        for depth, v in enumerate(seq.nybbles):
-            node = node.get(v)
-            if node is None:
-                break
-            if node.get("$", False):
-                best = depth + 1
-        return best
+        """Length of the longest known prefix that prefixes seq, else None."""
+        return self._match(seq.nybbles)
 
-    def prefixes(self) -> list[NybblePrefix]:
-        """All inserted prefixes, in nybble-lexicographic order."""
-        out: list[NybblePrefix] = []
-
-        def walk(node: dict, path: list[int]) -> None:
-            if node.get("$", False):
-                out.append(NybblePrefix(tuple(path)))
-            for v in sorted(k for k in node if k != "$"):
-                path.append(v)
-                walk(node[v], path)
-                path.pop()
-
-        walk(self._root, [])
-        return out
-
-
-def alias_match(trie: AliasTrie, seq: NybbleSeq) -> int | None:
-    """Longest aliased-prefix match length for seq, or None."""
-    return trie.match(seq)
+    def match_batch(self, tokens: np.ndarray) -> np.ndarray:
+        """match() for each row of [n, 32] nybble tokens, with 0 for None."""
+        return np.array(
+            [self._match(row) or 0 for row in map(tuple, tokens.tolist())], dtype=np.int64
+        )
 
 
 def load_seed_file(path: str) -> list[NybbleSeq]:

@@ -1,38 +1,30 @@
-"""Aliased-prefix detector: scores addresses and filters candidate sets.
+"""Aliased-prefix detector: filters candidate sets.
 
 An aliased region answers every probe, so hitting one proves nothing.
-The detector wraps the prefix trie with the reward strength lambda used
-during training and offers a post-hoc filter for candidate sets.
+The detector holds the longest-prefix matcher over the known aliased
+prefixes; training reads its matcher for the alias penalty, whose
+strength is RewardConfig.lam, and filter_aliased removes aliased
+addresses from a candidate set after the fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .addr import AliasTrie, NybblePrefix, NybbleSeq, alias_match, load_alias_file
+from .addr import AliasTrie, NybblePrefix, NybbleSeq, load_alias_file
 
 
 @dataclass
 class AliasDetector:
     trie: AliasTrie = field(default_factory=AliasTrie)
-    lam: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
 
     @classmethod
-    def from_file(cls, path: str, lam: float = 10.0) -> "AliasDetector":
-        return cls(trie=AliasTrie(load_alias_file(path)), lam=lam)
+    def from_file(cls, path: str) -> "AliasDetector":
+        return cls(trie=AliasTrie(load_alias_file(path)))
 
     @classmethod
-    def from_prefixes(cls, prefixes: list[NybblePrefix], lam: float = 10.0) -> "AliasDetector":
-        return cls(trie=AliasTrie(prefixes), lam=lam)
-
-
-def alias_score(det: AliasDetector, seq: NybbleSeq) -> float:
-    """lambda when the address falls under a known aliased prefix, else 0."""
-    return det.lam if alias_match(det.trie, seq) is not None else 0.0
+    def from_prefixes(cls, prefixes: list[NybblePrefix]) -> "AliasDetector":
+        return cls(trie=AliasTrie(prefixes))
 
 
 def filter_aliased(det: AliasDetector, addresses: list[NybbleSeq]) -> tuple[list[NybbleSeq], list[NybbleSeq]]:
@@ -40,5 +32,5 @@ def filter_aliased(det: AliasDetector, addresses: list[NybbleSeq]) -> tuple[list
     kept: list[NybbleSeq] = []
     removed: list[NybbleSeq] = []
     for seq in addresses:
-        (removed if alias_match(det.trie, seq) is not None else kept).append(seq)
+        (removed if det.trie.match(seq) is not None else kept).append(seq)
     return kept, removed

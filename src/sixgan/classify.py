@@ -246,7 +246,8 @@ def kmeans(
                 centroids[j] = points[far]
                 assign[far] = j
         sse = float(((points - centroids[assign]) ** 2).sum())
-        assert sse <= prev_sse + 1e-9, "k-means objective increased"
+        if sse > prev_sse + 1e-9:
+            raise RuntimeError(f"k-means objective increased from {prev_sse} to {sse}")
         new_centroids = np.array([points[assign == j].mean(axis=0) for j in range(k)])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
@@ -386,23 +387,22 @@ def ipv62vec_embed(
 
 
 def dbscan(
-    points: np.ndarray,
+    d2: np.ndarray,
     eps: float,
     min_pts: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Density clustering with Euclidean distance.
 
+    d2 is the [n, n] matrix of squared distances between the points.
     Returns (raw_labels, assigned_labels, core_mask).  Raw labels use -1
     for noise; assigned_labels additionally attach each noise point to the
     cluster of its nearest core point (unchanged if no cluster exists).
     """
-    points = np.asarray(points, dtype=np.float64)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
-    n = points.shape[0]
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    n = d2.shape[0]
     neighb = d2 <= eps * eps  # includes self
     core = neighb.sum(axis=1) >= min_pts
 
@@ -432,9 +432,9 @@ def dbscan(
     return labels, assigned, core
 
 
-def _default_eps(points: np.ndarray, min_pts: int) -> float:
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    kth = np.sort(np.sqrt(d2), axis=1)[:, min(min_pts, points.shape[0] - 1)]
+def _default_eps(d2: np.ndarray, min_pts: int) -> float:
+    """Median distance to the min_pts-th neighbour, from squared distances."""
+    kth = np.sort(np.sqrt(d2), axis=1)[:, min(min_pts, d2.shape[0] - 1)]
     return float(np.median(kth)) or 1e-6
 
 
@@ -453,18 +453,17 @@ def classify_ipv62vec(
     wins, with a warning on a miss.
     """
     vectors = ipv62vec_embed(seeds, dim=dim, seed=seed)
+    d2 = ((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
     if target_k is None:
-        eps = _default_eps(vectors, min_pts)
-        raw, assigned, core = dbscan(vectors, eps, min_pts)
+        raw, assigned, core = dbscan(d2, _default_eps(d2, min_pts), min_pts)
     else:
-        d2 = ((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
         lo = 1e-9
         hi = float(np.sqrt(d2.max())) + 1e-9
         best = None
         best_gap = None
         for _ in range(bisection_steps):
             mid = 0.5 * (lo + hi)
-            raw, assigned, core = dbscan(vectors, mid, min_pts)
+            raw, assigned, core = dbscan(d2, mid, min_pts)
             count = int(raw.max()) + 1
             gap = abs(count - target_k)
             if best is None or gap < best_gap:

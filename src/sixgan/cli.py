@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import glob
 import hashlib
 import json
 import logging
@@ -46,7 +47,7 @@ from .gan import (
 )
 from .metrics import CandidateSet, allocate_budget, evaluate, write_report_files
 from .nn import CnnParams, DivergenceError, LstmParams, RmsProp
-from .oracle import UniverseSpec, build_universe, sample_seeds
+from .oracle import UniverseOracle, UniverseSpec, sample_seeds
 
 log = logging.getLogger("sixgan.cli")
 
@@ -265,7 +266,7 @@ def _load_discriminator(path: str) -> DiscriminatorModel:
 def cmd_synth(cfg: dict) -> int:
     spec_path = _require_file(_require(cfg, "spec_file", "for synth"), "universe spec")
     spec = UniverseSpec.load(spec_path)
-    oracle = build_universe(spec)
+    oracle = UniverseOracle(spec)
     out = _ensure_out(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
     seeds = sample_seeds(oracle, int(cfg["n_seeds"]), rng)
@@ -329,7 +330,7 @@ def cmd_train(cfg: dict) -> int:
     inputs = [labels_path]
     if cfg.get("alias_file"):
         alias_path = _require_file(cfg["alias_file"], "alias prefix file")
-        detector = AliasDetector.from_file(alias_path, lam=float(cfg["reward"]["lam"]))
+        detector = AliasDetector.from_file(alias_path)
         inputs.append(alias_path)
     reward = RewardConfig(
         alpha=float(cfg["reward"]["alpha"]),
@@ -339,20 +340,31 @@ def cmd_train(cfg: dict) -> int:
     schedule = TrainSchedule(**{k: int(v) for k, v in cfg["schedule"].items()})
     out = _ensure_out(cfg)
 
-    def save_all(_rnd: int, gens: list[GeneratorModel], disc: DiscriminatorModel) -> None:
+    last_saved = None  # round of the checkpoints on disk; -1 is after pretraining
+
+    def save_all(rnd: int, gens: list[GeneratorModel], disc: DiscriminatorModel) -> None:
+        nonlocal last_saved
         for g in gens:
             _save_generator(_generator_ckpt(out, g.pattern_id), g)
         _save_discriminator(_disc_ckpt(out), disc)
+        last_saved = rnd
 
     hp = cfg["nn"]
-    generators, disc, records = train_6gan(
-        corpus, detector, reward, schedule, seed=int(cfg["seed"]),
-        embed_dim=int(hp["embed_dim"]), hidden_dim=int(hp["hidden_dim"]),
-        n_filters=int(hp["n_filters"]),
-        lr_gen=float(hp["lr_gen"]), lr_disc=float(hp["lr_disc"]),
-        on_round=save_all,
-    )
-    save_all(-1, generators, disc)
+    try:
+        generators, disc, records = train_6gan(
+            corpus, detector, reward, schedule, seed=int(cfg["seed"]),
+            embed_dim=int(hp["embed_dim"]), hidden_dim=int(hp["hidden_dim"]),
+            n_filters=int(hp["n_filters"]),
+            lr_gen=float(hp["lr_gen"]), lr_disc=float(hp["lr_disc"]),
+            on_round=save_all,
+        )
+    except DivergenceError as err:
+        if last_saved is None:
+            kept = f"no checkpoint was written; any checkpoint in {out} is from an earlier run"
+        else:
+            when = "pretraining" if last_saved < 0 else f"adversarial round {last_saved}"
+            kept = f"last finite checkpoint retained in {out}: after {when}"
+        raise DivergenceError(f"{err} ({kept})") from err
     log_path = os.path.join(out, "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -379,16 +391,18 @@ def _load_exclude(cfg: dict) -> tuple[set[tuple[int, ...]], list[str]]:
 
 def cmd_generate(cfg: dict) -> int:
     out = _ensure_out(cfg)
-    paths = []
-    for i in range(64):
-        p = _generator_ckpt(out, i)
-        if os.path.isfile(p):
-            paths.append(p)
-        else:
-            break
-    if not paths:
+    pattern = os.path.join(glob.escape(out), "generator_[0-9][0-9]*.ckpt")
+    found = {os.path.basename(p) for p in glob.glob(pattern)}
+    if not found:
         raise ConfigError(f"no generator checkpoints (generator_00.ckpt...) in {out}")
-    k = len(paths)
+    k = len(found)
+    paths = [_generator_ckpt(out, i) for i in range(k)]
+    missing = [os.path.basename(p) for p in paths if os.path.basename(p) not in found]
+    if missing:
+        raise ConfigError(
+            f"{k} generator checkpoints in {out} are not numbered 00..{k - 1:02d}: "
+            f"missing {', '.join(missing)}"
+        )
     rates = cfg.get("rates") or [1.0] * k
     if len(rates) != k:
         raise ConfigError(f"got {len(rates)} rates for {k} generators")
@@ -429,7 +443,7 @@ def cmd_evaluate(cfg: dict, candidates_path: str) -> int:
     candidates_path = _require_file(candidates_path, "candidates file")
     seeds_path = _require_file(_require(cfg, "seeds_file", "for evaluate"), "seeds file")
     spec = UniverseSpec.load(spec_path)
-    oracle = build_universe(spec)
+    oracle = UniverseOracle(spec)
     candidates = CandidateSet.dedup(load_seed_file(candidates_path))
     seeds = load_seed_file(seeds_path)
     report = evaluate(candidates, seeds, oracle)
@@ -499,7 +513,7 @@ def cmd_discriminate(cfg: dict, addresses_path: str) -> int:
 def cmd_alias_check(cfg: dict, addresses_path: str) -> int:
     alias_path = _require_file(_require(cfg, "alias_file", "for alias-check"), "alias prefix file")
     addresses_path = _require_file(addresses_path, "addresses file")
-    detector = AliasDetector.from_file(alias_path, lam=float(cfg["reward"]["lam"]))
+    detector = AliasDetector.from_file(alias_path)
     addrs = load_seed_file(addresses_path)
     kept, removed = filter_aliased(detector, addrs)
     out = _ensure_out(cfg)
@@ -573,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as err:
-        print(f"training diverged: {err} (last finite checkpoint retained)", file=sys.stderr)
+        print(f"training diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

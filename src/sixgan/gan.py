@@ -18,16 +18,15 @@ import numpy as np
 from .addr import AliasTrie, NybbleSeq
 from .alias import AliasDetector
 from .classify import LabeledSeedCorpus
-from . import nn
 from .nn import (
     BOS,
     SEQ_LEN,
-    VOCAB,
     CnnParams,
     LstmParams,
     RmsProp,
     cnn_forward,
     cnn_nll_grads,
+    ensure_finite,
     lstm_backward,
     lstm_forward,
     lstm_init_state,
@@ -157,59 +156,12 @@ def sample_sequences(g: GeneratorModel, n: int) -> list[NybbleSeq]:
     return [NybbleSeq(tuple(int(v) for v in row)) for row in tokens]
 
 
-def mc_rollout(g: GeneratorModel, partial: tuple[int, ...], n: int) -> list[NybbleSeq]:
-    """n completions of a partial sequence, sampled from g itself.
-
-    The given nybbles are replayed through the network (so the rollout
-    conditions on them exactly) and the remaining positions are sampled.
-    """
-    t = len(partial)
-    if not 1 <= t <= SEQ_LEN:
-        raise ValueError(f"partial length must be in [1, {SEQ_LEN}], got {t}")
-    if t == SEQ_LEN:
-        return [NybbleSeq(tuple(partial))] * n
-    h, c = lstm_init_state(g.params, n)
-    prev = np.full(n, BOS, dtype=np.int64)
-    for v in partial:
-        h, c, _, _ = lstm_step_batch(g.params, h, c, prev)
-        prev = np.full(n, v, dtype=np.int64)
-    tails = _continue_tokens(g.params, h, c, prev, SEQ_LEN - t, g.rng)
-    return [
-        NybbleSeq(tuple(partial) + tuple(int(v) for v in row)) for row in tails
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Rewards (penalties; lower is better for the generator)
 # ---------------------------------------------------------------------------
 
 
-def reward_discriminator(
-    d: DiscriminatorModel,
-    pattern_id: int,
-    partial: tuple[int, ...],
-    action: int,
-    rollouts: list[NybbleSeq],
-) -> float:
-    """Mean discriminator penalty 1 - D^i over the rollout completions.
-
-    At the final position the completed sequence itself is scored instead
-    of rollouts.
-    """
-    t = len(partial) + 1
-    if t == SEQ_LEN:
-        tokens = np.array([partial + (action,)], dtype=np.int64)
-    else:
-        if not rollouts:
-            raise ValueError("rollouts required before the final position")
-        tokens = np.array([r.nybbles for r in rollouts], dtype=np.int64)
-    probs = d.class_probs(tokens)
-    q_d = float((1.0 - probs[:, pattern_id]).mean())
-    assert -_BOUND_EPS <= q_d <= 1.0 + _BOUND_EPS, f"Q_D out of range: {q_d}"
-    return q_d
-
-
-_BOUND_EPS = 1e-9  # headroom for float rounding in mean-of-bounded-values asserts
+_BOUND_EPS = 1e-9  # headroom for float rounding in the penalty range checks
 
 
 def _alias_contrib(lengths: np.ndarray, t: int, lam: float) -> np.ndarray:
@@ -218,42 +170,51 @@ def _alias_contrib(lengths: np.ndarray, t: int, lam: float) -> np.ndarray:
     return np.where((lengths > 0) & (t <= lengths), scaled, 0.0)
 
 
-def reward_alias(
-    trie: AliasTrie,
+def rollout_penalties(
+    g: GeneratorModel,
+    d: DiscriminatorModel,
+    trie: AliasTrie | None,
     cfg: RewardConfig,
-    t: int,
-    rollouts: list[NybbleSeq],
-) -> float:
-    """Mean aliased-prefix penalty over rollouts at position t.
+    tokens: np.ndarray,
+    hs: list[np.ndarray],
+    cs: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo penalties (Q_D, Q_A), each [B, SEQ_LEN], of a sampled batch.
 
-    A rollout matching an aliased prefix of length L contributes
-    (t/L)*lambda when t <= L; positions past the matched prefix, and
-    non-matching rollouts, contribute 0.
+    tokens, hs and cs come from _sample_tokens(keep_states=True).  At each
+    position t < SEQ_LEN, cfg.rollouts completions continue every sequence
+    from its cached state, sampled from g itself; at t = SEQ_LEN the
+    sequence itself is scored.  Q_D is the mean discriminator penalty
+    1 - D^i over the completions.  Q_A is the mean alias penalty: a
+    completion under an aliased prefix of length L contributes
+    (t/L)*lambda when t <= L, and 0 otherwise.  Without a trie Q_A is 0.
     """
-    if not rollouts:
-        raise ValueError("rollouts must be non-empty")
-    lengths = np.array(
-        [trie.match(r) or 0 for r in rollouts], dtype=np.int64
-    )
-    q_a = float(_alias_contrib(lengths, t, cfg.lam).mean())
-    assert -_BOUND_EPS <= q_a <= cfg.lam + _BOUND_EPS, f"Q_A out of range: {q_a}"
-    return q_a
+    b, n_roll = tokens.shape[0], cfg.rollouts
+    q_d = np.empty((b, SEQ_LEN))
+    q_a = np.zeros((b, SEQ_LEN))
+    for t in range(1, SEQ_LEN + 1):
+        if t < SEQ_LEN:
+            n = n_roll
+            h_rep = np.repeat(hs[t - 1], n, axis=0)
+            c_rep = np.repeat(cs[t - 1], n, axis=0)
+            prev = np.repeat(tokens[:, t - 1], n)
+            tails = _continue_tokens(g.params, h_rep, c_rep, prev, SEQ_LEN - t, g.rng)
+            full = np.concatenate([np.repeat(tokens[:, :t], n, axis=0), tails], axis=1)
+        else:
+            n, full = 1, tokens
+        probs = d.class_probs(full)
+        q_d[:, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, n).mean(axis=1)
+        if trie is not None:
+            contrib = _alias_contrib(trie.match_batch(full), t, cfg.lam)
+            q_a[:, t - 1] = contrib.reshape(b, n).mean(axis=1)
+    return q_d, q_a
 
 
-def combined_q(q_d: float, q_a: float, cfg: RewardConfig) -> float:
-    q = q_d + cfg.alpha * q_a
-    assert -_BOUND_EPS <= q <= 1.0 + cfg.alpha * cfg.lam + _BOUND_EPS, f"Q_AD out of range: {q}"
-    return q
-
-
-def _match_lengths_batch(prefixes: list[tuple[int, ...]], tokens: np.ndarray) -> np.ndarray:
-    """Longest aliased-prefix match length per row (0 = no match)."""
-    lengths = np.zeros(tokens.shape[0], dtype=np.int64)
-    for p in prefixes:
-        lp = len(p)
-        hit = (tokens[:, :lp] == np.array(p)).all(axis=1)
-        lengths[hit] = np.maximum(lengths[hit], lp)
-    return lengths
+def _check_range(name: str, q: np.ndarray, hi: float) -> None:
+    """Raise unless every penalty is finite and in [0, hi], up to rounding."""
+    ensure_finite(name, q)
+    if (q < -_BOUND_EPS).any() or (q > hi + _BOUND_EPS).any():
+        raise RuntimeError(f"{name} out of range [0, {hi}]: min {q.min()}, max {q.max()}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +251,16 @@ def generator_pg_step(
     step descends the penalty-weighted log-likelihood.
     """
     params = g.params
-    b, n_roll = batch_size, cfg.rollouts
+    b = batch_size
     tokens, hs, cs = _sample_tokens(params, b, g.rng, keep_states=True)
-
     trie = detector.trie if detector is not None else None
-    prefixes = [p.nybbles for p in trie.prefixes()] if trie is not None else []
+    q_d, q_a = rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
+    aliased_rate = float((trie.match_batch(tokens) > 0).mean()) if trie is not None else 0.0
 
-    q_d = np.empty((b, SEQ_LEN))
-    q_a = np.zeros((b, SEQ_LEN))
-    for t in range(1, SEQ_LEN):
-        h_rep = np.repeat(hs[t - 1], n_roll, axis=0)
-        c_rep = np.repeat(cs[t - 1], n_roll, axis=0)
-        prev = np.repeat(tokens[:, t - 1], n_roll)
-        tails = _continue_tokens(params, h_rep, c_rep, prev, SEQ_LEN - t, g.rng)
-        full = np.concatenate(
-            [np.repeat(tokens[:, :t], n_roll, axis=0), tails], axis=1
-        )
-        probs = d.class_probs(full)
-        q_d[:, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, n_roll).mean(axis=1)
-        if prefixes:
-            lengths = _match_lengths_batch(prefixes, full)
-            q_a[:, t - 1] = _alias_contrib(lengths, t, cfg.lam).reshape(b, n_roll).mean(axis=1)
-    probs = d.class_probs(tokens)
-    q_d[:, SEQ_LEN - 1] = 1.0 - probs[:, g.pattern_id]
-    if prefixes:
-        lengths = _match_lengths_batch(prefixes, tokens)
-        q_a[:, SEQ_LEN - 1] = _alias_contrib(lengths, SEQ_LEN, cfg.lam)
-        aliased_rate = float((lengths > 0).mean())
-    else:
-        aliased_rate = 0.0
-
-    assert (q_d >= -_BOUND_EPS).all() and (q_d <= 1.0 + _BOUND_EPS).all(), "Q_D out of range"
-    assert (q_a >= -_BOUND_EPS).all() and (q_a <= cfg.lam + _BOUND_EPS).all(), "Q_A out of range"
+    _check_range("Q_D", q_d, 1.0)
+    _check_range("Q_A", q_a, cfg.lam)
     q = q_d + cfg.alpha * q_a
-    assert (q >= -_BOUND_EPS).all() and (q <= 1.0 + cfg.alpha * cfg.lam + _BOUND_EPS).all(), "Q_AD out of range"
+    _check_range("Q_AD", q, 1.0 + cfg.alpha * cfg.lam)
 
     inputs = np.concatenate(
         [np.full((b, 1), BOS, dtype=tokens.dtype), tokens[:, :-1]], axis=1

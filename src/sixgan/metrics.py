@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
@@ -80,33 +79,21 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
-def cosine_sim(a: NybbleSeq, b: NybbleSeq) -> float:
-    """Cosine of the raw 32-dim nybble vectors.
-
-    All-zero vectors have no direction: one zero vector scores 0, two
-    score 1 (identical addresses).
-    """
-    na = math.sqrt(sum(v * v for v in a.nybbles))
-    nb = math.sqrt(sum(v * v for v in b.nybbles))
-    if na == 0.0 and nb == 0.0:
-        return 1.0
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    dot = sum(x * y for x, y in zip(a.nybbles, b.nybbles))
-    return dot / (na * nb)
-
-
-def jaccard_sim(a: NybbleSeq, b: NybbleSeq) -> float:
-    """Jaccard over (position, value) pairs: m agreeing positions -> m/(64-m)."""
-    m = sum(1 for x, y in zip(a.nybbles, b.nybbles) if x == y)
-    return m / (64 - m)
-
-
 def _matrix(seqs: list[NybbleSeq]) -> np.ndarray:
     return np.array([s.nybbles for s in seqs], dtype=np.float64)
 
 
-def _cosine_matrix(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+def _jaccard_matrix(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Jaccard over (position, value) pairs: m agreeing positions -> m/(64-m)."""
+    m = (ca[:, None, :] == cb[None, :, :]).sum(axis=2).astype(np.float64)
+    return m / (64.0 - m)
+
+
+def _seed_cosines(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> np.ndarray:
+    """The [candidates, seeds] cosine matrix behind both pattern qualities."""
+    if not candidates or not seeds:
+        raise ValueError("pattern_quality requires non-empty candidates and seeds")
+    ca, cb = _matrix(candidates), _matrix(seeds)
     na = np.sqrt((ca * ca).sum(axis=1))
     nb = np.sqrt((cb * cb).sum(axis=1))
     dots = ca @ cb.T
@@ -121,25 +108,19 @@ def _cosine_matrix(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return sims
 
 
-def _jaccard_matrix(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    m = (ca[:, None, :] == cb[None, :, :]).sum(axis=2).astype(np.float64)
-    return m / (64.0 - m)
-
-
 def pattern_quality(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
-    """Mean over candidates of the minimum cosine similarity to any seed."""
-    if not candidates or not seeds:
-        raise ValueError("pattern_quality requires non-empty candidates and seeds")
-    sims = _cosine_matrix(_matrix(candidates), _matrix(seeds))
-    return float(sims.min(axis=1).mean())
+    """Mean over candidates of the minimum cosine similarity to any seed.
+
+    Cosine is over the raw 32-dim nybble vectors.  All-zero vectors have
+    no direction: one zero vector scores 0, two score 1 (identical
+    addresses).
+    """
+    return float(_seed_cosines(candidates, seeds).min(axis=1).mean())
 
 
 def pattern_quality_max(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
     """Nearest-seed variant: mean of the maximum similarity per candidate."""
-    if not candidates or not seeds:
-        raise ValueError("pattern_quality requires non-empty candidates and seeds")
-    sims = _cosine_matrix(_matrix(candidates), _matrix(seeds))
-    return float(sims.max(axis=1).mean())
+    return float(_seed_cosines(candidates, seeds).max(axis=1).mean())
 
 
 def novelty(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
@@ -195,8 +176,10 @@ def evaluate(
     aliased_pct = n_aliased / n if n else 0.0
     pq = pqx = nov = div = None
     if n and seeds:
-        pq = pattern_quality(candidates.addresses, seeds)
-        pqx = pattern_quality_max(candidates.addresses, seeds)
+        sims = _seed_cosines(candidates.addresses, seeds)
+        pq = float(sims.min(axis=1).mean())
+        pqx = float(sims.max(axis=1).mean())
+        del sims  # freed before novelty and diversity build their larger arrays
         nov = novelty(candidates.addresses, seeds)
     if n >= 2:
         div = diversity(candidates.addresses)

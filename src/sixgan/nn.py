@@ -115,6 +115,30 @@ def lstm_init_state(params: LstmParams, batch: int) -> tuple[np.ndarray, np.ndar
     return h, h.copy()
 
 
+def _lstm_cell(
+    params: LstmParams,
+    tokens: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The gated update for a batch of token ids.
+
+    Returns the next-nybble logits and every intermediate lstm_backward
+    needs, keyed as in lstm_forward's cache; "h" and "c" are the new state.
+    """
+    z = np.concatenate([params.emb[tokens], h_prev], axis=1)
+    i = sigmoid(z @ params.w_i + params.b_i)
+    f = sigmoid(z @ params.w_f + params.b_f)
+    o = sigmoid(z @ params.w_o + params.b_o)
+    g = np.tanh(z @ params.w_g + params.b_g)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    logits = h @ params.w_out + params.b_out
+    return logits, {"z": z, "i": i, "f": f, "o": o, "g": g,
+                    "c_prev": c_prev, "c": c, "tc": tc, "h": h}
+
+
 def lstm_step_batch(
     params: LstmParams,
     h_prev: np.ndarray,
@@ -125,29 +149,9 @@ def lstm_step_batch(
 
     Returns (h, c, logits, probs); probs is the next-nybble distribution.
     """
-    z = np.concatenate([params.emb[tokens], h_prev], axis=1)
-    i = sigmoid(z @ params.w_i + params.b_i)
-    f = sigmoid(z @ params.w_f + params.b_f)
-    o = sigmoid(z @ params.w_o + params.b_o)
-    g = np.tanh(z @ params.w_g + params.b_g)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    logits = h @ params.w_out + params.b_out
+    logits, step = _lstm_cell(params, tokens, h_prev, c_prev)
     ensure_finite("lstm logits", logits)
-    return h, c, logits, softmax(logits)
-
-
-def lstm_step(
-    params: LstmParams,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    token: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Single-sequence wrapper around lstm_step_batch."""
-    h, c, logits, probs = lstm_step_batch(
-        params, h_prev[None, :], c_prev[None, :], np.array([token])
-    )
-    return h[0], c[0], logits[0], probs[0]
+    return step["h"], step["c"], logits, softmax(logits)
 
 
 def lstm_forward(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -158,28 +162,12 @@ def lstm_forward(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, di
     b, t_len = inputs.shape
     h, c = lstm_init_state(params, b)
     logits = np.empty((b, t_len, VOCAB))
-    cache: dict = {"inputs": inputs, "z": [], "i": [], "f": [], "o": [],
-                   "g": [], "c_prev": [], "c": [], "tc": [], "h": []}
+    cache: dict = {"inputs": inputs}
     for t in range(t_len):
-        z = np.concatenate([params.emb[inputs[:, t]], h], axis=1)
-        i = sigmoid(z @ params.w_i + params.b_i)
-        f = sigmoid(z @ params.w_f + params.b_f)
-        o = sigmoid(z @ params.w_o + params.b_o)
-        g = np.tanh(z @ params.w_g + params.b_g)
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        logits[:, t] = h_new @ params.w_out + params.b_out
-        cache["z"].append(z)
-        cache["i"].append(i)
-        cache["f"].append(f)
-        cache["o"].append(o)
-        cache["g"].append(g)
-        cache["c_prev"].append(c)
-        cache["c"].append(c_new)
-        cache["tc"].append(tc)
-        cache["h"].append(h_new)
-        h, c = h_new, c_new
+        logits[:, t], step = _lstm_cell(params, inputs[:, t], h, c)
+        for name, arr in step.items():
+            cache.setdefault(name, []).append(arr)
+        h, c = step["h"], step["c"]
     ensure_finite("lstm logits", logits)
     return logits, cache
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .addr import NybblePrefix, NybbleSeq, parse_prefix
+from .addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from .classify import RFC_CLASS_NAMES, classify_rfc
 
 SAMPLE_ATTEMPT_LIMIT = 10 ** 6
@@ -109,6 +109,7 @@ def _is_prefix_of(a: NybblePrefix, b: NybblePrefix) -> bool:
 class UniverseOracle:
     spec: UniverseSpec
     _key: bytes = field(init=False, repr=False)
+    _aliases: AliasTrie = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         fams = self.spec.families
@@ -122,17 +123,15 @@ class UniverseOracle:
                                 f"and {q} ({fams[j].name})"
                             )
         self._key = self.spec.hash_key.to_bytes(16, "little", signed=False)
+        self._aliases = AliasTrie(self.spec.aliased_prefixes)
 
     def _hash_unit(self, seq: NybbleSeq) -> float:
         h = hashlib.blake2b(bytes(seq.nybbles), key=self._key, digest_size=8)
         return int.from_bytes(h.digest(), "little") / 2.0 ** 64
 
-    def _aliased(self, seq: NybbleSeq) -> bool:
-        return any(p.matches(seq) for p in self.spec.aliased_prefixes)
-
     def probe(self, seq: NybbleSeq) -> ProbeStatus:
         """Deterministic activity answer for one address."""
-        if self._aliased(seq):
+        if self._aliases.match(seq) is not None:
             return ProbeStatus.ALIASED
         label = classify_rfc(seq).class_name
         for fam in self.spec.families:
@@ -143,10 +142,6 @@ class UniverseOracle:
                     return ProbeStatus.ACTIVE
                 return ProbeStatus.INACTIVE
         return ProbeStatus.INACTIVE
-
-
-def build_universe(spec: UniverseSpec) -> UniverseOracle:
-    return UniverseOracle(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """Independent brute-force references used to cross-check the library.
 
-Everything here is deliberately written in plain Python (math module
-only, no numpy) with the most direct formulation available, so that
-agreement with the library is meaningful evidence rather than shared
-code paths.
+The metric and clustering references are deliberately written in plain
+Python (math module only, no numpy) with the most direct formulation
+available, so that agreement with the library is meaningful evidence
+rather than shared code paths.  The rollout-reward references score one
+partial sequence at a time; they share only the networks with the
+batched training path, and draw from the generator's RNG in the same
+order, so the two can be compared value for value.
 """
 
 import math
 import random
 from collections import Counter
 
+import numpy as np
+
 from sixgan.addr import NybbleSeq
+from sixgan.nn import BOS, SEQ_LEN, lstm_init_state, lstm_step_batch
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +174,84 @@ def plant_value_band_corpus(n_per_pattern: int, seed: int, n_patterns: int = 3):
             seeds.append(s)
             labels.append(p)
     return seeds, labels
+
+
+# ---------------------------------------------------------------------------
+# Scalar rollout rewards (penalties; lower is better for the generator)
+# ---------------------------------------------------------------------------
+
+_BOUND_EPS = 1e-9  # headroom for float rounding in mean-of-bounded-values asserts
+
+
+def mc_rollout(g, partial: tuple, n: int) -> list:
+    """n completions of a partial sequence, sampled from g itself.
+
+    The given nybbles are replayed through the network (so the rollout
+    conditions on them exactly) and the remaining positions are sampled
+    by inverse CDF, one uniform draw per completion and position.
+    """
+    t = len(partial)
+    if not 1 <= t <= SEQ_LEN:
+        raise ValueError(f"partial length must be in [1, {SEQ_LEN}], got {t}")
+    if t == SEQ_LEN:
+        return [NybbleSeq(tuple(partial))] * n
+    h, c = lstm_init_state(g.params, n)
+    prev = np.full(n, BOS, dtype=np.int64)
+    for v in partial:
+        h, c, _, _ = lstm_step_batch(g.params, h, c, prev)
+        prev = np.full(n, v, dtype=np.int64)
+    tails = []
+    for _ in range(SEQ_LEN - t):
+        h, c, _, probs = lstm_step_batch(g.params, h, c, prev)
+        cdf = probs.cumsum(axis=1)
+        u = g.rng.random(n)
+        prev = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+        tails.append(prev)
+    return [
+        NybbleSeq(tuple(partial) + tuple(int(tail[r]) for tail in tails))
+        for r in range(n)
+    ]
+
+
+def reward_discriminator(d, pattern_id: int, partial: tuple, action: int, rollouts: list) -> float:
+    """Mean discriminator penalty 1 - D^i over the rollout completions.
+
+    At the final position the completed sequence itself is scored instead
+    of rollouts.
+    """
+    t = len(partial) + 1
+    if t == SEQ_LEN:
+        tokens = np.array([partial + (action,)], dtype=np.int64)
+    else:
+        if not rollouts:
+            raise ValueError("rollouts required before the final position")
+        tokens = np.array([r.nybbles for r in rollouts], dtype=np.int64)
+    probs = d.class_probs(tokens)
+    q_d = float((1.0 - probs[:, pattern_id]).mean())
+    assert -_BOUND_EPS <= q_d <= 1.0 + _BOUND_EPS, f"Q_D out of range: {q_d}"
+    return q_d
+
+
+def reward_alias(trie, cfg, t: int, rollouts: list) -> float:
+    """Mean aliased-prefix penalty over rollouts at position t.
+
+    A rollout matching an aliased prefix of length L contributes
+    (t/L)*lambda when t <= L; positions past the matched prefix, and
+    non-matching rollouts, contribute 0.
+    """
+    if not rollouts:
+        raise ValueError("rollouts must be non-empty")
+    total = 0.0
+    for r in rollouts:
+        length = trie.match(r)
+        if length is not None and t <= length:
+            total += t / length * cfg.lam
+    q_a = total / len(rollouts)
+    assert -_BOUND_EPS <= q_a <= cfg.lam + _BOUND_EPS, f"Q_A out of range: {q_a}"
+    return q_a
+
+
+def combined_q(q_d: float, q_a: float, cfg) -> float:
+    q = q_d + cfg.alpha * q_a
+    assert -_BOUND_EPS <= q <= 1.0 + cfg.alpha * cfg.lam + _BOUND_EPS, f"Q_AD out of range: {q}"
+    return q

@@ -251,7 +251,7 @@ def test_07_alias_detection_ablation():
     assert 0.12 < seed_frac < 0.18
 
     corpus = classify_rfc_corpus(seeds)
-    detector = AliasDetector.from_prefixes([aliased], lam=10.0)
+    detector = AliasDetector.from_prefixes([aliased])
     schedule = TrainSchedule(g_pretrain=1200, d_pretrain=30, g_steps=1,
                              d_steps=1, adversarial_rounds=6, batch_size=32)
     fractions = {}

@@ -1,7 +1,8 @@
-"""Address codec and aliased-prefix trie behavior."""
+"""Address codec and aliased-prefix matcher behavior."""
 
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from sixgan.addr import (
     AliasTrie,
     NybblePrefix,
     NybbleSeq,
-    alias_match,
     format_address,
     load_alias_file,
     load_seed_file,
@@ -167,40 +167,39 @@ class TestParsePrefix:
 class TestAliasTrie:
     def test_insert_then_extension_matches(self):
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
-        assert alias_match(trie, parse_address("2001:db8::20:1a")) == 8
+        assert trie.match(parse_address("2001:db8::20:1a")) == 8
 
     def test_non_extension_no_match(self):
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
-        assert alias_match(trie, parse_address("2001:db9::1")) is None
+        assert trie.match(parse_address("2001:db9::1")) is None
 
     def test_empty_trie_never_matches(self):
         trie = AliasTrie()
-        assert alias_match(trie, parse_address("::")) is None
+        assert trie.match(parse_address("::")) is None
         assert len(trie) == 0
 
     def test_longest_nested_prefix_wins(self):
         trie = AliasTrie(
             [parse_prefix("2001:db8::/32"), parse_prefix("2001:db8:ff00::/40")]
         )
-        assert alias_match(trie, parse_address("2001:db8:ff12::1")) == 10
-        assert alias_match(trie, parse_address("2001:db8:aa12::1")) == 8
+        assert trie.match(parse_address("2001:db8:ff12::1")) == 10
+        assert trie.match(parse_address("2001:db8:aa12::1")) == 8
 
     def test_matched_length_equals_terminal_depth(self):
         trie = AliasTrie([parse_prefix("fe80::/12")])
-        assert alias_match(trie, parse_address("fe89::1")) == 3
+        assert trie.match(parse_address("fe89::1")) == 3
 
     def test_prefixes_round_trip(self):
+        # every prefix the matcher is built from comes back as its own match
         inserted = [parse_prefix("2001:db8::/32"), parse_prefix("fe80::/12")]
         trie = AliasTrie(inserted)
-        assert sorted(p.nybbles for p in trie.prefixes()) == sorted(
-            p.nybbles for p in inserted
-        )
+        for p in inserted:
+            padded = NybbleSeq(p.nybbles + (0,) * (32 - len(p)))
+            assert trie.match(padded) == len(p)
         assert len(trie) == 2
 
     def test_duplicate_insert_counted_once(self):
-        trie = AliasTrie()
-        trie.insert(parse_prefix("2001:db8::/32"))
-        trie.insert(parse_prefix("2001:db8::/32"))
+        trie = AliasTrie([parse_prefix("2001:db8::/32"), parse_prefix("2001:db8::/32")])
         assert len(trie) == 1
 
     @given(
@@ -210,21 +209,26 @@ class TestAliasTrie:
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, prefixes, seqs):
         trie = AliasTrie([NybblePrefix(tuple(p)) for p in prefixes])
+        wants = []
         for nybs in seqs:
             seq = NybbleSeq(nybs)
             want = max(
                 (len(p) for p in prefixes if tuple(nybs[: len(p)]) == tuple(p)),
                 default=None,
             )
-            assert alias_match(trie, seq) == want
+            assert trie.match(seq) == want
+            wants.append(want or 0)
+        lengths = trie.match_batch(np.array(seqs, dtype=np.int64))
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == wants
 
     def test_match_monotone_in_shared_prefix(self):
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         base = parse_address("2001:db8::1")
-        matched = alias_match(trie, base)
+        matched = trie.match(base)
         assert matched == 8
         other = NybbleSeq(base.nybbles[:matched] + (0xF,) * (32 - matched))
-        assert alias_match(trie, other) == matched
+        assert trie.match(other) == matched
 
 
 class TestFiles:

@@ -1,46 +1,38 @@
-"""Aliased-prefix detector: scoring and candidate filtering."""
+"""Aliased-prefix detector: matching and candidate filtering."""
 
-import pytest
-
-from sixgan.addr import NybbleSeq, parse_address, parse_prefix
-from sixgan.alias import AliasDetector, alias_score, filter_aliased
+from sixgan.addr import parse_address, parse_prefix
+from sixgan.alias import AliasDetector, filter_aliased
 
 
-def det(*prefixes, lam=10.0):
-    return AliasDetector.from_prefixes([parse_prefix(p) for p in prefixes], lam=lam)
+def det(*prefixes):
+    return AliasDetector.from_prefixes([parse_prefix(p) for p in prefixes])
 
 
 class TestDetector:
+    """A match is what makes training charge the alias penalty lambda
+    (RewardConfig.lam); an address with no match scores zero."""
+
     def test_empty_detector_scores_zero(self):
         empty = AliasDetector()
-        assert alias_score(empty, parse_address("2001:db8::1")) == 0.0
+        assert empty.trie.match(parse_address("2001:db8::1")) is None
 
     def test_match_scores_lambda(self):
-        d = det("2001:db8:f::/48", lam=10.0)
-        assert alias_score(d, parse_address("2001:db8:f::1234")) == 10.0
-        assert alias_score(d, parse_address("2001:db8:e::1234")) == 0.0
-
-    def test_custom_lambda(self):
-        d = det("2001:db8::/32", lam=2.5)
-        assert alias_score(d, parse_address("2001:db8::1")) == 2.5
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            AliasDetector(lam=-1.0)
-        with pytest.raises(ValueError):
-            det("2001:db8::/32", lam=-0.5)
+        d = det("2001:db8:f::/48")
+        assert d.trie.match(parse_address("2001:db8:f::1234")) == 12
+        assert d.trie.match(parse_address("2001:db8:e::1234")) is None
 
     def test_near_miss_scores_zero(self):
         # shares all but the last prefix nybble
         d = det("2001:db8:aa00::/56")
-        assert alias_score(d, parse_address("2001:db8:aa01::1")) == 0.0
-        assert alias_score(d, parse_address("2001:db8:aa00::1")) == 10.0
+        assert d.trie.match(parse_address("2001:db8:aa01::1")) is None
+        assert d.trie.match(parse_address("2001:db8:aa00::1")) == 14
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "aliased.txt"
         path.write_text("# aliased regions\n2001:db8:f::/48\n\n2001:db8:e::/48\n")
-        d = AliasDetector.from_file(str(path), lam=3.0)
-        assert alias_score(d, parse_address("2001:db8:e::9")) == 3.0
+        d = AliasDetector.from_file(str(path))
+        assert len(d.trie) == 2
+        assert d.trie.match(parse_address("2001:db8:e::9")) == 12
 
 
 class TestFilter:

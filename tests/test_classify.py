@@ -290,10 +290,14 @@ class TestIpv62Vec:
         assert unit[0] @ unit[1] > unit[0] @ unit[2]
 
 
+def sq_dists(pts):
+    return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+
+
 class TestDbscan:
     def test_identical_points_single_cluster(self):
         pts = np.zeros((6, 3))
-        raw, assigned, core = dbscan(pts, eps=0.5, min_pts=3)
+        raw, assigned, core = dbscan(sq_dists(pts), eps=0.5, min_pts=3)
         assert set(raw.tolist()) == {0}
         assert set(assigned.tolist()) == {0}
         assert core.all()
@@ -302,28 +306,28 @@ class TestDbscan:
         rng = np.random.default_rng(0)
         a = rng.normal(0.0, 0.05, size=(10, 2))
         b = rng.normal(10.0, 0.05, size=(10, 2))
-        raw, assigned, _ = dbscan(np.vstack([a, b]), eps=0.5, min_pts=3)
+        raw, assigned, _ = dbscan(sq_dists(np.vstack([a, b])), eps=0.5, min_pts=3)
         assert len(set(assigned.tolist())) == 2
         assert len(set(assigned[:10].tolist())) == 1
         assert len(set(assigned[10:].tolist())) == 1
 
     def test_min_pts_above_n_all_noise(self):
         pts = np.zeros((4, 2))
-        raw, assigned, core = dbscan(pts, eps=0.5, min_pts=5)
+        raw, assigned, core = dbscan(sq_dists(pts), eps=0.5, min_pts=5)
         assert (raw == -1).all()
         assert (assigned == -1).all()
         assert not core.any()
 
     def test_noise_assigned_to_nearest_core(self):
         pts = np.array([[0.0], [0.1], [0.2], [50.0]])
-        raw, assigned, core = dbscan(pts, eps=0.3, min_pts=3)
+        raw, assigned, core = dbscan(sq_dists(pts), eps=0.3, min_pts=3)
         assert raw[3] == -1
         assert assigned[3] == assigned[0]
 
     def test_hand_traced_chain(self):
         # 0-1-2 chain within eps, 3 reachable only from 2, 4 isolated
         pts = np.array([[0.0], [0.8], [1.6], [2.3], [9.0]])
-        raw, assigned, core = dbscan(pts, eps=1.0, min_pts=3)
+        raw, assigned, core = dbscan(sq_dists(pts), eps=1.0, min_pts=3)
         assert raw[0] == raw[1] == raw[2] == raw[3] == 0
         assert core.tolist() == [False, True, True, False, False]
         assert raw[4] == -1

@@ -4,13 +4,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import sixgan.cli as cli
 from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
 from sixgan.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from sixgan.nn import DivergenceError
+from sixgan.nn import DivergenceError, load_checkpoint, save_checkpoint
 
 UNIVERSE = {
     "hash_key": 1234,
@@ -259,7 +260,7 @@ class TestExitCodes:
                      "--out", str(tmp_path),
                      str(tmp_path / "nope.txt")]) == EXIT_CONFIG
 
-    def test_divergence_exit_code(self, tmp_path, monkeypatch):
+    def test_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         out.mkdir()
         spec = write_json(tmp_path / "spec.json", UNIVERSE)
@@ -267,9 +268,55 @@ class TestExitCodes:
         base = ["--config", cfg, "--out", str(out)]
         assert main(["synth", *base, "--spec", spec]) == EXIT_OK
         assert main(["classify", *base]) == EXIT_OK
+        capsys.readouterr()
 
+        # diverges before the first checkpoint: nothing of this run is on disk
         def blow_up(*args, **kwargs):
             raise DivergenceError("non-finite values in lstm logits")
 
         monkeypatch.setattr(cli, "train_6gan", blow_up)
         assert main(["train", *base]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "non-finite values in lstm logits" in err
+        assert "no checkpoint was written" in err
+        assert "retained" not in err
+        assert not (out / "generator_00.ckpt").exists()
+
+        # diverges after the pretraining checkpoint: that one is named
+        monkeypatch.undo()
+        real_train = cli.train_6gan
+
+        def diverge_after_pretraining(*args, on_round, **kwargs):
+            def save_then_fail(rnd, gens, disc):
+                on_round(rnd, gens, disc)
+                raise DivergenceError("non-finite values in lstm logits")
+
+            return real_train(*args, on_round=save_then_fail, **kwargs)
+
+        monkeypatch.setattr(cli, "train_6gan", diverge_after_pretraining)
+        assert main(["train", *base]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert f"last finite checkpoint retained in {out}: after pretraining" in err
+        assert "no checkpoint was written" not in err
+        assert (out / "generator_00.ckpt").exists()
+        assert (out / "discriminator.ckpt").exists()
+
+    def test_generate_rejects_gap_in_generator_numbering(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("generator_00.ckpt", "generator_02.ckpt"):
+            (out / name).write_bytes((pipeline["out"] / name).read_bytes())
+        capsys.readouterr()
+        assert main(["generate", "--out", str(out)]) == EXIT_CONFIG
+        assert "missing generator_01.ckpt" in capsys.readouterr().err
+        assert not (out / "candidates.txt").exists()
+
+    def test_generate_finds_generators_past_64(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        tensors = load_checkpoint(str(pipeline["out"] / "generator_00.ckpt"))
+        for i in range(66):
+            tensors["meta_pattern_id"] = np.array([float(i)])
+            save_checkpoint(str(out / f"generator_{i:02d}.ckpt"), tensors)
+        assert main(["generate", "--out", str(out), "--budget", "66"]) == EXIT_OK
+        assert len(load_seed_file(str(out / "candidates_pattern_65.txt"))) == 1

@@ -1,11 +1,13 @@
 """Adversarial training: rewards, rollouts, policy gradients, schedule."""
 
+import copy
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from _oracles import combined_q, mc_rollout, reward_alias, reward_discriminator
 from sixgan.addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from sixgan.alias import AliasDetector
 from sixgan.classify import classify_rfc_corpus
@@ -14,19 +16,17 @@ from sixgan.gan import (
     GeneratorModel,
     RewardConfig,
     TrainSchedule,
-    combined_q,
+    _sample_tokens,
     discriminator_step,
     generate_candidates,
     generator_pg_step,
-    mc_rollout,
     pg_logit_grad,
     pretrain_generator,
-    reward_alias,
-    reward_discriminator,
+    rollout_penalties,
     sample_sequences,
     train_6gan,
 )
-from sixgan.nn import CnnParams, LstmParams, RmsProp, lstm_nll, softmax
+from sixgan.nn import CnnParams, DivergenceError, LstmParams, RmsProp, lstm_nll, softmax
 
 PREFIX_A = (2, 0, 0, 1, 0, 0xD, 0xB, 8)
 
@@ -223,6 +223,61 @@ class TestRewards:
         assert combined_q(0.5, 9.9, cfg) == pytest.approx(0.5)
 
 
+class TestRolloutPenalties:
+    def test_batch_of_one_matches_scalar_reference(self):
+        # pretrained toward PREFIX_A, so rollouts fall under the aliased prefix
+        g = make_generator(seed=40, embed=16, hidden=24, lr=2e-2)
+        pretrain_generator(g, constant_prefix_tokens(128, np.random.default_rng(41)),
+                           steps=200, batch_size=32)
+        d = make_discriminator(seed=42, k=1)
+        trie = AliasTrie([NybblePrefix(PREFIX_A)])
+        cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=5)
+        ref = copy.deepcopy(g)  # same weights, same RNG state
+
+        tokens, hs, cs = _sample_tokens(g.params, 1, g.rng, keep_states=True)
+        q_d, q_a = rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
+
+        seq = sample_sequences(ref, 1)[0].nybbles
+        assert seq == tuple(tokens[0].tolist())
+        want_d, want_a = [], []
+        for t in range(1, 33):
+            rollouts = mc_rollout(ref, seq[:t], cfg.rollouts)
+            want_d.append(reward_discriminator(d, g.pattern_id, seq[:t - 1], seq[t - 1], rollouts))
+            want_a.append(reward_alias(trie, cfg, t, rollouts))
+        assert q_d.shape == q_a.shape == (1, 32)
+        assert np.abs(q_d[0] - want_d).max() <= 1e-12
+        assert np.abs(q_a[0] - want_a).max() <= 1e-12
+        assert q_a[0, :8].min() > 0.0  # the alias term is really exercised
+        want_q = [combined_q(a, b, cfg) for a, b in zip(want_d, want_a)]
+        assert np.abs(q_d[0] + cfg.alpha * q_a[0] - want_q).max() <= 1e-12
+
+    def test_no_trie_means_no_alias_penalty(self):
+        g = make_generator(seed=44)
+        d = make_discriminator(seed=45, k=1)
+        tokens, hs, cs = _sample_tokens(g.params, 3, g.rng, keep_states=True)
+        q_d, q_a = rollout_penalties(g, d, None, RewardConfig(rollouts=2), tokens, hs, cs)
+        assert q_d.shape == q_a.shape == (3, 32)
+        assert not q_a.any()
+        assert ((q_d >= 0.0) & (q_d <= 1.0)).all()
+
+
+class TestPenaltyBoundChecks:
+    """The range checks are explicit raises, so they hold under python -O."""
+
+    def test_probability_outside_unit_interval_raises(self):
+        g = make_generator(seed=46)
+        stub = StubScores([[1.5, -0.5]] * (4 * 3))
+        with pytest.raises(RuntimeError, match="Q_D out of range") as info:
+            generator_pg_step(g, stub, None, RewardConfig(rollouts=3), batch_size=4)
+        assert not isinstance(info.value, DivergenceError)
+
+    def test_non_finite_penalty_is_divergence(self):
+        g = make_generator(seed=47)
+        stub = StubScores([[np.nan, 0.5]] * (4 * 3))
+        with pytest.raises(DivergenceError, match="Q_D"):
+            generator_pg_step(g, stub, None, RewardConfig(rollouts=3), batch_size=4)
+
+
 class TestPolicyGradient:
     def test_surrogate_gradient_shape_and_direction(self):
         probs = softmax(np.zeros((4, 1, 16)))
@@ -251,7 +306,7 @@ class TestPolicyGradient:
     def test_stats_keys_and_bounds(self):
         g = make_generator(seed=16)
         d = make_discriminator(seed=17, k=1)
-        det = AliasDetector.from_prefixes([parse_prefix("2001:db8::/32")], lam=10.0)
+        det = AliasDetector.from_prefixes([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=3)
         stats = generator_pg_step(g, d, det, cfg, batch_size=4)
         assert 0.0 <= stats["mean_q_d"] <= 1.0

@@ -22,10 +22,8 @@ from sixgan.metrics import (
     CandidateSet,
     EvaluationReport,
     allocate_budget,
-    cosine_sim,
     diversity,
     evaluate,
-    jaccard_sim,
     novelty,
     pattern_quality,
     pattern_quality_max,
@@ -58,50 +56,58 @@ class TestCandidateSet:
 
 
 class TestCosine:
+    """The cosine conventions, through the candidate x seed matrix."""
+
     def test_identical_is_one(self):
         a = NybbleSeq(tuple(range(16)) * 2)
-        assert cosine_sim(a, a) == pytest.approx(1.0)
+        assert pattern_quality([a], [a]) == pytest.approx(1.0)
 
     def test_both_zero_is_one(self):
         z = NybbleSeq((0,) * 32)
-        assert cosine_sim(z, z) == 1.0
+        assert pattern_quality([z], [z]) == 1.0
 
     def test_one_zero_is_zero(self):
         z = NybbleSeq((0,) * 32)
         a = NybbleSeq((1,) + (0,) * 31)
-        assert cosine_sim(z, a) == 0.0
-        assert cosine_sim(a, z) == 0.0
+        assert pattern_quality([z], [a]) == 0.0
+        assert pattern_quality([a], [z]) == 0.0
+        # a zero row or column leaves the other entries alone
+        b = NybbleSeq((2,) + (0,) * 31)
+        assert pattern_quality_max([z, a], [z, b]) == 1.0
+        assert pattern_quality([z, a], [z, b]) == 0.0
 
     def test_disjoint_support_is_zero(self):
         a = NybbleSeq((3,) + (0,) * 31)
         b = NybbleSeq((0,) * 31 + (5,))
-        assert cosine_sim(a, b) == 0.0
+        assert pattern_quality([a], [b]) == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(nybble_seqs, nybble_seqs)
     def test_matches_brute_force(self, a, b):
-        assert cosine_sim(a, b) == pytest.approx(bf_cosine(a, b), abs=1e-12)
+        assert pattern_quality([a], [b]) == pytest.approx(bf_cosine(a, b), abs=1e-12)
 
 
 class TestJaccard:
+    """Jaccard similarity J, read back from novelty = 100 * (1 - J)."""
+
     def test_identical_is_one(self):
         a = NybbleSeq(tuple(range(16)) * 2)
-        assert jaccard_sim(a, a) == 1.0
+        assert novelty([a], [a]) == 0.0
 
     def test_half_agreement(self):
         a = NybbleSeq((7,) * 32)
         b = NybbleSeq((7,) * 16 + (8,) * 16)
-        assert jaccard_sim(a, b) == pytest.approx(16 / 48)
+        assert novelty([a], [b]) == pytest.approx(100.0 * (1.0 - 16 / 48))
 
     def test_total_disagreement_is_zero(self):
         a = NybbleSeq((1,) * 32)
         b = NybbleSeq((2,) * 32)
-        assert jaccard_sim(a, b) == 0.0
+        assert novelty([a], [b]) == 100.0
 
     @settings(max_examples=150, deadline=None)
     @given(nybble_seqs, nybble_seqs)
     def test_matches_brute_force(self, a, b):
-        assert jaccard_sim(a, b) == pytest.approx(bf_jaccard(a, b), abs=1e-12)
+        assert novelty([a], [b]) == pytest.approx(100.0 * (1.0 - bf_jaccard(a, b)), abs=1e-10)
 
 
 class TestSetMetrics:

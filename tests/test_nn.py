@@ -20,7 +20,7 @@ from sixgan.nn import (
     lstm_init_state,
     lstm_nll,
     lstm_nll_grads,
-    lstm_step,
+    lstm_step_batch,
     load_checkpoint,
     save_checkpoint,
     sigmoid,
@@ -75,15 +75,15 @@ class TestLstmForward:
         for t in p.tensors().values():
             t[...] = 0.0
         h, c = lstm_init_state(p, 1)
-        _, _, _, probs = lstm_step(p, h[0], c[0], 16)
-        assert probs == pytest.approx([1.0 / 16] * 16)
+        _, _, _, probs = lstm_step_batch(p, h, c, np.array([16]))
+        assert probs[0] == pytest.approx([1.0 / 16] * 16)
 
     def test_probs_sum_to_one(self):
         p = tiny_lstm(seed=3)
         h, c = lstm_init_state(p, 1)
-        h, c, logits, probs = lstm_step(p, h[0], c[0], 5)
+        h, c, logits, probs = lstm_step_batch(p, h, c, np.array([5]))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert logits.shape == (16,) and probs.shape == (16,)
+        assert logits.shape == (1, 16) and probs.shape == (1, 16)
 
     def test_forget_bias_initialized_to_one(self):
         p = tiny_lstm(seed=1)
@@ -121,6 +121,17 @@ class TestLstmForward:
                 for v in range(16)
             ]
             assert logits[0, t] == pytest.approx(want, rel=1e-12)
+
+    def test_step_batch_matches_forward_bitwise(self):
+        p = tiny_lstm(seed=6)
+        inputs = np.random.default_rng(8).integers(0, 17, size=(4, 9))
+        logits, cache = lstm_forward(p, inputs)
+        h, c = lstm_init_state(p, 4)
+        for t in range(inputs.shape[1]):
+            h, c, step_logits, _ = lstm_step_batch(p, h, c, inputs[:, t])
+            assert np.array_equal(step_logits, logits[:, t])
+            assert np.array_equal(h, cache["h"][t])
+            assert np.array_equal(c, cache["c"][t])
 
     def test_nonfinite_weights_raise(self):
         p = tiny_lstm(seed=4)

@@ -13,7 +13,6 @@ from sixgan.oracle import (
     ProbeStatus,
     UniverseOracle,
     UniverseSpec,
-    build_universe,
     sample_conforming,
     sample_seeds,
     sample_shape,
@@ -72,7 +71,7 @@ class TestSpecValidation:
                 family(prefix="2001:db8:2::/48", name="b", pattern="IEEE-derived"),
             ),
         )
-        build_universe(spec)
+        UniverseOracle(spec)
 
 
 class TestSpecSerialization:
@@ -96,14 +95,14 @@ class TestSpecSerialization:
 
 class TestProbe:
     def test_full_density_activates_every_conforming_address(self):
-        oracle = build_universe(one_family_spec(density=1.0))
+        oracle = UniverseOracle(one_family_spec(density=1.0))
         rng = np.random.default_rng(0)
         for _ in range(50):
             seq = sample_conforming(oracle.spec.families[0], rng)
             assert oracle.probe(seq) is ProbeStatus.ACTIVE
 
     def test_aliased_prefix_answers_unconditionally(self):
-        oracle = build_universe(
+        oracle = UniverseOracle(
             one_family_spec(density=0.5, aliased=("2001:db8:f::/48",))
         )
         rng = np.random.default_rng(1)
@@ -113,20 +112,20 @@ class TestProbe:
             assert oracle.probe(seq) is ProbeStatus.ALIASED
 
     def test_wrong_shape_under_family_prefix_inactive(self):
-        oracle = build_universe(one_family_spec(density=1.0, pattern="Low-byte"))
+        oracle = UniverseOracle(one_family_spec(density=1.0, pattern="Low-byte"))
         # random interface identifier does not match the family's shape
         seq = parse_address("2001:db8:a::b791:8741:c127:a75")
         assert classify_rfc(seq).class_name == "Randomized"
         assert oracle.probe(seq) is ProbeStatus.INACTIVE
 
     def test_outside_all_prefixes_inactive(self):
-        oracle = build_universe(one_family_spec(density=1.0))
+        oracle = UniverseOracle(one_family_spec(density=1.0))
         seq = parse_address("2001:db8:b::1")
         assert oracle.probe(seq) is ProbeStatus.INACTIVE
 
     def test_probe_is_deterministic(self):
         spec = one_family_spec(density=0.5)
-        a, b = build_universe(spec), build_universe(spec)
+        a, b = UniverseOracle(spec), UniverseOracle(spec)
         rng = np.random.default_rng(2)
         for _ in range(100):
             seq = sample_conforming(spec.families[0], rng)
@@ -142,14 +141,14 @@ class TestProbe:
             if s.nybbles not in seen:
                 seen.add(s.nybbles)
                 seqs.append(s)
-        a = build_universe(one_family_spec(density=0.5, hash_key=1))
-        b = build_universe(one_family_spec(density=0.5, hash_key=2))
+        a = UniverseOracle(one_family_spec(density=0.5, hash_key=1))
+        b = UniverseOracle(one_family_spec(density=0.5, hash_key=2))
         assert any(a.probe(s) is not b.probe(s) for s in seqs)
 
     def test_empirical_density_within_three_sigma(self):
         density = 0.3
         n = 2000
-        oracle = build_universe(one_family_spec(density=density, pattern="Randomized"))
+        oracle = UniverseOracle(one_family_spec(density=density, pattern="Randomized"))
         rng = np.random.default_rng(4)
         seen = set()
         active = 0
@@ -190,7 +189,7 @@ class TestSamplers:
                        pattern="IEEE-derived", density=0.8),
             ),
         )
-        oracle = build_universe(spec)
+        oracle = UniverseOracle(spec)
         seeds = sample_seeds(oracle, 120, np.random.default_rng(7))
         assert len(seeds) == 120
         assert len({s.nybbles for s in seeds}) == 120
@@ -201,13 +200,13 @@ class TestSamplers:
             assert oracle.probe(s) is ProbeStatus.ACTIVE
 
     def test_sample_seeds_deterministic(self):
-        oracle = build_universe(one_family_spec(density=0.9))
+        oracle = UniverseOracle(one_family_spec(density=0.9))
         a = sample_seeds(oracle, 30, np.random.default_rng(8))
         b = sample_seeds(oracle, 30, np.random.default_rng(8))
         assert a == b
 
     def test_sample_seeds_never_aliased(self):
-        oracle = build_universe(
+        oracle = UniverseOracle(
             one_family_spec(density=1.0, aliased=("2001:db8:a:0::/64",))
         )
         seeds = sample_seeds(oracle, 60, np.random.default_rng(9))
