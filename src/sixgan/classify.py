@@ -386,6 +386,19 @@ def ipv62vec_embed(
     return w_in[sentences].mean(axis=1)
 
 
+_D2_BLOCK = 4  # rows per block of the squared-distance matrix
+
+
+def _sq_dists(vectors: np.ndarray) -> np.ndarray:
+    """[n, n] squared Euclidean distances, filled _D2_BLOCK rows at a time."""
+    n = len(vectors)
+    d2 = np.empty((n, n))
+    for lo in range(0, n, _D2_BLOCK):
+        block = vectors[lo:lo + _D2_BLOCK]
+        d2[lo:lo + _D2_BLOCK] = ((block[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
+    return d2
+
+
 def dbscan(
     d2: np.ndarray,
     eps: float,
@@ -453,7 +466,7 @@ def classify_ipv62vec(
     wins, with a warning on a miss.
     """
     vectors = ipv62vec_embed(seeds, dim=dim, seed=seed)
-    d2 = ((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(vectors)
     if target_k is None:
         raw, assigned, core = dbscan(d2, _default_eps(d2, min_pts), min_pts)
     else:

@@ -4,8 +4,8 @@ Every command resolves a full configuration (defaults < config file <
 SIXGAN_* environment variables < flags), runs, and writes a manifest
 recording the resolved config, the seed, and SHA-256 hashes of every
 input and output artifact.  No silent defaults: the manifest carries
-every field.  Exit codes: 0 success, 2 configuration error, 3 training
-divergence.
+every field.  Exit codes: 0 success, 2 configuration error or malformed
+input, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -350,25 +350,26 @@ def cmd_train(cfg: dict) -> int:
         last_saved = rnd
 
     hp = cfg["nn"]
-    try:
-        generators, disc, records = train_6gan(
-            corpus, detector, reward, schedule, seed=int(cfg["seed"]),
-            embed_dim=int(hp["embed_dim"]), hidden_dim=int(hp["hidden_dim"]),
-            n_filters=int(hp["n_filters"]),
-            lr_gen=float(hp["lr_gen"]), lr_disc=float(hp["lr_disc"]),
-            on_round=save_all,
-        )
-    except DivergenceError as err:
-        if last_saved is None:
-            kept = f"no checkpoint was written; any checkpoint in {out} is from an earlier run"
-        else:
-            when = "pretraining" if last_saved < 0 else f"adversarial round {last_saved}"
-            kept = f"last finite checkpoint retained in {out}: after {when}"
-        raise DivergenceError(f"{err} ({kept})") from err
     log_path = os.path.join(out, "train_log.jsonl")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    with open(log_path, "w", encoding="utf-8") as log_fh:  # streamed: kept on exit 3
+        try:
+            generators, disc, records = train_6gan(
+                corpus, detector, reward, schedule, seed=int(cfg["seed"]),
+                embed_dim=int(hp["embed_dim"]), hidden_dim=int(hp["hidden_dim"]),
+                n_filters=int(hp["n_filters"]),
+                lr_gen=float(hp["lr_gen"]), lr_disc=float(hp["lr_disc"]),
+                on_round=save_all,
+                on_record=lambda rec: print(
+                    json.dumps(rec, sort_keys=True), file=log_fh, flush=True
+                ),
+            )
+        except DivergenceError as err:
+            if last_saved is None:
+                kept = f"no checkpoint was written; any checkpoint in {out} is from an earlier run"
+            else:
+                when = "pretraining" if last_saved < 0 else f"adversarial round {last_saved}"
+                kept = f"last finite checkpoint retained in {out}: after {when}"
+            raise DivergenceError(f"{err} ({kept})") from err
     outputs = [log_path, _disc_ckpt(out)]
     outputs += [_generator_ckpt(out, g.pattern_id) for g in generators]
     _write_manifest(cfg, "train", inputs, outputs)
@@ -587,8 +588,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as err:
-        print(f"training diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
+        if args.command == "train":
+            print(f"training diverged: {err}", file=sys.stderr)
+            return EXIT_DIVERGED
+        # only training makes new values; elsewhere one comes from an input file
+        print(f"malformed value in {args.command} input: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

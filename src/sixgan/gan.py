@@ -342,6 +342,7 @@ def train_6gan(
     lr_gen: float = 1e-3,
     lr_disc: float = 1e-4,
     on_round=None,
+    on_record=None,
 ) -> tuple[list[GeneratorModel], DiscriminatorModel, list[dict]]:
     """Pretrain k generators and the discriminator, then alternate
     g_steps policy-gradient updates per generator with d_steps
@@ -350,7 +351,9 @@ def train_6gan(
     on_round, when given, is called as on_round(round_index, generators,
     discriminator) after pretraining (index -1) and after every
     adversarial round, e.g. to persist checkpoints so a later divergence
-    still leaves the last finite state on disk.
+    still leaves the last finite state on disk.  on_record, when given,
+    is called with each log record as it is made, e.g. to stream the
+    training log so a divergence still leaves the steps that led to it.
     """
     k = corpus.k
     for cid in range(k):
@@ -385,10 +388,16 @@ def train_6gan(
     )
 
     records: list[dict] = []
+
+    def emit(rec: dict) -> None:
+        records.append(rec)
+        if on_record is not None:
+            on_record(rec)
+
     for i, g in enumerate(generators):
         curve = pretrain_generator(g, class_tokens[i], schedule.g_pretrain, schedule.batch_size)
         for step, nll in enumerate(curve):
-            records.append({"kind": "g_pretrain", "generator": i, "step": step, "nll": nll})
+            emit({"kind": "g_pretrain", "generator": i, "step": step, "nll": nll})
 
     per_class = max(1, schedule.batch_size // (k + 1))
 
@@ -399,7 +408,7 @@ def train_6gan(
 
     for step in range(schedule.d_pretrain):
         loss = discriminator_step(disc, real_batches(), _fake_pool(generators, per_class))
-        records.append({"kind": "d_pretrain", "step": step, "loss": loss})
+        emit({"kind": "d_pretrain", "step": step, "loss": loss})
 
     if on_round is not None:
         on_round(-1, generators, disc)
@@ -407,12 +416,10 @@ def train_6gan(
         for i, g in enumerate(generators):
             for step in range(schedule.g_steps):
                 stats = generator_pg_step(g, disc, detector, cfg, schedule.batch_size)
-                records.append(
-                    {"kind": "g_step", "round": rnd, "generator": i, "step": step, **stats}
-                )
+                emit({"kind": "g_step", "round": rnd, "generator": i, "step": step, **stats})
         for step in range(schedule.d_steps):
             loss = discriminator_step(disc, real_batches(), _fake_pool(generators, per_class))
-            records.append({"kind": "d_step", "round": rnd, "step": step, "loss": loss})
+            emit({"kind": "d_step", "round": rnd, "step": step, "loss": loss})
         if on_round is not None:
             on_round(rnd, generators, disc)
     return generators, disc, records

@@ -79,14 +79,33 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
+_BLOCK = 256  # rows per block of the novelty and diversity kernel
+
+
 def _matrix(seqs: list[NybbleSeq]) -> np.ndarray:
     return np.array([s.nybbles for s in seqs], dtype=np.float64)
 
 
-def _jaccard_matrix(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Jaccard over (position, value) pairs: m agreeing positions -> m/(64-m)."""
-    m = (ca[:, None, :] == cb[None, :, :]).sum(axis=2).astype(np.float64)
-    return m / (64.0 - m)
+def _onehot(seqs: list[NybbleSeq]) -> np.ndarray:
+    """[n, 512] float32 one-hot of the (position, value) pairs of each address."""
+    tokens = np.array([s.nybbles for s in seqs], dtype=np.intp)
+    return np.eye(16, dtype=np.float32)[tokens].reshape(len(seqs), 512)
+
+
+def _nearest_jaccard(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Per row of ca, the largest Jaccard to a row of cb (other than itself if ca is cb).
+
+    m agreeing positions, an exact one-hot dot product, give m/(64-m); that
+    grows with m, so it is applied to each row's largest count.  Blocks of
+    _BLOCK rows bound the working memory to _BLOCK x len(cb).
+    """
+    best = np.empty(len(ca))
+    for lo in range(0, len(ca), _BLOCK):
+        counts = ca[lo:lo + _BLOCK] @ cb.T
+        if ca is cb:
+            np.fill_diagonal(counts[:, lo:], -1.0)
+        best[lo:lo + _BLOCK] = counts.max(axis=1)
+    return best / (64.0 - best)
 
 
 def _seed_cosines(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> np.ndarray:
@@ -127,17 +146,17 @@ def novelty(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
     """100 x mean distance-from-closest-seed under the nybble-set Jaccard."""
     if not candidates or not seeds:
         raise ValueError("novelty requires non-empty candidates and seeds")
-    sims = _jaccard_matrix(_matrix(candidates), _matrix(seeds))
-    return float(100.0 / len(candidates) * (1.0 - sims.max(axis=1)).sum())
+    sims = _nearest_jaccard(_onehot(candidates), _onehot(seeds))
+    return float(100.0 / len(candidates) * (1.0 - sims).sum())
 
 
 def diversity(candidates: list[NybbleSeq]) -> float:
     """100 x mean distance from each candidate to its nearest other candidate."""
     if len(candidates) < 2:
         raise ValueError("diversity requires at least 2 candidates")
-    sims = _jaccard_matrix(_matrix(candidates), _matrix(candidates))
-    np.fill_diagonal(sims, -np.inf)
-    return float(100.0 / len(candidates) * (1.0 - sims.max(axis=1)).sum())
+    onehot = _onehot(candidates)
+    sims = _nearest_jaccard(onehot, onehot)
+    return float(100.0 / len(candidates) * (1.0 - sims).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +198,7 @@ def evaluate(
         sims = _seed_cosines(candidates.addresses, seeds)
         pq = float(sims.min(axis=1).mean())
         pqx = float(sims.max(axis=1).mean())
-        del sims  # freed before novelty and diversity build their larger arrays
+        del sims  # freed before the novelty and diversity kernels run
         nov = novelty(candidates.addresses, seeds)
     if n >= 2:
         div = diversity(candidates.addresses)

@@ -6,7 +6,10 @@ available, so that agreement with the library is meaningful evidence
 rather than shared code paths.  The rollout-reward references score one
 partial sequence at a time; they share only the networks with the
 batched training path, and draw from the generator's RNG in the same
-order, so the two can be compared value for value.
+order, so the two can be compared value for value.  The broadcast
+pairwise kernels are the library's earlier whole-matrix forms of the
+similarity metrics and the ipv62vec distances; the row-blocked library
+kernels do the same arithmetic, so they must agree with them bit for bit.
 """
 
 import math
@@ -99,6 +102,38 @@ def bf_hit_and_generation(cands, seeds, probe):
             if c.nybbles not in seed_set:
                 gen += 1
     return hit / len(cands), gen / len(cands)
+
+
+# ---------------------------------------------------------------------------
+# Broadcast pairwise kernels
+# ---------------------------------------------------------------------------
+
+
+def _nybble_matrix(seqs) -> np.ndarray:
+    return np.array([s.nybbles for s in seqs], dtype=np.float64)
+
+
+def jaccard_matrix(cands, seeds) -> np.ndarray:
+    """[n, m] Jaccard from an [n, m, 32] agreement array: m agree -> m/(64-m)."""
+    ca, cb = _nybble_matrix(cands), _nybble_matrix(seeds)
+    m = (ca[:, None, :] == cb[None, :, :]).sum(axis=2).astype(np.float64)
+    return m / (64.0 - m)
+
+
+def broadcast_novelty(cands, seeds) -> float:
+    sims = jaccard_matrix(cands, seeds)
+    return float(100.0 / len(cands) * (1.0 - sims.max(axis=1)).sum())
+
+
+def broadcast_diversity(cands) -> float:
+    sims = jaccard_matrix(cands, cands)
+    np.fill_diagonal(sims, -np.inf)
+    return float(100.0 / len(cands) * (1.0 - sims.max(axis=1)).sum())
+
+
+def sq_dists(pts: np.ndarray) -> np.ndarray:
+    """[n, n] squared Euclidean distances from an [n, n, dim] difference array."""
+    return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Seed classification: rule matching, entropy clustering, embeddings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import ari, plant_entropy_corpus, plant_value_band_corpus
+from _oracles import ari, plant_entropy_corpus, plant_value_band_corpus, sq_dists
 
+from sixgan import classify
 from sixgan.addr import NybbleSeq, parse_address
 from sixgan.classify import (
     METHOD_ENTROPY,
@@ -290,10 +292,6 @@ class TestIpv62Vec:
         assert unit[0] @ unit[1] > unit[0] @ unit[2]
 
 
-def sq_dists(pts):
-    return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-
-
 class TestDbscan:
     def test_identical_points_single_cluster(self):
         pts = np.zeros((6, 3))
@@ -331,6 +329,32 @@ class TestDbscan:
         assert raw[0] == raw[1] == raw[2] == raw[3] == 0
         assert core.tolist() == [False, True, True, False, False]
         assert raw[4] == -1
+
+
+D2_BLOCK = classify._D2_BLOCK
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("n", [2, D2_BLOCK - 1, D2_BLOCK, D2_BLOCK + 1, 2 * D2_BLOCK + 1])
+    def test_equals_broadcast_form(self, n):
+        pts = np.random.default_rng(n).normal(size=(n, 100))
+        assert classify._sq_dists(pts).tobytes() == sq_dists(pts).tobytes()
+
+    def test_equals_broadcast_form_on_embeddings(self):
+        seeds, _ = plant_value_band_corpus(20, seed=3, n_patterns=3)
+        vecs = ipv62vec_embed(seeds + seeds[:1], dim=24, epochs=2, seed=0)
+        assert classify._sq_dists(vecs).tobytes() == sq_dists(vecs).tobytes()
+
+    def test_working_memory_bounded(self):
+        n = 400
+        pts = np.random.default_rng(0).normal(size=(n, 100))
+        tracemalloc.start()
+        try:
+            classify._sq_dists(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8  # four [n, n] float64 matrices
 
 
 class TestClassifyIpv62Vec:

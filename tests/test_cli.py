@@ -281,25 +281,59 @@ class TestExitCodes:
         assert "no checkpoint was written" in err
         assert "retained" not in err
         assert not (out / "generator_00.ckpt").exists()
+        assert (out / "train_log.jsonl").read_text() == ""
 
-        # diverges after the pretraining checkpoint: that one is named
+        # diverges after a checkpoint: that one is named, and the log,
+        # already on disk while training runs, holds every record up to it
         monkeypatch.undo()
         real_train = cli.train_6gan
+        k = read_labels_file(str(out / "labels.tsv")).k
+        schedule = tiny_config(str(out))["schedule"]
+        pretrain_kinds = ["g_pretrain"] * (k * schedule["g_pretrain"])
+        pretrain_kinds += ["d_pretrain"] * schedule["d_pretrain"]
+        round_kinds = ["g_step"] * (k * schedule["g_steps"]) + ["d_step"] * schedule["d_steps"]
 
-        def diverge_after_pretraining(*args, on_round, **kwargs):
-            def save_then_fail(rnd, gens, disc):
-                on_round(rnd, gens, disc)
-                raise DivergenceError("non-finite values in lstm logits")
+        def logged_kinds():
+            lines = (out / "train_log.jsonl").read_text().splitlines()
+            return [json.loads(line)["kind"] for line in lines]
 
-            return real_train(*args, on_round=save_then_fail, **kwargs)
+        for fail_round, when, kinds in (
+            (-1, "pretraining", pretrain_kinds),
+            (0, "adversarial round 0", pretrain_kinds + round_kinds),
+        ):
+            logged_while_training = []
 
-        monkeypatch.setattr(cli, "train_6gan", diverge_after_pretraining)
-        assert main(["train", *base]) == EXIT_DIVERGED
+            def diverge_after(*args, on_round, **kwargs):
+                def save_then_fail(rnd, gens, disc):
+                    on_round(rnd, gens, disc)
+                    if rnd == fail_round:
+                        logged_while_training.extend(logged_kinds())
+                        raise DivergenceError("non-finite values in lstm logits")
+
+                return real_train(*args, on_round=save_then_fail, **kwargs)
+
+            monkeypatch.setattr(cli, "train_6gan", diverge_after)
+            assert main(["train", *base]) == EXIT_DIVERGED
+            err = capsys.readouterr().err
+            assert f"last finite checkpoint retained in {out}: after {when}" in err
+            assert "no checkpoint was written" not in err
+            assert (out / "generator_00.ckpt").exists()
+            assert (out / "discriminator.ckpt").exists()
+            assert logged_while_training == kinds
+            assert logged_kinds() == kinds
+
+    def test_non_finite_checkpoint_is_malformed_input(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        tensors = load_checkpoint(str(pipeline["out"] / "generator_00.ckpt"))
+        tensors["w_out"][0, 0] = np.inf
+        save_checkpoint(str(out / "generator_00.ckpt"), tensors)
+        capsys.readouterr()
+        assert main(["generate", "--out", str(out), "--budget", "5"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"last finite checkpoint retained in {out}: after pretraining" in err
-        assert "no checkpoint was written" not in err
-        assert (out / "generator_00.ckpt").exists()
-        assert (out / "discriminator.ckpt").exists()
+        assert "malformed value in generate input: non-finite values in lstm logits" in err
+        assert "training diverged" not in err
+        assert not (out / "candidates.txt").exists()
 
     def test_generate_rejects_gap_in_generator_numbering(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"

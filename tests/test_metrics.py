@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from _oracles import (
     bf_novelty,
     bf_pattern_quality,
     bf_pattern_quality_max,
+    broadcast_diversity,
+    broadcast_novelty,
 )
+from sixgan import metrics
 from sixgan.addr import NybbleSeq, parse_address, parse_prefix
 from sixgan.metrics import (
     CandidateSet,
@@ -161,6 +165,48 @@ class TestSetMetrics:
                 bf_novelty(cands, seeds), abs=1e-12)
             assert diversity(cands) == pytest.approx(
                 bf_diversity(cands), abs=1e-12)
+
+
+BLOCK = metrics._BLOCK
+BLOCK_SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+def shared_prefix_seqs(rng, prefix, n):
+    """n addresses under prefix with 0/1 suffix nybbles, so many pairs differ in few places."""
+    return [NybbleSeq(prefix + tuple(rng.integers(0, 2, size=16).tolist())) for _ in range(n)]
+
+
+class TestBlockedKernels:
+    """The row-blocked kernels against the broadcast forms they replace, exactly."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_random_sets(self, n):
+        rng = np.random.default_rng(n)
+        cands = random_seqs(rng, n)
+        seeds = random_seqs(rng, 9)
+        assert novelty(cands, seeds) == broadcast_novelty(cands, seeds)
+        assert diversity(cands) == broadcast_diversity(cands)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_shared_prefix_and_near_duplicates(self, n):
+        rng = np.random.default_rng(1000 + n)
+        prefix = tuple(rng.integers(0, 16, size=16).tolist())
+        base = shared_prefix_seqs(rng, prefix, 1)[0]
+        one_off = NybbleSeq(base.nybbles[:31] + (1 - base.nybbles[31],))
+        cands = [base, one_off] + shared_prefix_seqs(rng, prefix, n - 2)
+        seeds = shared_prefix_seqs(rng, prefix, 5) + [cands[-1]]
+        assert novelty(cands, seeds) == broadcast_novelty(cands, seeds)
+        assert diversity(cands) == broadcast_diversity(cands)
+
+    def test_diversity_working_memory_bounded(self):
+        cands = random_seqs(np.random.default_rng(0), 2000)
+        tracemalloc.start()
+        try:
+            diversity(cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # the [n, n, 32] agreement array alone is 128 MB
 
 
 def fixture_oracle():
