@@ -73,6 +73,9 @@ class GeneratorModel:
     opt: RmsProp = field(default_factory=lambda: RmsProp(lr=1e-3))
 
 
+SCORE_BLOCK = 512  # rows per cnn_forward in class_probs; bounds its working memory
+
+
 @dataclass
 class DiscriminatorModel:
     params: CnnParams
@@ -88,9 +91,19 @@ class DiscriminatorModel:
             )
 
     def class_probs(self, tokens: np.ndarray) -> np.ndarray:
-        """Softmax scores over the k pattern classes plus the fake class."""
-        _, probs = cnn_forward(self.params, tokens)
-        return probs
+        """Softmax scores over the k pattern classes plus the fake class.
+
+        Rows are scored in blocks of SCORE_BLOCK rows, so memory does not
+        grow with the row count.  Rows are independent, so a block's scores
+        are those of one whole-batch pass wherever BLAS computes both with
+        the same kernel.  The remainder joins the last block rather than
+        forming a small one: a one-row block is a matrix-vector product,
+        which rounds differently.
+        """
+        edges = [i * SCORE_BLOCK for i in range(max(1, len(tokens) // SCORE_BLOCK))]
+        edges.append(len(tokens))
+        probs = [cnn_forward(self.params, tokens[lo:hi])[1] for lo, hi in zip(edges, edges[1:])]
+        return np.concatenate(probs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ small parameter containers; forward passes are pure functions of
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -39,12 +40,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +50,37 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+GATES = ("i", "f", "o", "g")  # input, forget, output, candidate
+
+
+def _gate_view(bank: str, k: int) -> property:
+    """Gate k's column block of a fused [..., 4H] bank, as a writable view."""
+
+    def get(self) -> np.ndarray:
+        h = self.hidden_dim
+        return getattr(self, bank)[..., k * h:(k + 1) * h]
+
+    return property(get)
+
+
 @dataclass
 class LstmParams:
-    """Embedding, four gate banks over [input + hidden], output projection."""
+    """Embedding, the four gate banks over [input + hidden], output projection.
+
+    The gate banks are stored fused, columns in GATES order, so one product
+    gives every gate's pre-activation; w_i..w_g and b_i..b_g are views of
+    their column blocks, and tensors() and checkpoints hold them by those
+    names.
+    """
 
     emb: np.ndarray  # [N_TOKENS, E]
-    w_i: np.ndarray  # [E+H, H]
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    b_i: np.ndarray  # [H]
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w_gates: np.ndarray  # [E+H, 4H]
+    b_gates: np.ndarray  # [4H]
     w_out: np.ndarray  # [H, VOCAB]
     b_out: np.ndarray  # [VOCAB]
+
+    w_i, w_f, w_o, w_g = (_gate_view("w_gates", k) for k in range(4))
+    b_i, b_f, b_o, b_g = (_gate_view("b_gates", k) for k in range(4))
 
     @property
     def embed_dim(self) -> int:
@@ -74,7 +88,7 @@ class LstmParams:
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_i.shape[1]
+        return self.w_out.shape[0]
 
     @classmethod
     def init(cls, rng: np.random.Generator, embed_dim: int = 200, hidden_dim: int = 200) -> "LstmParams":
@@ -83,14 +97,11 @@ class LstmParams:
         out = 1.0 / np.sqrt(h)
         return cls(
             emb=rng.normal(0.0, 0.1, size=(N_TOKENS, e)),
-            w_i=rng.uniform(-gate, gate, size=(e + h, h)),
-            w_f=rng.uniform(-gate, gate, size=(e + h, h)),
-            w_o=rng.uniform(-gate, gate, size=(e + h, h)),
-            w_g=rng.uniform(-gate, gate, size=(e + h, h)),
-            b_i=np.zeros(h),
-            b_f=np.ones(h),  # forget gate starts open
-            b_o=np.zeros(h),
-            b_g=np.zeros(h),
+            w_gates=np.concatenate(
+                [rng.uniform(-gate, gate, size=(e + h, h)) for _ in GATES], axis=1
+            ),
+            # the forget gate starts open
+            b_gates=np.concatenate([np.zeros(h), np.ones(h), np.zeros(h), np.zeros(h)]),
             w_out=rng.uniform(-out, out, size=(h, VOCAB)),
             b_out=np.zeros(VOCAB),
         )
@@ -105,9 +116,15 @@ class LstmParams:
 
     @classmethod
     def from_tensors(cls, t: dict[str, np.ndarray]) -> "LstmParams":
-        names = ("emb", "w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g",
-                 "w_out", "b_out")
-        return cls(**{n: np.ascontiguousarray(t[n], dtype=np.float64) for n in names})
+        def get(name: str) -> np.ndarray:
+            return np.ascontiguousarray(t[name], dtype=np.float64)
+
+        return cls(
+            emb=get("emb"),
+            w_gates=np.concatenate([get(f"w_{g}") for g in GATES], axis=1),
+            b_gates=np.concatenate([get(f"b_{g}") for g in GATES]),
+            w_out=get("w_out"), b_out=get("b_out"),
+        )
 
 
 def lstm_init_state(params: LstmParams, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,11 +143,12 @@ def _lstm_cell(
     Returns the next-nybble logits and every intermediate lstm_backward
     needs, keyed as in lstm_forward's cache; "h" and "c" are the new state.
     """
+    hd = params.hidden_dim
     z = np.concatenate([params.emb[tokens], h_prev], axis=1)
-    i = sigmoid(z @ params.w_i + params.b_i)
-    f = sigmoid(z @ params.w_f + params.b_f)
-    o = sigmoid(z @ params.w_o + params.b_o)
-    g = np.tanh(z @ params.w_g + params.b_g)
+    a = z @ params.w_gates + params.b_gates
+    ifo = sigmoid(a[:, :3 * hd])
+    i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
+    g = np.tanh(a[:, 3 * hd:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -179,10 +197,13 @@ def lstm_backward(params: LstmParams, cache: dict, dlogits: np.ndarray) -> dict[
     """
     inputs = cache["inputs"]
     b, t_len = inputs.shape
-    e = params.embed_dim
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
-    dh_next = np.zeros((b, params.hidden_dim))
-    dc_next = np.zeros((b, params.hidden_dim))
+    e, hd = params.embed_dim, params.hidden_dim
+    grad_params = LstmParams(**{name: np.zeros_like(arr) for name, arr in vars(params).items()})
+    grads = grad_params.tensors()
+    da = np.empty((b, 4 * hd))  # gate pre-activation grads, columns in GATES order
+    da_i, da_f, da_o, da_g = (da[:, k * hd:(k + 1) * hd] for k in range(4))
+    dh_next = np.zeros((b, hd))
+    dc_next = np.zeros((b, hd))
     for t in range(t_len - 1, -1, -1):
         z = cache["z"][t]
         i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
@@ -197,18 +218,13 @@ def lstm_backward(params: LstmParams, cache: dict, dlogits: np.ndarray) -> dict[
         df = dc * c_prev
         dg = dc * i
         dc_next = dc * f
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_g = dg * (1.0 - g * g)
-        grads["w_i"] += z.T @ da_i
-        grads["w_f"] += z.T @ da_f
-        grads["w_o"] += z.T @ da_o
-        grads["w_g"] += z.T @ da_g
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-        grads["b_g"] += da_g.sum(axis=0)
+        da_i[...] = di * i * (1.0 - i)
+        da_f[...] = df * f * (1.0 - f)
+        da_o[...] = do * o * (1.0 - o)
+        da_g[...] = dg * (1.0 - g * g)
+        grad_params.w_gates += z.T @ da
+        grad_params.b_gates += da.sum(axis=0)
+        # four products, not da @ w_gates.T: that sums in another order
         dz = (da_i @ params.w_i.T + da_f @ params.w_f.T
               + da_o @ params.w_o.T + da_g @ params.w_g.T)
         np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
@@ -335,18 +351,21 @@ class CnnParams:
         )
 
 
-def _conv_bank(params: CnnParams, x: np.ndarray, s: int) -> np.ndarray:
-    """Valid 1-D convolution of x [B, T, E] with the size-s filter bank.
+def _conv_bank(params: CnnParams, tokens: np.ndarray, s: int) -> np.ndarray:
+    """Valid 1-D convolution of emb[tokens] [B, T, E] with the size-s bank.
 
-    Computed tap by tap to avoid materialising the [B, T-s+1, s*E] window
-    tensor.  Returns [B, T-s+1, F].
+    Tap j of a window contributes emb[token] @ W_j, which is row token of
+    the [N_TOKENS, F] table emb @ W_j, so the convolution is gathers and
+    adds; the taps are added in order onto bias + tap 0.  Returns
+    [B, T-s+1, F].
     """
-    e = params.embed_dim
-    n_pos = x.shape[1] - s + 1
-    w = params.conv_w[s]
-    out = np.broadcast_to(params.conv_b[s], (x.shape[0], n_pos, w.shape[1])).copy()
-    for j in range(s):
-        out += x[:, j:j + n_pos, :] @ w[j * e:(j + 1) * e, :]
+    n_pos = tokens.shape[1] - s + 1
+    tab = params.emb @ params.conv_w[s].reshape(s, params.embed_dim, -1)  # [s, N_TOKENS, F]
+    out = np.take(tab[0], tokens[:, :n_pos], axis=0)
+    out += params.conv_b[s]
+    tap = np.empty_like(out)
+    for j in range(1, s):
+        out += np.take(tab[j], tokens[:, j:j + n_pos], axis=0, out=tap)
     return out
 
 
@@ -357,19 +376,15 @@ def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False)
     through a highway layer and a linear projection.  Returns
     (logits, probs) or (logits, probs, cache) when want_cache is set.
     """
-    x = params.emb[tokens]  # [B, T, E]
     b = tokens.shape[0]
     f = params.n_filters
     pooled = np.empty((b, len(KERNEL_SIZES) * f))
     argmaxes: dict[int, np.ndarray] = {}
     for idx, s in enumerate(KERNEL_SIZES):
-        conv = _conv_bank(params, x, s)
-        arg = conv.argmax(axis=1)  # [B, F]
-        pooled[:, idx * f:(idx + 1) * f] = np.take_along_axis(
-            conv, arg[:, None, :], axis=1
-        )[:, 0, :]
+        conv = _conv_bank(params, tokens, s)
+        conv.max(axis=1, out=pooled[:, idx * f:(idx + 1) * f])
         if want_cache:
-            argmaxes[s] = arg
+            argmaxes[s] = conv.argmax(axis=1)  # [B, F]
     t_gate = sigmoid(pooled @ params.hw_t_w + params.hw_t_b)
     h_pre = pooled @ params.hw_h_w + params.hw_h_b
     h_act = np.maximum(h_pre, 0.0)
@@ -380,7 +395,7 @@ def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False)
     if not want_cache:
         return logits, probs
     cache = {
-        "tokens": tokens, "x": x, "argmaxes": argmaxes, "pooled": pooled,
+        "tokens": tokens, "x": params.emb[tokens], "argmaxes": argmaxes, "pooled": pooled,
         "t_gate": t_gate, "h_pre": h_pre, "h_act": h_act, "y": y,
     }
     return logits, probs, cache
@@ -516,15 +531,16 @@ def grad_check(
         ti = int(np.searchsorted(bounds, flat, side="right"))
         local = flat - (int(bounds[ti - 1]) if ti else 0)
         name = names[ti]
-        p = tensors[name].reshape(-1)
-        orig = p[local]
-        p[local] = orig + step
+        p = tensors[name]  # may be a strided view, so index it in place
+        idx = np.unravel_index(local, p.shape)
+        orig = p[idx]
+        p[idx] = orig + step
         up = loss_fn()
-        p[local] = orig - step
+        p[idx] = orig - step
         down = loss_fn()
-        p[local] = orig
+        p[idx] = orig
         numeric = (up - down) / (2.0 * step)
-        a = float(analytic[name].reshape(-1)[local])
+        a = float(analytic[name][idx])
         denom = max(abs(a), abs(numeric), 1e-5)
         rel = abs(a - numeric) / denom
         if rel > worst["rel_err"]:
@@ -544,20 +560,30 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
     Layout: magic, version u32, count u32, then per tensor sorted by name:
     name (u16 length + utf-8), ndim u32, dims u64 each, float64
-    little-endian values in C order.
+    little-endian values in C order.  The bytes go to a temporary file in
+    the same directory, which then replaces path, so a write that fails or
+    is killed part-way leaves the previous file at path intact.
     """
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes(order="C"))
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(arr.tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

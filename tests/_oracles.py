@@ -10,6 +10,12 @@ order, so the two can be compared value for value.  The broadcast
 pairwise kernels are the library's earlier whole-matrix forms of the
 similarity metrics and the ipv62vec distances; the row-blocked library
 kernels do the same arithmetic, so they must agree with them bit for bit.
+The network references are the earlier forms of the forward and backward
+passes: the discriminator convolution as one matmul per tap over the
+embedded input, the boolean-mask sigmoid, and the LSTM with four separate
+gate products.  The table-lookup and fused-gate library forms do the same
+floating-point operations in the same order, so they must agree with them
+bit for bit too.
 """
 
 import math
@@ -19,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from sixgan.addr import NybbleSeq
-from sixgan.nn import BOS, SEQ_LEN, lstm_init_state, lstm_step_batch
+from sixgan.nn import BOS, KERNEL_SIZES, SEQ_LEN, lstm_init_state, lstm_step_batch
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +67,17 @@ def bf_cosine(a: NybbleSeq, b: NybbleSeq) -> float:
     return dot / (na * nb)
 
 
-def bf_jaccard(a: NybbleSeq, b: NybbleSeq) -> float:
-    sa = {(p, v) for p, v in enumerate(a.nybbles)}
-    sb = {(p, v) for p, v in enumerate(b.nybbles)}
+def _position_set(seq: NybbleSeq) -> frozenset:
+    return frozenset(enumerate(seq.nybbles))
+
+
+def _set_jaccard(sa: frozenset, sb: frozenset) -> float:
     return len(sa & sb) / len(sa | sb)
+
+
+def bf_jaccard(a: NybbleSeq, b: NybbleSeq) -> float:
+    """Jaccard similarity of the two {(position, value)} sets."""
+    return _set_jaccard(_position_set(a), _position_set(b))
 
 
 def bf_pattern_quality(cands, seeds) -> float:
@@ -76,16 +89,20 @@ def bf_pattern_quality_max(cands, seeds) -> float:
 
 
 def bf_novelty(cands, seeds) -> float:
+    # each sequence's position set is built once, not once per pair
+    seed_sets = [_position_set(s) for s in seeds]
     return (100.0 / len(cands)) * sum(
-        1.0 - max(bf_jaccard(c, s) for s in seeds) for c in cands
+        1.0 - max(_set_jaccard(cs, ss) for ss in seed_sets)
+        for cs in map(_position_set, cands)
     )
 
 
 def bf_diversity(cands) -> float:
+    sets = [_position_set(c) for c in cands]
     total = 0.0
-    for i, ci in enumerate(cands):
+    for i, si in enumerate(sets):
         total += 1.0 - max(
-            bf_jaccard(ci, cj) for j, cj in enumerate(cands) if j != i
+            _set_jaccard(si, sj) for j, sj in enumerate(sets) if j != i
         )
     return 100.0 * total / len(cands)
 
@@ -134,6 +151,102 @@ def broadcast_diversity(cands) -> float:
 def sq_dists(pts: np.ndarray) -> np.ndarray:
     """[n, n] squared Euclidean distances from an [n, n, dim] difference array."""
     return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+
+
+# ---------------------------------------------------------------------------
+# Earlier network forms
+# ---------------------------------------------------------------------------
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def tap_conv_bank(params, x: np.ndarray, s: int) -> np.ndarray:
+    """Size-s convolution of x [B, T, E] as one [B, T-s+1, E] @ [E, F] per tap."""
+    e = params.embed_dim
+    n_pos = x.shape[1] - s + 1
+    w = params.conv_w[s]
+    out = np.broadcast_to(params.conv_b[s], (x.shape[0], n_pos, w.shape[1])).copy()
+    for j in range(s):
+        out += x[:, j:j + n_pos, :] @ w[j * e:(j + 1) * e, :]
+    return out
+
+
+def tap_cnn_logits(params, tokens: np.ndarray) -> np.ndarray:
+    """Discriminator logits with argmax pooling over tap_conv_bank."""
+    x = params.emb[tokens]
+    f = params.n_filters
+    pooled = np.empty((tokens.shape[0], len(KERNEL_SIZES) * f))
+    for idx, s in enumerate(KERNEL_SIZES):
+        conv = tap_conv_bank(params, x, s)
+        arg = conv.argmax(axis=1)
+        pooled[:, idx * f:(idx + 1) * f] = np.take_along_axis(
+            conv, arg[:, None, :], axis=1
+        )[:, 0, :]
+    t_gate = masked_sigmoid(pooled @ params.hw_t_w + params.hw_t_b)
+    h_act = np.maximum(pooled @ params.hw_h_w + params.hw_h_b, 0.0)
+    y = t_gate * h_act + (1.0 - t_gate) * pooled
+    return y @ params.out_w + params.out_b
+
+
+def _gate_banks(params):
+    """Contiguous copies of the four gate banks, as they were stored."""
+    return ({g: np.ascontiguousarray(getattr(params, f"w_{g}")) for g in "ifog"},
+            {g: np.ascontiguousarray(getattr(params, f"b_{g}")) for g in "ifog"})
+
+
+def four_gate_lstm_cell(params, tokens, h_prev, c_prev):
+    """(logits, h, c) of one step with one product per gate."""
+    w, b = _gate_banks(params)
+    z = np.concatenate([params.emb[tokens], h_prev], axis=1)
+    i = masked_sigmoid(z @ w["i"] + b["i"])
+    f = masked_sigmoid(z @ w["f"] + b["f"])
+    o = masked_sigmoid(z @ w["o"] + b["o"])
+    g = np.tanh(z @ w["g"] + b["g"])
+    c = f * c_prev + i * g
+    h = o * np.tanh(c)
+    return h @ params.w_out + params.b_out, h, c
+
+
+def per_gate_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
+    """Backpropagation through time with one dW product per gate."""
+    w, _ = _gate_banks(params)
+    inputs = cache["inputs"]
+    b, t_len = inputs.shape
+    e = params.embed_dim
+    grads = {name: np.zeros(arr.shape) for name, arr in params.tensors().items()}
+    dh_next = np.zeros((b, params.hidden_dim))
+    dc_next = np.zeros((b, params.hidden_dim))
+    for t in range(t_len - 1, -1, -1):
+        z = cache["z"][t]
+        i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
+        c_prev, tc, h = cache["c_prev"][t], cache["tc"][t], cache["h"][t]
+        dl = dlogits[:, t]
+        grads["w_out"] += h.T @ dl
+        grads["b_out"] += dl.sum(axis=0)
+        dh = dl @ params.w_out.T + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        da = {"i": di * i * (1.0 - i), "f": df * f * (1.0 - f),
+              "o": do * o * (1.0 - o), "g": dg * (1.0 - g * g)}
+        for gate in "ifog":
+            grads[f"w_{gate}"] += z.T @ da[gate]
+            grads[f"b_{gate}"] += da[gate].sum(axis=0)
+        dz = (da["i"] @ w["i"].T + da["f"] @ w["f"].T
+              + da["o"] @ w["o"].T + da["g"] @ w["g"].T)
+        np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
+        dh_next = dz[:, e:]
+    return grads
 
 
 # ---------------------------------------------------------------------------

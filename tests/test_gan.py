@@ -3,6 +3,7 @@
 import copy
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,15 @@ from sixgan.gan import (
     sample_sequences,
     train_6gan,
 )
-from sixgan.nn import CnnParams, DivergenceError, LstmParams, RmsProp, lstm_nll, softmax
+from sixgan.nn import (
+    CnnParams,
+    DivergenceError,
+    LstmParams,
+    RmsProp,
+    cnn_forward,
+    lstm_nll,
+    softmax,
+)
 
 PREFIX_A = (2, 0, 0, 1, 0, 0xD, 0xB, 8)
 
@@ -361,6 +370,29 @@ class TestPretrain:
         g = make_generator(seed=23)
         with pytest.raises(ValueError):
             pretrain_generator(g, np.zeros((0, 32), dtype=np.int64), 5, 4)
+
+
+class TestClassProbs:
+    @pytest.mark.parametrize("embed,filters", [(5, 3), (24, 8), (200, 32)])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
+    def test_blocked_equals_one_pass(self, embed, filters, n):
+        d = make_discriminator(seed=embed, k=3, embed=embed, filters=filters)
+        tokens = np.random.default_rng(n).integers(0, 16, size=(n, 32))
+        assert d.class_probs(tokens).tobytes() == cnn_forward(d.params, tokens)[1].tobytes()
+
+    def test_memory_bounded_in_row_count(self):
+        # one pass over 4,000 rows peaks near 37 MB; 512-row blocks near 9 MB
+        d = make_discriminator(seed=3, k=3, embed=24, filters=8)
+        tokens = np.random.default_rng(4).integers(0, 16, size=(4000, 32))
+        peaks = []
+        for score in (d.class_probs, lambda t: cnn_forward(d.params, t)[1]):
+            tracemalloc.start()
+            try:
+                score(tokens)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 16e6 < peaks[1]
 
 
 class TestDiscriminatorStep:

@@ -1,10 +1,17 @@
 """Neural substrate: forward passes, analytic gradients, persistence."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from _oracles import (
+    four_gate_lstm_cell,
+    masked_sigmoid,
+    per_gate_lstm_backward,
+    tap_cnn_logits,
+)
 from sixgan.nn import (
     CHECKPOINT_MAGIC,
     KERNEL_SIZES,
@@ -16,6 +23,7 @@ from sixgan.nn import (
     cnn_nll_grads,
     ensure_finite,
     grad_check,
+    lstm_backward,
     lstm_forward,
     lstm_init_state,
     lstm_nll,
@@ -138,6 +146,73 @@ class TestLstmForward:
         p.w_out[0, 0] = np.inf
         with pytest.raises(DivergenceError):
             lstm_forward(p, np.array([[16, 1, 2]]))
+
+
+# (embedding width, filters or hidden width, batch rows)
+EXACT_SHAPES = [(5, 3, 7), (24, 8, 64), (200, 32, 16)]
+
+
+class TestExactForms:
+    """The table-lookup and fused-gate passes equal the earlier forms bit for bit."""
+
+    @pytest.mark.parametrize("e,f,b", EXACT_SHAPES)
+    def test_cnn_logits_match_tap_matmuls(self, e, f, b):
+        p = CnnParams.init(np.random.default_rng(e), n_classes=4, embed_dim=e, n_filters=f)
+        rng = np.random.default_rng(b)
+        for bias in p.conv_b.values():  # nonzero, so the order it is added in shows
+            bias[...] = rng.normal(size=f)
+        tokens = rng.integers(0, 17, size=(b, 32))
+        want = tap_cnn_logits(p, tokens).tobytes()
+        assert cnn_forward(p, tokens)[0].tobytes() == want
+        assert cnn_forward(p, tokens, want_cache=True)[0].tobytes() == want
+
+    @pytest.mark.parametrize("e,h,b", EXACT_SHAPES)
+    def test_lstm_cell_matches_four_gate_products(self, e, h, b):
+        p = LstmParams.init(np.random.default_rng(e), embed_dim=e, hidden_dim=h)
+        rng = np.random.default_rng(b)
+        p.b_gates[...] = rng.normal(size=4 * h)
+        tokens = rng.integers(0, 17, size=b)
+        h_prev, c_prev = rng.normal(size=(b, h)), rng.normal(size=(b, h))
+        h_new, c_new, logits, _ = lstm_step_batch(p, h_prev, c_prev, tokens)
+        want = four_gate_lstm_cell(p, tokens, h_prev, c_prev)
+        assert [a.tobytes() for a in (logits, h_new, c_new)] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("e,h,b", EXACT_SHAPES)
+    def test_lstm_backward_matches_per_gate_products(self, e, h, b):
+        p = LstmParams.init(np.random.default_rng(e), embed_dim=e, hidden_dim=h)
+        rng = np.random.default_rng(b)
+        logits, cache = lstm_forward(p, rng.integers(0, 17, size=(b, 32)))
+        dlogits = rng.normal(size=logits.shape) / b
+        got = lstm_backward(p, cache, dlogits)
+        want = per_gate_lstm_backward(p, cache, dlogits)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert np.ascontiguousarray(got[name]).tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(64, 24), (960, 200), (9,)])
+    def test_sigmoid_matches_masked_form(self, shape):
+        x = np.random.default_rng(1).normal(scale=20.0, size=shape)
+        x.flat[:8] = [745.0, -745.0, 30.0, -30.0, 0.0, -0.0, 1e-300, -1e-300]
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    def test_gate_tensors_are_views_of_the_fused_bank(self):
+        p = tiny_lstm(seed=19)
+        t = p.tensors()
+        for k, gate in enumerate("ifog"):
+            assert np.shares_memory(t[f"w_{gate}"], p.w_gates)
+            assert np.shares_memory(t[f"b_{gate}"], p.b_gates)
+            assert np.array_equal(t[f"w_{gate}"], p.w_gates[:, k * 7:(k + 1) * 7])
+
+    def test_rmsprop_update_changes_fused_bank(self):
+        p = tiny_lstm(seed=20)
+        w_before, b_before = p.w_gates.copy(), p.b_gates.copy()
+        seqs = np.random.default_rng(21).integers(0, 16, size=(3, 32))
+        _, grads = lstm_nll_grads(p, seqs)
+        RmsProp(lr=1e-2).update(p.tensors(), grads)
+        for k in range(4):  # every gate's columns moved
+            cols = slice(k * 7, (k + 1) * 7)
+            assert not np.array_equal(p.w_gates[:, cols], w_before[:, cols])
+            assert not np.array_equal(p.b_gates[cols], b_before[cols])
 
 
 class TestLstmGradients:
@@ -359,6 +434,28 @@ class TestCheckpoint:
 
     def test_magic_bytes_value(self):
         assert CHECKPOINT_MAGIC == b"6GAN"
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        p = tiny_lstm(seed=18)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), p.tensors())
+        before = path.read_bytes()
+        # sorted last, so every other tensor is written before it fails
+        bad = {**p.tensors(), "zz_bad": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), bad)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_lstm_params_reconstruct_from_tensors(self, tmp_path):
+        p = tiny_lstm(seed=22)
+        path = str(tmp_path / "g.ckpt")
+        save_checkpoint(path, p.tensors())
+        q = LstmParams.from_tensors(load_checkpoint(path))
+        assert q.w_gates.tobytes() == p.w_gates.tobytes()
+        assert q.b_gates.tobytes() == p.b_gates.tobytes()
+        for name, t in p.tensors().items():
+            assert np.array_equal(q.tensors()[name], t)
 
     def test_params_reconstruct_from_tensors(self, tmp_path):
         p = tiny_cnn(seed=17)
