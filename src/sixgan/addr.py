@@ -20,9 +20,7 @@ log = logging.getLogger("sixgan.addr")
 SEQ_LEN = 32  # nybbles per address
 IID_START = 16  # nybble index where the interface identifier begins
 
-_HEX = "0123456789abcdef"
-_HEX_VAL = {c: i for i, c in enumerate(_HEX)}
-_HEX_VAL.update({c.upper(): i for i, c in enumerate(_HEX) if c.isalpha()})
+_HEX_VAL = {c: int(c, 16) for c in "0123456789abcdefABCDEF"}
 
 
 class AddressParseError(ValueError):
@@ -41,13 +39,6 @@ class NybbleSeq:
         for v in self.nybbles:
             if not 0 <= v <= 15:
                 raise ValueError(f"nybble value out of range: {v}")
-
-    @classmethod
-    def from_hex(cls, digits: str) -> "NybbleSeq":
-        return cls(tuple(_HEX_VAL[c] for c in digits))
-
-    def to_hex(self) -> str:
-        return "".join(_HEX[v] for v in self.nybbles)
 
     @property
     def iid(self) -> tuple[int, ...]:

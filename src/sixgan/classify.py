@@ -85,6 +85,7 @@ class LabeledSeedCorpus:
 class EntropyFingerprint:
     prefix: NybblePrefix
     entropies: tuple[float, ...]  # one per nybble position 8..31
+    members: tuple[int, ...]  # indices of the seeds under the prefix
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +182,10 @@ def entropy_fingerprints(
     """Per-prefix nybble-entropy profiles.
 
     Groups seeds by their first fp_prefix_len nybbles; prefix groups with
-    at least min_group members become fingerprints.  Entropy is Shannon
-    base 16 so every entry lies in [0, 1].  Returns the fingerprints and
-    the small groups (prefix nybbles -> seed indices) that were held back.
+    at least min_group members become fingerprints, which keep their seed
+    indices.  Entropy is Shannon base 16 so every entry lies in [0, 1].
+    Returns the fingerprints and the small groups (prefix nybbles -> seed
+    indices) that were held back.
     """
     if not seeds:
         raise ValueError("seed list is empty")
@@ -197,6 +199,7 @@ def entropy_fingerprints(
             fingerprints.append(EntropyFingerprint(
                 prefix=NybblePrefix(nybbles=nybs),
                 entropies=_fingerprint_vector([seeds[i] for i in idxs]),
+                members=tuple(idxs),
             ))
         else:
             small[nybs] = idxs
@@ -284,11 +287,9 @@ def classify_entropy(
     raw_ids = [0] * len(seeds)
     cluster_size = np.zeros(k, dtype=int)
     for fp, cid in zip(fps, assign):
-        prefix_nybs = fp.prefix.nybbles
-        members = [i for i, s in enumerate(seeds) if s.nybbles[:fp_prefix_len] == prefix_nybs]
-        for i in members:
+        for i in fp.members:
             raw_ids[i] = int(cid)
-        cluster_size[cid] += len(members)
+        cluster_size[cid] += len(fp.members)
 
     largest = int(cluster_size.argmax())
     for nybs, idxs in small.items():
@@ -308,8 +309,18 @@ def classify_entropy(
 # ---------------------------------------------------------------------------
 
 
-def _word_id(position: int, value: int) -> int:
-    return position * 16 + value
+def _subtract_rows_at(w: np.ndarray, flat_rows: np.ndarray, vals: np.ndarray) -> None:
+    """np.subtract.at(w, rows, vals), applied to the flat view of w.
+
+    flat_rows holds rows[i] * dim + d for each w[rows[i], d].  Every element
+    gets the same subtractions in the same order as in the row form, so the
+    result is bit-identical, and NumPy's ufunc.at is far faster on a 1-D
+    operand.  reshape(-1) of a non-contiguous array is a copy that the
+    updates would miss, so w must be C-contiguous.
+    """
+    if not w.flags.c_contiguous:
+        raise ValueError("w must be C-contiguous so its flat view aliases it")
+    np.subtract.at(w.reshape(-1), flat_rows.reshape(-1), vals.reshape(-1))
 
 
 def ipv62vec_embed(
@@ -332,9 +343,7 @@ def ipv62vec_embed(
         raise ValueError("seed list is empty")
     rng = np.random.default_rng(seed)
     vocab = 32 * 16
-    sentences = np.array(
-        [[_word_id(p, v) for p, v in enumerate(s.nybbles)] for s in seeds]
-    )
+    sentences = 16 * np.arange(32) + np.array([s.nybbles for s in seeds])  # [n, 32] word ids
 
     counts = np.bincount(sentences.reshape(-1), minlength=vocab).astype(np.float64)
     noise = counts ** 0.75
@@ -344,17 +353,18 @@ def ipv62vec_embed(
     w_out = np.zeros((vocab, dim))
     noise_cdf = np.cumsum(noise)
     noise_cdf[-1] = 1.0
+    # flat_index[word] holds the indices of that word's row in a flat view
+    flat_index = np.arange(vocab * dim).reshape(vocab, dim)
 
     # all (center position, context position) pairs; reused for every sentence
-    pairs = [
-        (p, c)
-        for p in range(32)
-        for c in range(max(0, p - window), min(32, p + window + 1))
-        if c != p
-    ]
-    center_pos = np.array([p for p, _ in pairs])
-    context_pos = np.array([c for _, c in pairs])
+    pairs = [(p, c) for p in range(32)
+             for c in range(max(0, p - window), min(32, p + window + 1)) if c != p]
+    center_pos, context_pos = np.array(pairs).T
     n_pairs = len(pairs)
+    # [P, neg+1, dim] work arrays, reused every step: the allocator hands a
+    # freed array this size back to the OS, so a fresh one page-faults again
+    u = np.empty((n_pairs, negatives + 1, dim))
+    flat_targets = np.empty(u.shape, dtype=flat_index.dtype)
 
     n_sent = len(sentences)
     total_steps = epochs * n_sent
@@ -368,21 +378,20 @@ def ipv62vec_embed(
             centers = sent[center_pos]  # [P]
             targets = np.empty((n_pairs, negatives + 1), dtype=int)
             targets[:, 0] = sent[context_pos]
-            targets[:, 1:] = np.searchsorted(
-                noise_cdf, rng.random((n_pairs, negatives))
-            )
-            labels = np.zeros((n_pairs, negatives + 1))
-            labels[:, 0] = 1.0
+            targets[:, 1:] = np.searchsorted(noise_cdf, rng.random((n_pairs, negatives)))
             v = w_in[centers]  # [P, dim]
-            u = w_out[targets]  # [P, neg+1, dim]
+            # ids are always in range; mode="raise" would copy through a buffer
+            np.take(w_out, targets, axis=0, out=u, mode="clip")
             scores = 1.0 / (1.0 + np.exp(-np.einsum("pd,pnd->pn", v, u)))
-            gscore = (scores - labels) * cur_lr  # [P, neg+1]
+            # label 1 for the context word, 0 for the negatives (x - 0.0 == x)
+            scores[:, 0] -= 1.0
+            gscore = scores * cur_lr  # [P, neg+1]
             # one batched update per sentence; duplicate rows accumulate
-            np.subtract.at(w_in, centers, np.einsum("pn,pnd->pd", gscore, u))
-            np.subtract.at(
-                w_out, targets.reshape(-1),
-                (gscore[:, :, None] * v[:, None, :]).reshape(-1, dim),
-            )
+            _subtract_rows_at(w_in, flat_index[centers], np.einsum("pn,pnd->pd", gscore, u))
+            # u is spent once w_in is updated; it now takes w_out's update values
+            np.take(flat_index, targets, axis=0, out=flat_targets, mode="clip")
+            np.multiply(gscore[:, :, None], v[:, None, :], out=u)
+            _subtract_rows_at(w_out, flat_targets, u)
     return w_in[sentences].mean(axis=1)
 
 

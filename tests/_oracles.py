@@ -15,7 +15,10 @@ passes: the discriminator convolution as one matmul per tap over the
 embedded input, the boolean-mask sigmoid, and the LSTM with four separate
 gate products.  The table-lookup and fused-gate library forms do the same
 floating-point operations in the same order, so they must agree with them
-bit for bit too.
+bit for bit too.  The skip-gram reference is the earlier ipv62vec
+embedder, which scatters its updates into the weight matrices row by row;
+the library scatters the same element updates, in the same order, into
+their flat views, so the vectors must match bit for bit.
 """
 
 import math
@@ -151,6 +154,81 @@ def broadcast_diversity(cands) -> float:
 def sq_dists(pts: np.ndarray) -> np.ndarray:
     """[n, n] squared Euclidean distances from an [n, n, dim] difference array."""
     return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+
+
+# ---------------------------------------------------------------------------
+# Row-form skip-gram
+# ---------------------------------------------------------------------------
+
+
+def row_scatter_ipv62vec_embed(
+    seeds, dim=100, window=5, negatives=5, epochs=5, seed=0, lr=0.05,
+) -> np.ndarray:
+    """ipv62vec_embed with each update as np.subtract.at over whole rows."""
+    rng = np.random.default_rng(seed)
+    vocab = 32 * 16
+    sentences = np.array([[p * 16 + v for p, v in enumerate(s.nybbles)] for s in seeds])
+
+    counts = np.bincount(sentences.reshape(-1), minlength=vocab).astype(np.float64)
+    noise = counts ** 0.75
+    noise /= noise.sum()
+
+    w_in = (rng.random((vocab, dim)) - 0.5) / dim
+    w_out = np.zeros((vocab, dim))
+    noise_cdf = np.cumsum(noise)
+    noise_cdf[-1] = 1.0
+
+    pairs = [
+        (p, c)
+        for p in range(32)
+        for c in range(max(0, p - window), min(32, p + window + 1))
+        if c != p
+    ]
+    center_pos = np.array([p for p, _ in pairs])
+    context_pos = np.array([c for _, c in pairs])
+    n_pairs = len(pairs)
+
+    n_sent = len(sentences)
+    total_steps = epochs * n_sent
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n_sent)
+        for si in order:
+            sent = sentences[si]
+            cur_lr = max(lr * (1.0 - step / max(total_steps, 1)), lr * 1e-2)
+            step += 1
+            centers = sent[center_pos]
+            targets = np.empty((n_pairs, negatives + 1), dtype=int)
+            targets[:, 0] = sent[context_pos]
+            targets[:, 1:] = np.searchsorted(
+                noise_cdf, rng.random((n_pairs, negatives))
+            )
+            labels = np.zeros((n_pairs, negatives + 1))
+            labels[:, 0] = 1.0
+            v = w_in[centers]
+            u = w_out[targets]
+            scores = 1.0 / (1.0 + np.exp(-np.einsum("pd,pnd->pn", v, u)))
+            gscore = (scores - labels) * cur_lr
+            np.subtract.at(w_in, centers, np.einsum("pn,pnd->pd", gscore, u))
+            np.subtract.at(
+                w_out, targets.reshape(-1),
+                (gscore[:, :, None] * v[:, None, :]).reshape(-1, dim),
+            )
+    return w_in[sentences].mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Hex digit strings
+# ---------------------------------------------------------------------------
+
+
+def seq_from_hex(digits: str) -> NybbleSeq:
+    """An address from its 32 hex digits, most significant first."""
+    return NybbleSeq(tuple(int(c, 16) for c in digits))
+
+
+def seq_to_hex(seq: NybbleSeq) -> str:
+    return "".join(f"{v:x}" for v in seq.nybbles)
 
 
 # ---------------------------------------------------------------------------

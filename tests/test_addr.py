@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import seq_from_hex, seq_to_hex
 
 from sixgan.addr import (
     AddressParseError,
@@ -24,26 +25,22 @@ nybbles32 = st.tuples(*([st.integers(0, 15)] * 32))
 prefix_nybbles = st.lists(st.integers(0, 15), min_size=1, max_size=32)
 
 
-def hexseq(s: str) -> NybbleSeq:
-    return NybbleSeq.from_hex(s)
-
-
 class TestParseAddress:
     def test_compressed_form_expands(self):
-        assert parse_address("2001:db8::80") == hexseq(
+        assert parse_address("2001:db8::80") == seq_from_hex(
             "20010db8000000000000000000000080"
         )
 
     def test_all_zeros(self):
-        assert parse_address("::") == hexseq("0" * 32)
+        assert parse_address("::") == seq_from_hex("0" * 32)
 
     def test_mixed_compressed_tail(self):
-        assert parse_address("2001:db8:900::21e:67ff:fe31:4cdf") == hexseq(
+        assert parse_address("2001:db8:900::21e:67ff:fe31:4cdf") == seq_from_hex(
             "20010db809000000021e67fffe314cdf"
         )
 
     def test_full_form(self):
-        assert parse_address("2001:0db8:0000:0000:0000:0000:0000:0080") == hexseq(
+        assert parse_address("2001:0db8:0000:0000:0000:0000:0000:0080") == seq_from_hex(
             "20010db8000000000000000000000080"
         )
 
@@ -51,7 +48,7 @@ class TestParseAddress:
         assert parse_address("2001:DB8::80") == parse_address("2001:db8::80")
 
     def test_dotted_quad_tail(self):
-        assert parse_address("::ffff:192.0.2.1") == hexseq(
+        assert parse_address("::ffff:192.0.2.1") == seq_from_hex(
             "00000000000000000000ffffc0000201"
         )
 
@@ -79,31 +76,31 @@ class TestParseAddress:
 
 class TestFormatAddress:
     def test_all_zeros_compresses_fully(self):
-        assert format_address(hexseq("0" * 32)) == "::"
+        assert format_address(seq_from_hex("0" * 32)) == "::"
 
     def test_trailing_zero_run(self):
-        assert format_address(hexseq("20010db8000000000000000000000080")) == (
+        assert format_address(seq_from_hex("20010db8000000000000000000000080")) == (
             "2001:db8::80"
         )
 
     def test_single_zero_group_not_compressed(self):
-        assert format_address(hexseq("20010db8000868d3b7918741c1270a75")) == (
+        assert format_address(seq_from_hex("20010db8000868d3b7918741c1270a75")) == (
             "2001:db8:8:68d3:b791:8741:c127:a75"
         )
 
     def test_leftmost_run_wins_ties(self):
         # zero runs of equal length at groups 1-2 and 5-6
-        assert format_address(hexseq("00010000000000030004000000000008")) == (
+        assert format_address(seq_from_hex("00010000000000030004000000000008")) == (
             "1::3:4:0:0:8"
         )
 
     def test_longest_run_wins(self):
-        assert format_address(hexseq("00010000000000000004000000000008")) == (
+        assert format_address(seq_from_hex("00010000000000000004000000000008")) == (
             "1::4:0:0:8"
         )
 
     def test_lowercase_hex(self):
-        text = format_address(hexseq("fdffabcd" + "0" * 24))
+        text = format_address(seq_from_hex("fdffabcd" + "0" * 24))
         assert text == text.lower()
 
     @given(nybbles32)
@@ -113,7 +110,7 @@ class TestFormatAddress:
         assert parse_address(format_address(seq)) == seq
 
     def test_str_matches_format(self):
-        seq = hexseq("20010db8000000000000000000000080")
+        seq = seq_from_hex("20010db8000000000000000000000080")
         assert str(seq) == format_address(seq)
 
 
@@ -127,12 +124,12 @@ class TestNybbleSeq:
             NybbleSeq(tuple([16] + [0] * 31))
 
     def test_iid_is_low_half(self):
-        seq = hexseq("20010db8000000000123456789abcdef")
+        seq = seq_from_hex("20010db8000000000123456789abcdef")
         assert seq.iid == tuple(int(c, 16) for c in "0123456789abcdef")
 
     def test_hex_round_trip(self):
         s = "20010db809000000021e67fffe314cdf"
-        assert hexseq(s).to_hex() == s
+        assert seq_to_hex(seq_from_hex(s)) == s
 
 
 class TestParsePrefix:

@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import ari, plant_entropy_corpus, plant_value_band_corpus, sq_dists
+from _oracles import (
+    ari,
+    plant_entropy_corpus,
+    plant_value_band_corpus,
+    row_scatter_ipv62vec_embed,
+    sq_dists,
+)
 
 from sixgan import classify
 from sixgan.addr import NybbleSeq, parse_address
@@ -169,6 +175,7 @@ class TestEntropyFingerprints:
         small = [NybbleSeq((9,) * 8 + (1,) * 24)]
         fps, small_groups = entropy_fingerprints(big + small, min_group=10)
         assert len(fps) == 1
+        assert fps[0].members == tuple(range(15))
         assert (9,) * 8 in small_groups
 
     def test_entropies_in_unit_range(self):
@@ -290,6 +297,77 @@ class TestIpv62Vec:
         vecs = ipv62vec_embed([base, near, other] + seeds, dim=24, epochs=4, seed=0)
         unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         assert unit[0] @ unit[1] > unit[0] @ unit[2]
+
+
+def flat_rows(rows, dim):
+    return rows[..., None] * dim + np.arange(dim)
+
+
+class TestFlatScatter:
+    """_subtract_rows_at against np.subtract.at over whole rows."""
+
+    def check(self, w, rows, vals):
+        expect = w.copy()
+        np.subtract.at(expect, rows.reshape(-1), vals.reshape(-1, w.shape[1]))
+        classify._subtract_rows_at(w, flat_rows(rows, w.shape[1]), vals)
+        assert w.tobytes() == expect.tobytes()
+
+    def test_order_sensitive_updates_to_one_row(self):
+        # 1 - 1e16 - 1 + 1e16 is 0.0 one subtraction at a time, but summing
+        # the three updates first gives 1e16 + 1 - 1e16 = 0 and leaves 1.0
+        w = np.ones((3, 2))
+        rows = np.array([1, 0, 1, 1, 2])
+        vals = np.array([[1e16, -3.0], [2.0, 2.0], [1.0, 1e16], [-1e16, 1.0], [0.5, 0.5]])
+        self.check(w, rows, vals)
+        assert w[1, 0] == 0.0
+
+    def test_signed_zeros(self):
+        # -0.0 - 0.0 - -0.0 is +0.0; summing first (0.0 + -0.0 is 0.0) keeps -0.0
+        w = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        rows = np.array([0, 1, 1])
+        vals = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+        self.check(w, rows, vals)
+        assert not np.signbit(w).any()
+
+    def test_many_repeats_and_2d_rows(self):
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-8, 9, size=(7, 5))
+        rows = rng.integers(0, 3, size=(40, 6))  # rows 0..2 hit ~80 times each
+        vals = rng.normal(size=(40, 6, 5)) * 10.0 ** rng.integers(-8, 9, size=(40, 6, 5))
+        self.check(w, rows, vals)
+
+    def test_rejects_non_contiguous(self):
+        w = np.zeros((4, 6))
+        rows = np.array([0, 1])
+        for view in (w[:, ::2], np.asfortranarray(w)):
+            with pytest.raises(ValueError):
+                classify._subtract_rows_at(view, flat_rows(rows, view.shape[1]),
+                                           np.ones((2, view.shape[1])))
+
+
+class TestEmbedMatchesRowForm:
+    @pytest.mark.parametrize("n, dim, epochs, seed", [
+        (8, 5, 1, 3), (20, 24, 2, 7), (30, 100, 1, 0), (12, 16, 3, 11),
+    ])
+    def test_vectors_bit_identical(self, n, dim, epochs, seed):
+        seeds, _ = plant_value_band_corpus(n, seed=seed, n_patterns=2)
+        got = ipv62vec_embed(seeds, dim=dim, epochs=epochs, seed=seed)
+        want = row_scatter_ipv62vec_embed(seeds, dim=dim, epochs=epochs, seed=seed)
+        assert got.tobytes() == want.tobytes()
+
+    def test_duplicate_addresses_and_other_window(self):
+        seeds, _ = plant_value_band_corpus(10, seed=2, n_patterns=3)
+        corpus = seeds + seeds[:5] + seeds[:5]
+        kw = dict(dim=12, window=3, negatives=7, epochs=2, seed=5, lr=0.1)
+        got = ipv62vec_embed(corpus, **kw)
+        assert got.tobytes() == row_scatter_ipv62vec_embed(corpus, **kw).tobytes()
+
+    def test_labels_match_row_form(self, monkeypatch):
+        seeds, _ = plant_value_band_corpus(40, seed=6, n_patterns=3)
+        got = classify_ipv62vec(seeds, target_k=3, seed=0, dim=24)
+        monkeypatch.setattr(classify, "ipv62vec_embed", row_scatter_ipv62vec_embed)
+        want = classify_ipv62vec(seeds, target_k=3, seed=0, dim=24)
+        assert got.labels == want.labels
 
 
 class TestDbscan:
