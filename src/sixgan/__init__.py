@@ -15,7 +15,7 @@ from .addr import (
     parse_address,
     parse_prefix,
 )
-from .alias import AliasDetector, filter_aliased
+from .alias import filter_aliased
 from .classify import (
     LabeledSeedCorpus,
     PatternLabel,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddressParseError",
-    "AliasDetector",
     "AliasTrie",
     "CandidateSet",
     "DiscriminatorModel",

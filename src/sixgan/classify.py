@@ -323,6 +323,9 @@ def _subtract_rows_at(w: np.ndarray, flat_rows: np.ndarray, vals: np.ndarray) ->
     np.subtract.at(w.reshape(-1), flat_rows.reshape(-1), vals.reshape(-1))
 
 
+_MEAN_BLOCK = 64  # sentences per gather of the final average, so it is never [n, 32, dim]
+
+
 def ipv62vec_embed(
     seeds: list[NybbleSeq],
     dim: int = 100,
@@ -392,7 +395,10 @@ def ipv62vec_embed(
             np.take(flat_index, targets, axis=0, out=flat_targets, mode="clip")
             np.multiply(gscore[:, :, None], v[:, None, :], out=u)
             _subtract_rows_at(w_out, flat_targets, u)
-    return w_in[sentences].mean(axis=1)
+    vectors = np.empty((n_sent, dim))
+    for lo in range(0, n_sent, _MEAN_BLOCK):
+        w_in[sentences[lo:lo + _MEAN_BLOCK]].mean(axis=1, out=vectors[lo:lo + _MEAN_BLOCK])
+    return vectors
 
 
 _D2_BLOCK = 4  # rows per block of the squared-distance matrix

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import nn
 from .addr import (
+    AliasTrie,
     NybbleSeq,
     load_alias_file,
     load_seed_file,
     parse_address,
     write_address_file,
 )
-from .alias import AliasDetector, filter_aliased
+from .alias import filter_aliased
 from .classify import (
     classify_entropy,
     classify_ipv62vec,
@@ -255,7 +256,7 @@ def _load_discriminator(path: str) -> DiscriminatorModel:
         raise ConfigError(
             f"checkpoint {path} declares k={k} but carries {params.n_classes} classes"
         )
-    return DiscriminatorModel(params=params, k=k, rng=np.random.default_rng(0))
+    return DiscriminatorModel(params=params, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,11 @@ def cmd_train(cfg: dict) -> int:
         "labels file",
     )
     corpus = read_labels_file(labels_path)
-    detector = None
+    trie = None
     inputs = [labels_path]
     if cfg.get("alias_file"):
         alias_path = _require_file(cfg["alias_file"], "alias prefix file")
-        detector = AliasDetector.from_file(alias_path)
+        trie = AliasTrie(load_alias_file(alias_path))
         inputs.append(alias_path)
     reward = RewardConfig(
         alpha=float(cfg["reward"]["alpha"]),
@@ -354,7 +355,7 @@ def cmd_train(cfg: dict) -> int:
     with open(log_path, "w", encoding="utf-8") as log_fh:  # streamed: kept on exit 3
         try:
             generators, disc, records = train_6gan(
-                corpus, detector, reward, schedule, seed=int(cfg["seed"]),
+                corpus, trie, reward, schedule, seed=int(cfg["seed"]),
                 embed_dim=int(hp["embed_dim"]), hidden_dim=int(hp["hidden_dim"]),
                 n_filters=int(hp["n_filters"]),
                 lr_gen=float(hp["lr_gen"]), lr_disc=float(hp["lr_disc"]),
@@ -514,9 +515,9 @@ def cmd_discriminate(cfg: dict, addresses_path: str) -> int:
 def cmd_alias_check(cfg: dict, addresses_path: str) -> int:
     alias_path = _require_file(_require(cfg, "alias_file", "for alias-check"), "alias prefix file")
     addresses_path = _require_file(addresses_path, "addresses file")
-    detector = AliasDetector.from_file(alias_path)
+    trie = AliasTrie(load_alias_file(alias_path))
     addrs = load_seed_file(addresses_path)
-    kept, removed = filter_aliased(detector, addrs)
+    kept, removed = filter_aliased(trie, addrs)
     out = _ensure_out(cfg)
     kept_path = os.path.join(out, "kept.txt")
     removed_path = os.path.join(out, "removed.txt")

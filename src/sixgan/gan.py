@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addr import AliasTrie, NybbleSeq
-from .alias import AliasDetector
 from .classify import LabeledSeedCorpus
 from .nn import (
     BOS,
@@ -80,7 +79,6 @@ SCORE_BLOCK = 512  # rows per cnn_forward in class_probs; bounds its working mem
 class DiscriminatorModel:
     params: CnnParams
     k: int
-    rng: np.random.Generator
     opt: RmsProp = field(default_factory=lambda: RmsProp(lr=1e-4))
 
     def __post_init__(self) -> None:
@@ -118,33 +116,6 @@ def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
-def _sample_tokens(
-    params: LstmParams,
-    n: int,
-    rng: np.random.Generator,
-    keep_states: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Autoregressive batch sampling of [n, 32] nybble tokens.
-
-    When keep_states is set, also returns the (h, c) state recorded after
-    each position, for resuming rollouts mid-sequence.
-    """
-    h, c = lstm_init_state(params, n)
-    prev = np.full(n, BOS, dtype=np.int64)
-    tokens = np.empty((n, SEQ_LEN), dtype=np.int64)
-    hs: list[np.ndarray] = []
-    cs: list[np.ndarray] = []
-    for t in range(SEQ_LEN):
-        h, c, _, probs = lstm_step_batch(params, h, c, prev)
-        tok = _categorical_rows(probs, rng)
-        tokens[:, t] = tok
-        prev = tok
-        if keep_states:
-            hs.append(h)
-            cs.append(c)
-    return tokens, hs, cs
-
-
 def _continue_tokens(
     params: LstmParams,
     h: np.ndarray,
@@ -152,13 +123,37 @@ def _continue_tokens(
     prev: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+    keep_states: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """[n, steps] tokens drawn one LSTM step at a time from state (h, c),
+    whose last token is prev.
+
+    When keep_states is set, also returns the (h, c) state recorded after
+    each drawn position, for resuming rollouts mid-sequence.
+    """
     out = np.empty((prev.shape[0], steps), dtype=np.int64)
-    for s in range(steps):
+    hs: list[np.ndarray] = []
+    cs: list[np.ndarray] = []
+    for t in range(steps):
         h, c, _, probs = lstm_step_batch(params, h, c, prev)
         prev = _categorical_rows(probs, rng)
-        out[:, s] = prev
-    return out
+        out[:, t] = prev
+        if keep_states:
+            hs.append(h)
+            cs.append(c)
+    return out, hs, cs
+
+
+def _sample_tokens(
+    params: LstmParams,
+    n: int,
+    rng: np.random.Generator,
+    keep_states: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Autoregressive batch sampling of [n, 32] nybble tokens from BOS."""
+    h, c = lstm_init_state(params, n)
+    prev = np.full(n, BOS, dtype=np.int64)
+    return _continue_tokens(params, h, c, prev, SEQ_LEN, rng, keep_states)
 
 
 def sample_sequences(g: GeneratorModel, n: int) -> list[NybbleSeq]:
@@ -211,7 +206,7 @@ def rollout_penalties(
             h_rep = np.repeat(hs[t - 1], n, axis=0)
             c_rep = np.repeat(cs[t - 1], n, axis=0)
             prev = np.repeat(tokens[:, t - 1], n)
-            tails = _continue_tokens(g.params, h_rep, c_rep, prev, SEQ_LEN - t, g.rng)
+            tails, _, _ = _continue_tokens(g.params, h_rep, c_rep, prev, SEQ_LEN - t, g.rng)
             full = np.concatenate([np.repeat(tokens[:, :t], n, axis=0), tails], axis=1)
         else:
             n, full = 1, tokens
@@ -252,7 +247,7 @@ def pg_logit_grad(probs: np.ndarray, actions: np.ndarray, q: np.ndarray) -> np.n
 def generator_pg_step(
     g: GeneratorModel,
     d: DiscriminatorModel,
-    detector: AliasDetector | None,
+    trie: AliasTrie | None,
     cfg: RewardConfig,
     batch_size: int,
 ) -> dict:
@@ -266,7 +261,6 @@ def generator_pg_step(
     params = g.params
     b = batch_size
     tokens, hs, cs = _sample_tokens(params, b, g.rng, keep_states=True)
-    trie = detector.trie if detector is not None else None
     q_d, q_a = rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
     aliased_rate = float((trie.match_batch(tokens) > 0).mean()) if trie is not None else 0.0
 
@@ -345,7 +339,7 @@ def _fake_pool(generators: list[GeneratorModel], n: int) -> np.ndarray:
 
 def train_6gan(
     corpus: LabeledSeedCorpus,
-    detector: AliasDetector | None,
+    trie: AliasTrie | None,
     cfg: RewardConfig,
     schedule: TrainSchedule,
     seed: int,
@@ -396,7 +390,6 @@ def train_6gan(
             np.random.default_rng(streams[k][0]), k + 1, embed_dim, n_filters
         ),
         k=k,
-        rng=d_rng,
         opt=RmsProp(lr=lr_disc),
     )
 
@@ -428,7 +421,7 @@ def train_6gan(
     for rnd in range(schedule.adversarial_rounds):
         for i, g in enumerate(generators):
             for step in range(schedule.g_steps):
-                stats = generator_pg_step(g, disc, detector, cfg, schedule.batch_size)
+                stats = generator_pg_step(g, disc, trie, cfg, schedule.batch_size)
                 emit({"kind": "g_step", "round": rnd, "generator": i, "step": step, **stats})
         for step in range(schedule.d_steps):
             loss = discriminator_step(disc, real_batches(), _fake_pool(generators, per_class))

@@ -395,7 +395,7 @@ def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False)
     if not want_cache:
         return logits, probs
     cache = {
-        "tokens": tokens, "x": params.emb[tokens], "argmaxes": argmaxes, "pooled": pooled,
+        "tokens": tokens, "argmaxes": argmaxes, "pooled": pooled,
         "t_gate": t_gate, "h_pre": h_pre, "h_act": h_act, "y": y,
     }
     return logits, probs, cache
@@ -403,7 +403,7 @@ def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False)
 
 def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss given d(loss)/d(logits)."""
-    tokens, x = cache["tokens"], cache["x"]
+    tokens = cache["tokens"]
     pooled, t_gate = cache["pooled"], cache["t_gate"]
     h_pre, h_act, y = cache["h_pre"], cache["h_act"], cache["y"]
     b = tokens.shape[0]
@@ -426,22 +426,23 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
     grads["hw_h_b"] += dh_pre.sum(axis=0)
     dpooled += da_t @ params.hw_t_w.T + dh_pre @ params.hw_h_w.T
 
-    dx = np.zeros_like(x)
-    rows = np.arange(b)[:, None]
+    # max-pooling routes each (row, filter) gradient to one window, and tap j
+    # of that window read one token, so tap j's gradient gathers by token
+    # into an [N_TOKENS, F] table; bincount adds the slots rows share
+    rows = np.arange(b)[:, None, None]
+    cols = np.arange(f)[:, None]
     for idx, s in enumerate(KERNEL_SIZES):
-        n_pos = x.shape[1] - s + 1
-        arg = cache["argmaxes"][s]  # [B, F]
+        taps = np.arange(s)
+        win = tokens[rows, cache["argmaxes"][s][:, :, None] + taps]  # [B, F, s]
         dp = dpooled[:, idx * f:(idx + 1) * f]  # [B, F]
-        dconv = np.zeros((b, n_pos, f))
-        np.add.at(dconv, (rows, arg, np.arange(f)[None, :]), dp)
-        w = params.conv_w[s]
-        gw = grads[f"conv_w_{s:02d}"]
-        for j in range(s):
-            xs = x[:, j:j + n_pos, :]
-            gw[j * e:(j + 1) * e, :] += np.einsum("bpe,bpf->ef", xs, dconv)
-            dx[:, j:j + n_pos, :] += dconv @ w[j * e:(j + 1) * e, :].T
-        grads[f"conv_b_{s:02d}"] += dconv.sum(axis=(0, 1))
-    np.add.at(grads["emb"], tokens, dx)
+        slot = (taps * N_TOKENS + win) * f + cols
+        by_token = np.bincount(
+            slot.ravel(), weights=np.repeat(dp.ravel(), s), minlength=s * N_TOKENS * f
+        ).reshape(s, N_TOKENS, f)
+        w = params.conv_w[s].reshape(s, e, f)
+        grads[f"conv_w_{s:02d}"] += (params.emb.T @ by_token).reshape(s * e, f)
+        grads["emb"] += (by_token @ w.transpose(0, 2, 1)).sum(axis=0)
+        grads[f"conv_b_{s:02d}"] += dp.sum(axis=0)
     for name, arr in grads.items():
         ensure_finite(f"cnn grad {name}", arr)
     return grads

@@ -15,7 +15,9 @@ passes: the discriminator convolution as one matmul per tap over the
 embedded input, the boolean-mask sigmoid, and the LSTM with four separate
 gate products.  The table-lookup and fused-gate library forms do the same
 floating-point operations in the same order, so they must agree with them
-bit for bit too.  The skip-gram reference is the earlier ipv62vec
+bit for bit too.  The dense discriminator backward is the exception: the
+library adds the same gradient terms grouped by token rather than by
+position, so the two agree only to rounding.  The skip-gram reference is the earlier ipv62vec
 embedder, which scatters its updates into the weight matrices row by row;
 the library scatters the same element updates, in the same order, into
 their flat views, so the vectors must match bit for bit.
@@ -271,6 +273,52 @@ def tap_cnn_logits(params, tokens: np.ndarray) -> np.ndarray:
     h_act = np.maximum(pooled @ params.hw_h_w + params.hw_h_b, 0.0)
     y = t_gate * h_act + (1.0 - t_gate) * pooled
     return y @ params.out_w + params.out_b
+
+
+def dense_cnn_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
+    """cnn_backward over the embedded batch: a dense window gradient, zero
+    except at each argmax, and one einsum per tap over every position."""
+    tokens = cache["tokens"]
+    x = params.emb[tokens]
+    pooled, t_gate = cache["pooled"], cache["t_gate"]
+    h_pre, h_act, y = cache["h_pre"], cache["h_act"], cache["y"]
+    b = tokens.shape[0]
+    e = params.embed_dim
+    f = params.n_filters
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+
+    grads["out_w"] += y.T @ dlogits
+    grads["out_b"] += dlogits.sum(axis=0)
+    dy = dlogits @ params.out_w.T
+
+    dt = dy * (h_act - pooled)
+    dh_act = dy * t_gate
+    dpooled = dy * (1.0 - t_gate)
+    dh_pre = dh_act * (h_pre > 0.0)
+    da_t = dt * t_gate * (1.0 - t_gate)
+    grads["hw_t_w"] += pooled.T @ da_t
+    grads["hw_t_b"] += da_t.sum(axis=0)
+    grads["hw_h_w"] += pooled.T @ dh_pre
+    grads["hw_h_b"] += dh_pre.sum(axis=0)
+    dpooled += da_t @ params.hw_t_w.T + dh_pre @ params.hw_h_w.T
+
+    dx = np.zeros_like(x)
+    rows = np.arange(b)[:, None]
+    for idx, s in enumerate(KERNEL_SIZES):
+        n_pos = x.shape[1] - s + 1
+        arg = cache["argmaxes"][s]  # [B, F]
+        dp = dpooled[:, idx * f:(idx + 1) * f]  # [B, F]
+        dconv = np.zeros((b, n_pos, f))
+        np.add.at(dconv, (rows, arg, np.arange(f)[None, :]), dp)
+        w = params.conv_w[s]
+        gw = grads[f"conv_w_{s:02d}"]
+        for j in range(s):
+            xs = x[:, j:j + n_pos, :]
+            gw[j * e:(j + 1) * e, :] += np.einsum("bpe,bpf->ef", xs, dconv)
+            dx[:, j:j + n_pos, :] += dconv @ w[j * e:(j + 1) * e, :].T
+        grads[f"conv_b_{s:02d}"] += dconv.sum(axis=(0, 1))
+    np.add.at(grads["emb"], tokens, dx)
+    return grads
 
 
 def _gate_banks(params):

@@ -18,8 +18,7 @@ from _oracles import (
     bf_pattern_quality,
     plant_entropy_corpus,
 )
-from sixgan.addr import NybbleSeq, parse_address, parse_prefix
-from sixgan.alias import AliasDetector
+from sixgan.addr import AliasTrie, NybbleSeq, parse_address, parse_prefix
 from sixgan.classify import (
     classify_entropy,
     classify_rfc,
@@ -251,7 +250,7 @@ def test_07_alias_detection_ablation():
     assert 0.12 < seed_frac < 0.18
 
     corpus = classify_rfc_corpus(seeds)
-    detector = AliasDetector.from_prefixes([aliased])
+    detector = AliasTrie([aliased])
     schedule = TrainSchedule(g_pretrain=1200, d_pretrain=30, g_steps=1,
                              d_steps=1, adversarial_rounds=6, batch_size=32)
     fractions = {}
@@ -262,7 +261,7 @@ def test_07_alias_detection_ablation():
                                 lr_gen=2e-3, lr_disc=1e-3)
         cands = generate_candidates(gens[0], 5000, seen)
         fractions[arm] = sum(
-            1 for c in cands if detector.trie.match(c) is not None
+            1 for c in cands if detector.match(c) is not None
         ) / len(cands)
 
     elapsed = time.perf_counter() - t0

@@ -1,11 +1,11 @@
-"""Aliased-prefix detector: matching and candidate filtering."""
+"""Aliased-prefix matching and candidate filtering."""
 
-from sixgan.addr import parse_address, parse_prefix
-from sixgan.alias import AliasDetector, filter_aliased
+from sixgan.addr import AliasTrie, load_alias_file, parse_address, parse_prefix
+from sixgan.alias import filter_aliased
 
 
 def det(*prefixes):
-    return AliasDetector.from_prefixes([parse_prefix(p) for p in prefixes])
+    return AliasTrie([parse_prefix(p) for p in prefixes])
 
 
 class TestDetector:
@@ -13,26 +13,26 @@ class TestDetector:
     (RewardConfig.lam); an address with no match scores zero."""
 
     def test_empty_detector_scores_zero(self):
-        empty = AliasDetector()
-        assert empty.trie.match(parse_address("2001:db8::1")) is None
+        empty = AliasTrie()
+        assert empty.match(parse_address("2001:db8::1")) is None
 
     def test_match_scores_lambda(self):
         d = det("2001:db8:f::/48")
-        assert d.trie.match(parse_address("2001:db8:f::1234")) == 12
-        assert d.trie.match(parse_address("2001:db8:e::1234")) is None
+        assert d.match(parse_address("2001:db8:f::1234")) == 12
+        assert d.match(parse_address("2001:db8:e::1234")) is None
 
     def test_near_miss_scores_zero(self):
         # shares all but the last prefix nybble
         d = det("2001:db8:aa00::/56")
-        assert d.trie.match(parse_address("2001:db8:aa01::1")) is None
-        assert d.trie.match(parse_address("2001:db8:aa00::1")) == 14
+        assert d.match(parse_address("2001:db8:aa01::1")) is None
+        assert d.match(parse_address("2001:db8:aa00::1")) == 14
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "aliased.txt"
         path.write_text("# aliased regions\n2001:db8:f::/48\n\n2001:db8:e::/48\n")
-        d = AliasDetector.from_file(str(path))
-        assert len(d.trie) == 2
-        assert d.trie.match(parse_address("2001:db8:e::9")) == 12
+        d = AliasTrie(load_alias_file(str(path)))
+        assert len(d) == 2
+        assert d.match(parse_address("2001:db8:e::9")) == 12
 
 
 class TestFilter:
@@ -59,5 +59,5 @@ class TestFilter:
 
     def test_empty_detector_keeps_everything(self):
         addrs = [parse_address("2001:db8:f::1"), parse_address("::1")]
-        kept, removed = filter_aliased(AliasDetector(), addrs)
+        kept, removed = filter_aliased(AliasTrie(), addrs)
         assert kept == addrs and removed == []

@@ -345,6 +345,9 @@ class TestFlatScatter:
                                            np.ones((2, view.shape[1])))
 
 
+MEAN_BLOCK = classify._MEAN_BLOCK
+
+
 class TestEmbedMatchesRowForm:
     @pytest.mark.parametrize("n, dim, epochs, seed", [
         (8, 5, 1, 3), (20, 24, 2, 7), (30, 100, 1, 0), (12, 16, 3, 11),
@@ -361,6 +364,25 @@ class TestEmbedMatchesRowForm:
         kw = dict(dim=12, window=3, negatives=7, epochs=2, seed=5, lr=0.1)
         got = ipv62vec_embed(corpus, **kw)
         assert got.tobytes() == row_scatter_ipv62vec_embed(corpus, **kw).tobytes()
+
+    @pytest.mark.parametrize("n", [MEAN_BLOCK, MEAN_BLOCK + 1, 2 * MEAN_BLOCK + 3])
+    def test_vectors_bit_identical_across_mean_blocks(self, n):
+        seeds, _ = plant_value_band_corpus(n, seed=n, n_patterns=2)
+        seeds = seeds[:n]
+        kw = dict(dim=8, epochs=1, seed=1)
+        assert ipv62vec_embed(seeds, **kw).tobytes() == row_scatter_ipv62vec_embed(seeds, **kw).tobytes()
+
+    def test_average_memory_bounded(self):
+        # the whole-array average builds one [n, 32, dim] float64 array
+        seeds, _ = plant_value_band_corpus(300, seed=4, n_patterns=2)
+        dim = 32
+        tracemalloc.start()
+        try:
+            ipv62vec_embed(seeds, dim=dim, epochs=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(seeds) * 32 * dim * 8
 
     def test_labels_match_row_form(self, monkeypatch):
         seeds, _ = plant_value_band_corpus(40, seed=6, n_patterns=3)

@@ -10,7 +10,6 @@ import pytest
 
 from _oracles import combined_q, mc_rollout, reward_alias, reward_discriminator
 from sixgan.addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
-from sixgan.alias import AliasDetector
 from sixgan.classify import classify_rfc_corpus
 from sixgan.gan import (
     DiscriminatorModel,
@@ -51,11 +50,10 @@ def make_generator(seed=0, embed=10, hidden=12, pattern_id=0, lr=1e-3):
 
 
 def make_discriminator(seed=0, k=1, embed=8, filters=2, lr=1e-4):
-    rng_init, rng_run = np.random.SeedSequence(seed + 1000).spawn(2)
+    rng_init = np.random.SeedSequence(seed + 1000).spawn(2)[0]
     return DiscriminatorModel(
         params=CnnParams.init(np.random.default_rng(rng_init), k + 1, embed, filters),
         k=k,
-        rng=np.random.default_rng(rng_run),
         opt=RmsProp(lr=lr),
     )
 
@@ -103,7 +101,7 @@ class TestConfigs:
     def test_discriminator_class_count_enforced(self):
         params = CnnParams.init(np.random.default_rng(0), 3, 6, 2)
         with pytest.raises(ValueError):
-            DiscriminatorModel(params=params, k=3, rng=np.random.default_rng(0))
+            DiscriminatorModel(params=params, k=3)
 
 
 class TestSampling:
@@ -315,7 +313,7 @@ class TestPolicyGradient:
     def test_stats_keys_and_bounds(self):
         g = make_generator(seed=16)
         d = make_discriminator(seed=17, k=1)
-        det = AliasDetector.from_prefixes([parse_prefix("2001:db8::/32")])
+        det = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=3)
         stats = generator_pg_step(g, d, det, cfg, batch_size=4)
         assert 0.0 <= stats["mean_q_d"] <= 1.0
@@ -477,8 +475,8 @@ class TestTrain6Gan:
     def test_alpha_zero_matches_empty_trie_bitwise(self):
         corpus = self.small_corpus()
         cfg = RewardConfig(alpha=0.0, rollouts=2)
-        planted = AliasDetector.from_prefixes([parse_prefix("2001:db8::/32")])
-        empty = AliasDetector.from_prefixes([])
+        planted = AliasTrie([parse_prefix("2001:db8::/32")])
+        empty = AliasTrie([])
         out_a = train_6gan(corpus, planted, cfg, self.tiny_schedule(), seed=9,
                            **self.tiny_kwargs())
         out_b = train_6gan(corpus, empty, cfg, self.tiny_schedule(), seed=9,

@@ -2,11 +2,13 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _oracles import (
+    dense_cnn_backward,
     four_gate_lstm_cell,
     masked_sigmoid,
     per_gate_lstm_backward,
@@ -19,6 +21,7 @@ from sixgan.nn import (
     DivergenceError,
     LstmParams,
     RmsProp,
+    cnn_backward,
     cnn_forward,
     cnn_nll_grads,
     ensure_finite,
@@ -324,6 +327,83 @@ class TestCnnGradients:
         _, grads = cnn_nll_grads(p, tokens, labels)
         report = grad_check(loss_fn, p.tensors(), grads, rng, n_samples=250)
         assert report["rel_err"] < 1e-4
+
+
+# (embedding width, filters, batch rows)
+SCATTER_SHAPES = [(5, 3, 7), (24, 8, 16), (200, 32, 64)]
+SCATTER_RTOL = 1e-12  # of the largest magnitude in each gradient tensor
+
+
+def cnn_with_biases(e, f, seed):
+    p = CnnParams.init(np.random.default_rng(e), n_classes=4, embed_dim=e, n_filters=f)
+    rng = np.random.default_rng(seed)
+    for bias in p.conv_b.values():
+        bias[...] = rng.normal(size=f)
+    return p, rng
+
+
+def dense_nll_grads(p, tokens, labels):
+    """cnn_nll_grads' gradients through dense_cnn_backward."""
+    b = len(tokens)
+    _, probs, cache = cnn_forward(p, tokens, want_cache=True)
+    dlogits = probs.copy()
+    dlogits[np.arange(b), labels] -= 1.0
+    return dense_cnn_backward(p, cache, dlogits / b)
+
+
+def assert_grads_close(got, want):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        err = np.abs(got[name] - want[name]).max()
+        assert err <= SCATTER_RTOL * np.abs(want[name]).max(), name
+
+
+class TestTokenScatterBackward:
+    """cnn_backward adds, by token, the terms the dense backward adds by position."""
+
+    @pytest.mark.parametrize("e,f,b", SCATTER_SHAPES)
+    def test_matches_dense_backward(self, e, f, b):
+        p, rng = cnn_with_biases(e, f, b)
+        tokens = rng.integers(0, 17, size=(b, 32))
+        labels = rng.integers(0, 4, size=b)
+        _, got = cnn_nll_grads(p, tokens, labels)
+        assert_grads_close(got, dense_nll_grads(p, tokens, labels))
+
+    def test_rows_sharing_a_slot_accumulate(self):
+        # three copies of one row pick the same window for every filter, so
+        # each tap routes three different gradients to one (token, filter)
+        p, rng = cnn_with_biases(6, 4, 3)
+        tokens = np.concatenate([np.repeat(rng.integers(0, 17, size=(1, 32)), 3, axis=0),
+                                 rng.integers(0, 17, size=(2, 32))])
+        labels = np.array([0, 1, 3, 2, 0])
+        _, _, cache = cnn_forward(p, tokens, want_cache=True)
+        for arg in cache["argmaxes"].values():
+            assert (arg[:3] == arg[0]).all()
+        _, got = cnn_nll_grads(p, tokens, labels)
+        assert_grads_close(got, dense_nll_grads(p, tokens, labels))
+
+    def test_cache_holds_no_embedded_batch(self):
+        p = tiny_cnn(seed=4)
+        tokens = np.random.default_rng(5).integers(0, 17, size=(3, 32))
+        _, _, cache = cnn_forward(p, tokens, want_cache=True)
+        assert "x" not in cache
+        for arr in cache.values():
+            assert not isinstance(arr, np.ndarray) or arr.shape[-1] != p.embed_dim
+
+    def test_working_memory_below_one_embedded_batch(self):
+        e, f, b = 200, 8, 64
+        p, rng = cnn_with_biases(e, f, b)
+        tokens = rng.integers(0, 17, size=(b, 32))
+        _, probs, cache = cnn_forward(p, tokens, want_cache=True)
+        grad_bytes = sum(t.nbytes for t in p.tensors().values())
+        tracemalloc.start()
+        try:
+            cnn_backward(p, cache, probs / b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense form holds emb[tokens] and its gradient, each [B, 32, E]
+        assert peak - grad_bytes < b * 32 * e * 8
 
 
 class TestRmsProp:
