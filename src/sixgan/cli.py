@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import nn
+from . import __version__, nn
 from .addr import (
     AliasTrie,
     NybbleSeq,
@@ -201,6 +201,7 @@ def _write_manifest(cfg: dict, command: str, inputs: list[str], outputs: list[st
         "config": cfg,
         "inputs": {os.path.basename(p): _sha256(p) for p in sorted(set(inputs))},
         "outputs": {os.path.basename(p): _sha256(p) for p in sorted(set(outputs))},
+        "versions": {"sixgan": __version__, "numpy": np.__version__},
     }
     path = os.path.join(cfg["out_dir"], f"manifest_{command}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -79,7 +79,7 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 256  # rows per block of the novelty and diversity kernel
+_BLOCK = 256  # rows per block of the pairwise similarity kernels
 
 
 def _matrix(seqs: list[NybbleSeq]) -> np.ndarray:
@@ -108,23 +108,35 @@ def _nearest_jaccard(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return best / (64.0 - best)
 
 
-def _seed_cosines(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> np.ndarray:
-    """The [candidates, seeds] cosine matrix behind both pattern qualities."""
+def _seed_cosine_bounds(
+    candidates: list[NybbleSeq], seeds: list[NybbleSeq]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate, the (min, max) cosine to any seed: both pattern qualities.
+
+    Nybbles are integers, so every dot product is an exact integer and a
+    block of _BLOCK rows holds the same cosines as the whole matrix would;
+    reducing each block at once bounds the working memory to _BLOCK x len(seeds).
+    """
     if not candidates or not seeds:
         raise ValueError("pattern_quality requires non-empty candidates and seeds")
     ca, cb = _matrix(candidates), _matrix(seeds)
     na = np.sqrt((ca * ca).sum(axis=1))
     nb = np.sqrt((cb * cb).sum(axis=1))
-    dots = ca @ cb.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = dots / np.outer(na, nb)
-    a_zero = na == 0.0
     b_zero = nb == 0.0
-    if a_zero.any() or b_zero.any():
-        sims[a_zero, :] = 0.0
-        sims[:, b_zero] = 0.0
-        sims[np.ix_(a_zero, b_zero)] = 1.0
-    return sims
+    lows, highs = np.empty(len(ca)), np.empty(len(ca))
+    for lo in range(0, len(ca), _BLOCK):
+        hi = lo + _BLOCK
+        sims = ca[lo:hi] @ cb.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims /= np.outer(na[lo:hi], nb)
+        a_zero = na[lo:hi] == 0.0
+        if a_zero.any() or b_zero.any():
+            sims[a_zero, :] = 0.0
+            sims[:, b_zero] = 0.0
+            sims[np.ix_(a_zero, b_zero)] = 1.0
+        sims.min(axis=1, out=lows[lo:hi])
+        sims.max(axis=1, out=highs[lo:hi])
+    return lows, highs
 
 
 def pattern_quality(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
@@ -134,12 +146,12 @@ def pattern_quality(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> floa
     no direction: one zero vector scores 0, two score 1 (identical
     addresses).
     """
-    return float(_seed_cosines(candidates, seeds).min(axis=1).mean())
+    return float(_seed_cosine_bounds(candidates, seeds)[0].mean())
 
 
 def pattern_quality_max(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
     """Nearest-seed variant: mean of the maximum similarity per candidate."""
-    return float(_seed_cosines(candidates, seeds).max(axis=1).mean())
+    return float(_seed_cosine_bounds(candidates, seeds)[1].mean())
 
 
 def novelty(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
@@ -195,10 +207,8 @@ def evaluate(
     aliased_pct = n_aliased / n if n else 0.0
     pq = pqx = nov = div = None
     if n and seeds:
-        sims = _seed_cosines(candidates.addresses, seeds)
-        pq = float(sims.min(axis=1).mean())
-        pqx = float(sims.max(axis=1).mean())
-        del sims  # freed before the novelty and diversity kernels run
+        lows, highs = _seed_cosine_bounds(candidates.addresses, seeds)
+        pq, pqx = float(lows.mean()), float(highs.mean())
         nov = novelty(candidates.addresses, seeds)
     if n >= 2:
         div = diversity(candidates.addresses)

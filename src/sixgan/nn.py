@@ -409,10 +409,13 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
     b = tokens.shape[0]
     e = params.embed_dim
     f = params.n_filters
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    # each gradient is written once, in params.tensors() order; only emb sums
+    # over the kernel sizes
+    grads = dict.fromkeys(params.tensors())
+    grads["emb"] = np.zeros_like(params.emb)
 
-    grads["out_w"] += y.T @ dlogits
-    grads["out_b"] += dlogits.sum(axis=0)
+    grads["out_w"] = y.T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
     dy = dlogits @ params.out_w.T
 
     dt = dy * (h_act - pooled)
@@ -420,10 +423,10 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
     dpooled = dy * (1.0 - t_gate)
     dh_pre = dh_act * (h_pre > 0.0)
     da_t = dt * t_gate * (1.0 - t_gate)
-    grads["hw_t_w"] += pooled.T @ da_t
-    grads["hw_t_b"] += da_t.sum(axis=0)
-    grads["hw_h_w"] += pooled.T @ dh_pre
-    grads["hw_h_b"] += dh_pre.sum(axis=0)
+    grads["hw_t_w"] = pooled.T @ da_t
+    grads["hw_t_b"] = da_t.sum(axis=0)
+    grads["hw_h_w"] = pooled.T @ dh_pre
+    grads["hw_h_b"] = dh_pre.sum(axis=0)
     dpooled += da_t @ params.hw_t_w.T + dh_pre @ params.hw_h_w.T
 
     # max-pooling routes each (row, filter) gradient to one window, and tap j
@@ -440,9 +443,9 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
             slot.ravel(), weights=np.repeat(dp.ravel(), s), minlength=s * N_TOKENS * f
         ).reshape(s, N_TOKENS, f)
         w = params.conv_w[s].reshape(s, e, f)
-        grads[f"conv_w_{s:02d}"] += (params.emb.T @ by_token).reshape(s * e, f)
+        grads[f"conv_w_{s:02d}"] = (params.emb.T @ by_token).reshape(s * e, f)
         grads["emb"] += (by_token @ w.transpose(0, 2, 1)).sum(axis=0)
-        grads[f"conv_b_{s:02d}"] += dp.sum(axis=0)
+        grads[f"conv_b_{s:02d}"] = dp.sum(axis=0)
     for name, arr in grads.items():
         ensure_finite(f"cnn grad {name}", arr)
     return grads

@@ -8,8 +8,9 @@ partial sequence at a time; they share only the networks with the
 batched training path, and draw from the generator's RNG in the same
 order, so the two can be compared value for value.  The broadcast
 pairwise kernels are the library's earlier whole-matrix forms of the
-similarity metrics and the ipv62vec distances; the row-blocked library
-kernels do the same arithmetic, so they must agree with them bit for bit.
+similarity metrics, the pattern-quality cosines and the ipv62vec
+distances; the row-blocked library kernels do the same arithmetic, so
+they must agree with them bit for bit.
 The network references are the earlier forms of the forward and backward
 passes: the discriminator convolution as one matmul per tap over the
 embedded input, the boolean-mask sigmoid, and the LSTM with four separate
@@ -151,6 +152,23 @@ def broadcast_diversity(cands) -> float:
     sims = jaccard_matrix(cands, cands)
     np.fill_diagonal(sims, -np.inf)
     return float(100.0 / len(cands) * (1.0 - sims.max(axis=1)).sum())
+
+
+def dense_seed_cosines(cands, seeds) -> np.ndarray:
+    """The whole [n, m] candidate x seed cosine matrix, zero vectors included."""
+    ca, cb = _nybble_matrix(cands), _nybble_matrix(seeds)
+    na = np.sqrt((ca * ca).sum(axis=1))
+    nb = np.sqrt((cb * cb).sum(axis=1))
+    dots = ca @ cb.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = dots / np.outer(na, nb)
+    a_zero = na == 0.0
+    b_zero = nb == 0.0
+    if a_zero.any() or b_zero.any():
+        sims[a_zero, :] = 0.0
+        sims[:, b_zero] = 0.0
+        sims[np.ix_(a_zero, b_zero)] = 1.0
+    return sims
 
 
 def sq_dists(pts: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import sixgan
 import sixgan.cli as cli
 from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
@@ -174,7 +175,8 @@ class TestPipelineArtifacts:
                     "evaluate", "discriminate", "alias-check"):
             doc = json.loads((out / f"manifest_{cmd}.json").read_text())
             assert doc["command"] == cmd
-            assert set(doc) == {"command", "config", "inputs", "outputs"}
+            assert set(doc) == {"command", "config", "inputs", "outputs", "versions"}
+            assert doc["versions"] == {"sixgan": sixgan.__version__, "numpy": np.__version__}
             for digest in {**doc["inputs"], **doc["outputs"]}.values():
                 assert len(digest) == 64 and int(digest, 16) >= 0
         synth = json.loads((out / "manifest_synth.json").read_text())

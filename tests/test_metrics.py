@@ -19,6 +19,7 @@ from _oracles import (
     bf_pattern_quality_max,
     broadcast_diversity,
     broadcast_novelty,
+    dense_seed_cosines,
 )
 from sixgan import metrics
 from sixgan.addr import NybbleSeq, parse_address, parse_prefix
@@ -176,8 +177,42 @@ def shared_prefix_seqs(rng, prefix, n):
     return [NybbleSeq(prefix + tuple(rng.integers(0, 2, size=16).tolist())) for _ in range(n)]
 
 
+def assert_pattern_qualities_dense(cands, seeds):
+    sims = dense_seed_cosines(cands, seeds)
+    lows, highs = metrics._seed_cosine_bounds(cands, seeds)
+    assert lows.tobytes() == sims.min(axis=1).tobytes()
+    assert highs.tobytes() == sims.max(axis=1).tobytes()
+    assert pattern_quality(cands, seeds) == float(sims.min(axis=1).mean())
+    assert pattern_quality_max(cands, seeds) == float(sims.max(axis=1).mean())
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedKernels:
     """The row-blocked kernels against the broadcast forms they replace, exactly."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_pattern_quality_random_sets(self, n):
+        rng = np.random.default_rng(2000 + n)
+        assert_pattern_qualities_dense(random_seqs(rng, n), random_seqs(rng, 9))
+
+    @pytest.mark.parametrize("zero_seed", [False, True])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_pattern_quality_zero_vectors(self, n, zero_seed):
+        rng = np.random.default_rng(3000 + n)
+        zero = NybbleSeq((0,) * 32)
+        cands = random_seqs(rng, n)
+        for i in (0, n // 2, n - 1):  # n // 2 is in a middle block once there are three
+            cands[i] = zero
+        seeds = random_seqs(rng, 8) + [zero] * zero_seed
+        assert_pattern_qualities_dense(cands, seeds)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_random_sets(self, n):
@@ -200,13 +235,16 @@ class TestBlockedKernels:
 
     def test_diversity_working_memory_bounded(self):
         cands = random_seqs(np.random.default_rng(0), 2000)
-        tracemalloc.start()
-        try:
-            diversity(cands)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6  # the [n, n, 32] agreement array alone is 128 MB
+        # the [n, n, 32] agreement array alone is 128 MB
+        assert traced_peak(diversity, cands) < 16e6
+
+    def test_pattern_quality_working_memory_bounded(self):
+        rng = np.random.default_rng(0)
+        cands, seeds = random_seqs(rng, 4000), random_seqs(rng, 500)
+        bound = 8e6
+        assert traced_peak(pattern_quality, cands, seeds) < bound
+        # dots, their norms' outer product and the cosines: 16 MB each
+        assert traced_peak(dense_seed_cosines, cands, seeds) > bound
 
 
 def fixture_oracle():

@@ -405,6 +405,23 @@ class TestTokenScatterBackward:
         # the dense form holds emb[tokens] and its gradient, each [B, 32, E]
         assert peak - grad_bytes < b * 32 * e * 8
 
+    def test_each_gradient_written_once(self):
+        # zero-filled gradients with fresh products added in held each
+        # highway product twice: 3.7 MB beyond the gradients at this shape
+        e, f, b = 200, 32, 64
+        p, rng = cnn_with_biases(e, f, b)
+        tokens = rng.integers(0, 17, size=(b, 32))
+        _, probs, cache = cnn_forward(p, tokens, want_cache=True)
+        grad_bytes = sum(t.nbytes for t in p.tensors().values())
+        tracemalloc.start()
+        try:
+            grads = cnn_backward(p, cache, probs / b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(grads) == list(p.tensors())
+        assert peak - grad_bytes < 3.0e6
+
 
 class TestRmsProp:
     def test_zero_gradient_no_change(self):
