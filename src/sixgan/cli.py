@@ -241,22 +241,24 @@ def _save_discriminator(path: str, d: DiscriminatorModel) -> None:
     nn.save_checkpoint(path, tensors)
 
 
-def _load_generator(path: str, rng: np.random.Generator) -> GeneratorModel:
+def _read_checkpoint(path: str, cls, meta: str) -> tuple:
+    """A checkpoint's parameters and its integer meta tensor; errors name path."""
     tensors = nn.load_checkpoint(path)
-    pattern_id = int(tensors.pop("meta_pattern_id").reshape(-1)[0])
-    return GeneratorModel(
-        params=LstmParams.from_tensors(tensors), pattern_id=pattern_id, rng=rng
-    )
+    try:
+        if meta not in tensors:
+            raise ValueError(f"missing tensor {meta}")
+        return cls.from_tensors(tensors), int(tensors[meta].reshape(-1)[0])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _load_generator(path: str, rng: np.random.Generator) -> GeneratorModel:
+    params, pattern_id = _read_checkpoint(path, LstmParams, "meta_pattern_id")
+    return GeneratorModel(params=params, pattern_id=pattern_id, rng=rng)
 
 
 def _load_discriminator(path: str) -> DiscriminatorModel:
-    tensors = nn.load_checkpoint(path)
-    k = int(tensors.pop("meta_k").reshape(-1)[0])
-    params = CnnParams.from_tensors(tensors)
-    if params.n_classes != k + 1:
-        raise ConfigError(
-            f"checkpoint {path} declares k={k} but carries {params.n_classes} classes"
-        )
+    params, k = _read_checkpoint(path, CnnParams, "meta_k")
     return DiscriminatorModel(params=params, k=k)
 
 
@@ -588,6 +590,9 @@ def main(argv: list[str] | None = None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as err:
         if args.command == "train":

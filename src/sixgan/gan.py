@@ -275,6 +275,9 @@ def generator_pg_step(
     logits, cache = lstm_forward(params, inputs)
     dlogits = pg_logit_grad(softmax(logits), tokens, q)
     grads = lstm_backward(params, cache, dlogits)
+    # the BPTT cache is most of what is live here; the update's temporaries
+    # are each as large as w_gates, so free the cache before they exist
+    del logits, cache, dlogits
     g.opt.update(params.tensors(), grads)
     return {
         "mean_q_d": float(q_d.mean()),

@@ -53,24 +53,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 GATES = ("i", "f", "o", "g")  # input, forget, output, candidate
 
 
-def _gate_view(bank: str, k: int) -> property:
-    """Gate k's column block of a fused [..., 4H] bank, as a writable view."""
-
-    def get(self) -> np.ndarray:
-        h = self.hidden_dim
-        return getattr(self, bank)[..., k * h:(k + 1) * h]
-
-    return property(get)
+def _float_tensors(t: dict[str, np.ndarray], names: list[str]) -> dict[str, np.ndarray]:
+    """The named tensors of t as contiguous float64; ValueError names any missing."""
+    missing = [name for name in names if name not in t]
+    if missing:
+        raise ValueError(f"missing tensor {', '.join(missing)}")
+    return {name: np.ascontiguousarray(t[name], dtype=np.float64) for name in names}
 
 
 @dataclass
 class LstmParams:
     """Embedding, the four gate banks over [input + hidden], output projection.
 
-    The gate banks are stored fused, columns in GATES order, so one product
-    gives every gate's pre-activation; w_i..w_g and b_i..b_g are views of
-    their column blocks, and tensors() and checkpoints hold them by those
-    names.
+    The gate banks are one fused matrix, columns in GATES order, so one
+    product gives every gate's pre-activation.
     """
 
     emb: np.ndarray  # [N_TOKENS, E]
@@ -78,9 +74,6 @@ class LstmParams:
     b_gates: np.ndarray  # [4H]
     w_out: np.ndarray  # [H, VOCAB]
     b_out: np.ndarray  # [VOCAB]
-
-    w_i, w_f, w_o, w_g = (_gate_view("w_gates", k) for k in range(4))
-    b_i, b_f, b_o, b_g = (_gate_view("b_gates", k) for k in range(4))
 
     @property
     def embed_dim(self) -> int:
@@ -107,24 +100,12 @@ class LstmParams:
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "emb": self.emb,
-            "w_i": self.w_i, "w_f": self.w_f, "w_o": self.w_o, "w_g": self.w_g,
-            "b_i": self.b_i, "b_f": self.b_f, "b_o": self.b_o, "b_g": self.b_g,
-            "w_out": self.w_out, "b_out": self.b_out,
-        }
+        return {"emb": self.emb, "w_gates": self.w_gates, "b_gates": self.b_gates,
+                "w_out": self.w_out, "b_out": self.b_out}
 
     @classmethod
     def from_tensors(cls, t: dict[str, np.ndarray]) -> "LstmParams":
-        def get(name: str) -> np.ndarray:
-            return np.ascontiguousarray(t[name], dtype=np.float64)
-
-        return cls(
-            emb=get("emb"),
-            w_gates=np.concatenate([get(f"w_{g}") for g in GATES], axis=1),
-            b_gates=np.concatenate([get(f"b_{g}") for g in GATES]),
-            w_out=get("w_out"), b_out=get("b_out"),
-        )
+        return cls(**_float_tensors(t, ["emb", "w_gates", "b_gates", "w_out", "b_out"]))
 
 
 def lstm_init_state(params: LstmParams, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +179,8 @@ def lstm_backward(params: LstmParams, cache: dict, dlogits: np.ndarray) -> dict[
     inputs = cache["inputs"]
     b, t_len = inputs.shape
     e, hd = params.embed_dim, params.hidden_dim
-    grad_params = LstmParams(**{name: np.zeros_like(arr) for name, arr in vars(params).items()})
-    grads = grad_params.tensors()
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    w = params.w_gates
     da = np.empty((b, 4 * hd))  # gate pre-activation grads, columns in GATES order
     da_i, da_f, da_o, da_g = (da[:, k * hd:(k + 1) * hd] for k in range(4))
     dh_next = np.zeros((b, hd))
@@ -222,11 +203,11 @@ def lstm_backward(params: LstmParams, cache: dict, dlogits: np.ndarray) -> dict[
         da_f[...] = df * f * (1.0 - f)
         da_o[...] = do * o * (1.0 - o)
         da_g[...] = dg * (1.0 - g * g)
-        grad_params.w_gates += z.T @ da
-        grad_params.b_gates += da.sum(axis=0)
+        grads["w_gates"] += z.T @ da
+        grads["b_gates"] += da.sum(axis=0)
         # four products, not da @ w_gates.T: that sums in another order
-        dz = (da_i @ params.w_i.T + da_f @ params.w_f.T
-              + da_o @ params.w_o.T + da_g @ params.w_g.T)
+        dz = (da_i @ w[:, :hd].T + da_f @ w[:, hd:2 * hd].T
+              + da_o @ w[:, 2 * hd:3 * hd].T + da_g @ w[:, 3 * hd:].T)
         np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
         dh_next = dz[:, e:]
     for name, arr in grads.items():
@@ -338,16 +319,13 @@ class CnnParams:
 
     @classmethod
     def from_tensors(cls, t: dict[str, np.ndarray]) -> "CnnParams":
-        def get(name: str) -> np.ndarray:
-            return np.ascontiguousarray(t[name], dtype=np.float64)
-
+        conv = [f"conv_{wb}_{s:02d}" for s in KERNEL_SIZES for wb in "wb"]
+        head = ["emb", "hw_t_w", "hw_t_b", "hw_h_w", "hw_h_b", "out_w", "out_b"]
+        got = _float_tensors(t, head + conv)
         return cls(
-            emb=get("emb"),
-            conv_w={s: get(f"conv_w_{s:02d}") for s in KERNEL_SIZES},
-            conv_b={s: get(f"conv_b_{s:02d}") for s in KERNEL_SIZES},
-            hw_t_w=get("hw_t_w"), hw_t_b=get("hw_t_b"),
-            hw_h_w=get("hw_h_w"), hw_h_b=get("hw_h_b"),
-            out_w=get("out_w"), out_b=get("out_b"),
+            conv_w={s: got.pop(f"conv_w_{s:02d}") for s in KERNEL_SIZES},
+            conv_b={s: got.pop(f"conv_b_{s:02d}") for s in KERNEL_SIZES},
+            **got,
         )
 
 

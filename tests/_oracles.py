@@ -14,7 +14,11 @@ they must agree with them bit for bit.
 The network references are the earlier forms of the forward and backward
 passes: the discriminator convolution as one matmul per tap over the
 embedded input, the boolean-mask sigmoid, and the LSTM with four separate
-gate products.  The table-lookup and fused-gate library forms do the same
+gate products.  The LSTM references copy the four gate banks out of the
+column blocks of the library's fused `w_gates` and `b_gates`, and the BPTT
+reference returns one gradient per bank (`w_i..w_g`, `b_i..b_g`); the
+tests concatenate those in gate order to compare them with the fused
+gradients.  The table-lookup and fused-gate library forms do the same
 floating-point operations in the same order, so they must agree with them
 bit for bit too.  The dense discriminator backward is the exception: the
 library adds the same gradient terms grouped by token rather than by
@@ -340,9 +344,10 @@ def dense_cnn_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
 
 
 def _gate_banks(params):
-    """Contiguous copies of the four gate banks, as they were stored."""
-    return ({g: np.ascontiguousarray(getattr(params, f"w_{g}")) for g in "ifog"},
-            {g: np.ascontiguousarray(getattr(params, f"b_{g}")) for g in "ifog"})
+    """Contiguous copies of the four gate banks, as they were once stored."""
+    h = params.hidden_dim
+    return ({g: params.w_gates[:, k * h:(k + 1) * h].copy() for k, g in enumerate("ifog")},
+            {g: params.b_gates[k * h:(k + 1) * h].copy() for k, g in enumerate("ifog")})
 
 
 def four_gate_lstm_cell(params, tokens, h_prev, c_prev):
@@ -359,12 +364,21 @@ def four_gate_lstm_cell(params, tokens, h_prev, c_prev):
 
 
 def per_gate_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
-    """Backpropagation through time with one dW product per gate."""
-    w, _ = _gate_banks(params)
+    """Backpropagation through time with one dW product per gate.
+
+    Gradients are keyed emb, w_i..w_g, b_i..b_g, w_out and b_out: the gate
+    banks stay separate, as they were before they were fused.
+    """
+    w, bias = _gate_banks(params)
     inputs = cache["inputs"]
     b, t_len = inputs.shape
     e = params.embed_dim
-    grads = {name: np.zeros(arr.shape) for name, arr in params.tensors().items()}
+    grads = {"emb": np.zeros(params.emb.shape)}
+    for gate in "ifog":
+        grads[f"w_{gate}"] = np.zeros(w[gate].shape)
+        grads[f"b_{gate}"] = np.zeros(bias[gate].shape)
+    grads["w_out"] = np.zeros(params.w_out.shape)
+    grads["b_out"] = np.zeros(params.b_out.shape)
     dh_next = np.zeros((b, params.hidden_dim))
     dc_next = np.zeros((b, params.hidden_dim))
     for t in range(t_len - 1, -1, -1):

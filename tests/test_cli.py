@@ -356,3 +356,52 @@ class TestExitCodes:
             save_checkpoint(str(out / f"generator_{i:02d}.ckpt"), tensors)
         assert main(["generate", "--out", str(out), "--budget", "66"]) == EXIT_OK
         assert len(load_seed_file(str(out / "candidates_pattern_65.txt"))) == 1
+
+    def test_bad_seed_line_is_malformed_input(self, tmp_path, capsys):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("2001:db8::1\nnot-an-address\n")
+        cfg = write_json(tmp_path / "c.json", {"seeds_file": str(seeds)})
+        capsys.readouterr()
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"invalid input: {seeds}:2: " in capsys.readouterr().err
+        assert not (tmp_path / "labels.tsv").exists()
+
+    def test_garbage_generator_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "generator_00.ckpt"
+        path.write_bytes(b"not a checkpoint")
+        capsys.readouterr()
+        assert main(["generate", "--out", str(tmp_path), "--budget", "5"]) == EXIT_CONFIG
+        assert f"invalid input: {path}: bad checkpoint magic" in capsys.readouterr().err
+        assert not (tmp_path / "candidates.txt").exists()
+
+    def test_four_bank_generator_checkpoint(self, pipeline, tmp_path, capsys):
+        # the layout with one tensor per gate bank, which generators no longer read
+        tensors = load_checkpoint(str(pipeline["out"] / "generator_00.ckpt"))
+        h = tensors["w_out"].shape[0]
+        w_gates, b_gates = tensors.pop("w_gates"), tensors.pop("b_gates")
+        for k, gate in enumerate("ifog"):
+            tensors[f"w_{gate}"] = w_gates[:, k * h:(k + 1) * h]
+            tensors[f"b_{gate}"] = b_gates[k * h:(k + 1) * h]
+        path = tmp_path / "generator_00.ckpt"
+        save_checkpoint(str(path), tensors)
+        capsys.readouterr()
+        assert main(["generate", "--out", str(tmp_path), "--budget", "5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"invalid input: {path}: missing tensor w_gates, b_gates" in err
+        assert not (tmp_path / "candidates.txt").exists()
+
+    def test_three_field_labels_file(self, tmp_path, capsys):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("2001:db8::1\trfc\t0\n")
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"invalid input: {labels}:1: expected 4 tab-separated fields" in err
+
+    def test_zero_rollouts(self, pipeline, tmp_path, monkeypatch, capsys):
+        (tmp_path / "labels.tsv").write_bytes((pipeline["out"] / "labels.tsv").read_bytes())
+        monkeypatch.setenv("SIXGAN_REWARD_ROLLOUTS", "0")
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "invalid input: alpha, lambda must be >= 0 and rollouts >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "generator_00.ckpt").exists()

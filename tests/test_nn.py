@@ -98,7 +98,9 @@ class TestLstmForward:
 
     def test_forget_bias_initialized_to_one(self):
         p = tiny_lstm(seed=1)
-        assert np.allclose(p.b_f, 1.0)
+        h = p.hidden_dim  # columns in GATES order: i, f, o, g
+        assert np.allclose(p.b_gates[h:2 * h], 1.0)
+        assert np.allclose(np.delete(p.b_gates, np.s_[h:2 * h]), 0.0)
 
     def test_forward_matches_manual_recurrence(self):
         # independent scalar re-implementation of the gated update
@@ -115,10 +117,10 @@ class TestLstmForward:
             x = list(p.emb[tok])
             xi = x + h
             pre = {}
-            for gate, w, b in (("i", p.w_i, p.b_i), ("f", p.w_f, p.b_f),
-                               ("o", p.w_o, p.b_o), ("g", p.w_g, p.b_g)):
+            for k, gate in enumerate("ifog"):  # gate k owns columns 2k, 2k+1
                 pre[gate] = [
-                    sum(xi[r] * w[r, j] for r in range(len(xi))) + b[j]
+                    sum(xi[r] * p.w_gates[r, 2 * k + j] for r in range(len(xi)))
+                    + p.b_gates[2 * k + j]
                     for j in range(2)
                 ]
             i_g = [sig(v) for v in pre["i"]]
@@ -188,23 +190,18 @@ class TestExactForms:
         dlogits = rng.normal(size=logits.shape) / b
         got = lstm_backward(p, cache, dlogits)
         want = per_gate_lstm_backward(p, cache, dlogits)
+        want["w_gates"] = np.concatenate([want.pop(f"w_{g}") for g in "ifog"], axis=1)
+        want["b_gates"] = np.concatenate([want.pop(f"b_{g}") for g in "ifog"])
+        assert list(got) == list(p.tensors())
         assert sorted(got) == sorted(want)
         for name in want:
-            assert np.ascontiguousarray(got[name]).tobytes() == want[name].tobytes(), name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("shape", [(64, 24), (960, 200), (9,)])
     def test_sigmoid_matches_masked_form(self, shape):
         x = np.random.default_rng(1).normal(scale=20.0, size=shape)
         x.flat[:8] = [745.0, -745.0, 30.0, -30.0, 0.0, -0.0, 1e-300, -1e-300]
         assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
-
-    def test_gate_tensors_are_views_of_the_fused_bank(self):
-        p = tiny_lstm(seed=19)
-        t = p.tensors()
-        for k, gate in enumerate("ifog"):
-            assert np.shares_memory(t[f"w_{gate}"], p.w_gates)
-            assert np.shares_memory(t[f"b_{gate}"], p.b_gates)
-            assert np.array_equal(t[f"w_{gate}"], p.w_gates[:, k * 7:(k + 1) * 7])
 
     def test_rmsprop_update_changes_fused_bank(self):
         p = tiny_lstm(seed=20)
@@ -218,19 +215,33 @@ class TestExactForms:
             assert not np.array_equal(p.b_gates[cols], b_before[cols])
 
 
+def gate_blocks(t, h):
+    """t with w_gates and b_gates split into views of their eight gate blocks.
+
+    grad_check probes every tensor it is given at least once, so passing
+    the blocks reaches each gate's weights and bias.
+    """
+    out = {name: t[name] for name in ("emb", "w_out", "b_out")}
+    for k, gate in enumerate("ifog"):
+        out[f"w_{gate}"] = t["w_gates"][:, k * h:(k + 1) * h]
+        out[f"b_{gate}"] = t["b_gates"][k * h:(k + 1) * h]
+    return out
+
+
 class TestLstmGradients:
     def test_nll_grad_matches_finite_differences(self):
         p = tiny_lstm(seed=5)
         rng = np.random.default_rng(7)
         seqs = rng.integers(0, 16, size=(3, 32))
-        tensors = p.tensors()
+        tensors = gate_blocks(p.tensors(), p.hidden_dim)
 
         def loss_fn():
             nll, _, _ = lstm_nll(p, seqs)
             return nll
 
         _, grads = lstm_nll_grads(p, seqs)
-        report = grad_check(loss_fn, tensors, grads, rng, n_samples=250)
+        report = grad_check(loss_fn, tensors, gate_blocks(grads, p.hidden_dim), rng,
+                            n_samples=250)
         assert report["rel_err"] < 1e-4
         assert report["n_checked"] >= 250
 
@@ -561,3 +572,19 @@ class TestCheckpoint:
         q = CnnParams.from_tensors(load_checkpoint(path))
         for name, t in p.tensors().items():
             assert np.array_equal(q.tensors()[name], t)
+
+    def test_lstm_checkpoint_holds_the_fused_banks(self, tmp_path):
+        p = tiny_lstm(seed=23)
+        path = str(tmp_path / "g.ckpt")
+        save_checkpoint(path, p.tensors())
+        assert sorted(load_checkpoint(path)) == ["b_gates", "b_out", "emb", "w_gates", "w_out"]
+
+    def test_missing_tensors_are_named(self):
+        p = tiny_lstm(seed=24)
+        four_banks = gate_blocks(p.tensors(), p.hidden_dim)  # the layout before fusion
+        with pytest.raises(ValueError, match="^missing tensor w_gates, b_gates$"):
+            LstmParams.from_tensors(four_banks)
+        cnn = tiny_cnn(seed=25).tensors()
+        del cnn["conv_b_07"], cnn["out_w"]
+        with pytest.raises(ValueError, match="^missing tensor out_w, conv_b_07$"):
+            CnnParams.from_tensors(cnn)
