@@ -30,7 +30,6 @@ from .gan import (
     RewardConfig,
     TrainSchedule,
     generate_candidates,
-    sample_sequences,
     train_6gan,
 )
 from .metrics import (
@@ -42,7 +41,7 @@ from .metrics import (
     novelty,
     pattern_quality,
 )
-from .nn import DivergenceError, grad_check, load_checkpoint, save_checkpoint
+from .nn import DivergenceError, load_checkpoint, save_checkpoint
 from .oracle import (
     PatternFamily,
     ProbeStatus,
@@ -81,14 +80,12 @@ __all__ = [
     "filter_aliased",
     "format_address",
     "generate_candidates",
-    "grad_check",
     "load_checkpoint",
     "novelty",
     "parse_address",
     "parse_prefix",
     "pattern_quality",
     "sample_seeds",
-    "sample_sequences",
     "save_checkpoint",
     "train_6gan",
     "__version__",

@@ -23,7 +23,9 @@ from .nn import (
     CnnParams,
     LstmParams,
     RmsProp,
+    RolloutPool,
     cnn_forward,
+    cnn_head,
     cnn_nll_grads,
     ensure_finite,
     lstm_backward,
@@ -72,7 +74,18 @@ class GeneratorModel:
     opt: RmsProp = field(default_factory=lambda: RmsProp(lr=1e-3))
 
 
-SCORE_BLOCK = 512  # rows per cnn_forward in class_probs; bounds its working memory
+SCORE_BLOCK = 512  # rows per scoring pass in class_probs; bounds its working memory
+
+
+def _in_blocks(rows: np.ndarray, score) -> np.ndarray:
+    """score over blocks of SCORE_BLOCK rows, concatenated.
+
+    The remainder joins the last block rather than forming a small one: a
+    one-row block is a matrix-vector product, which rounds differently.
+    """
+    edges = [i * SCORE_BLOCK for i in range(max(1, len(rows) // SCORE_BLOCK))]
+    edges.append(len(rows))
+    return np.concatenate([score(rows[lo:hi]) for lo, hi in zip(edges, edges[1:])])
 
 
 @dataclass
@@ -94,14 +107,25 @@ class DiscriminatorModel:
         Rows are scored in blocks of SCORE_BLOCK rows, so memory does not
         grow with the row count.  Rows are independent, so a block's scores
         are those of one whole-batch pass wherever BLAS computes both with
-        the same kernel.  The remainder joins the last block rather than
-        forming a small one: a one-row block is a matrix-vector product,
-        which rounds differently.
+        the same kernel.
         """
-        edges = [i * SCORE_BLOCK for i in range(max(1, len(tokens) // SCORE_BLOCK))]
-        edges.append(len(tokens))
-        probs = [cnn_forward(self.params, tokens[lo:hi])[1] for lo, hi in zip(edges, edges[1:])]
-        return np.concatenate(probs)
+        return _in_blocks(tokens, lambda rows: cnn_forward(self.params, rows)[1])
+
+    def rollout_scorer(self, tokens: np.ndarray):
+        """score(t, rollouts): class_probs(rollouts) for rollouts of tokens.
+
+        tokens is the sampled batch [B, SEQ_LEN]; row b*N + n of rollouts
+        continues row b after its first t tokens, and at t = SEQ_LEN the
+        rollouts are tokens.  The scores equal class_probs' bit for bit:
+        the pooled features are exact (see RolloutPool) and the head runs
+        on the same row blocks.
+        """
+        pool = RolloutPool(self.params, tokens)
+
+        def score(t: int, rollouts: np.ndarray) -> np.ndarray:
+            return _in_blocks(pool.pooled(t, rollouts), lambda rows: cnn_head(self.params, rows)[1])
+
+        return score
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +180,6 @@ def _sample_tokens(
     return _continue_tokens(params, h, c, prev, SEQ_LEN, rng, keep_states)
 
 
-def sample_sequences(g: GeneratorModel, n: int) -> list[NybbleSeq]:
-    """n addresses sampled from the generator's current policy."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tokens, _, _ = _sample_tokens(g.params, n, g.rng)
-    return [NybbleSeq(tuple(int(v) for v in row)) for row in tokens]
-
-
 # ---------------------------------------------------------------------------
 # Rewards (penalties; lower is better for the generator)
 # ---------------------------------------------------------------------------
@@ -192,14 +208,16 @@ def rollout_penalties(
     tokens, hs and cs come from _sample_tokens(keep_states=True).  At each
     position t < SEQ_LEN, cfg.rollouts completions continue every sequence
     from its cached state, sampled from g itself; at t = SEQ_LEN the
-    sequence itself is scored.  Q_D is the mean discriminator penalty
-    1 - D^i over the completions.  Q_A is the mean alias penalty: a
-    completion under an aliased prefix of length L contributes
-    (t/L)*lambda when t <= L, and 0 otherwise.  Without a trie Q_A is 0.
+    sequence itself is scored; d.rollout_scorer scores both.  Q_D is the
+    mean discriminator penalty 1 - D^i over the completions.  Q_A is the
+    mean alias penalty: a completion under an aliased prefix of length L
+    contributes (t/L)*lambda when t <= L, and 0 otherwise.  Without a trie
+    Q_A is 0.
     """
     b, n_roll = tokens.shape[0], cfg.rollouts
     q_d = np.empty((b, SEQ_LEN))
     q_a = np.zeros((b, SEQ_LEN))
+    score = d.rollout_scorer(tokens)
     for t in range(1, SEQ_LEN + 1):
         if t < SEQ_LEN:
             n = n_roll
@@ -210,7 +228,7 @@ def rollout_penalties(
             full = np.concatenate([np.repeat(tokens[:, :t], n, axis=0), tails], axis=1)
         else:
             n, full = 1, tokens
-        probs = d.class_probs(full)
+        probs = score(t, full)
         q_d[:, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, n).mean(axis=1)
         if trie is not None:
             contrib = _alias_contrib(trie.match_batch(full), t, cfg.lam)

@@ -8,6 +8,7 @@ small parameter containers; forward passes are pure functions of
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -40,9 +41,18 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows."""
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows.
+
+    ex = e^-|x| <= 1, so max(ex, 1) is 1 and max(ex, 0) is ex: the numerator
+    is the same value a select would give, without the select's copy.
+    """
+    ex = np.abs(x)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    num = np.maximum(ex, x >= 0)
+    ex += 1.0
+    num /= ex
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +339,66 @@ class CnnParams:
         )
 
 
-def _conv_bank(params: CnnParams, tokens: np.ndarray, s: int) -> np.ndarray:
-    """Valid 1-D convolution of emb[tokens] [B, T, E] with the size-s bank.
+def check_tokens(tokens: np.ndarray) -> None:
+    """Raise ValueError unless every token id is in [0, N_TOKENS).
+
+    The table gathers clip their indices, so this check is what keeps an
+    out-of-range id an error.
+    """
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= N_TOKENS):
+        raise ValueError(
+            f"token ids must be in [0, {N_TOKENS}), got {tokens.min()}..{tokens.max()}"
+        )
+
+
+def conv_tables(params: CnnParams) -> dict[int, np.ndarray]:
+    """Per kernel size s, the [s, N_TOKENS, F] tap tables emb @ W_j.
 
     Tap j of a window contributes emb[token] @ W_j, which is row token of
-    the [N_TOKENS, F] table emb @ W_j, so the convolution is gathers and
-    adds; the taps are added in order onto bias + tap 0.  Returns
-    [B, T-s+1, F].
+    table j, so a convolution is gathers and adds.  The bank's bias is added
+    into table 0, which is the same addition a window makes onto tap 0.
     """
-    n_pos = tokens.shape[1] - s + 1
-    tab = params.emb @ params.conv_w[s].reshape(s, params.embed_dim, -1)  # [s, N_TOKENS, F]
-    out = np.take(tab[0], tokens[:, :n_pos], axis=0)
-    out += params.conv_b[s]
+    e = params.embed_dim
+    tables = {}
+    for s in KERNEL_SIZES:
+        tab = params.emb @ params.conv_w[s].reshape(s, e, -1)
+        tab[0] += params.conv_b[s]
+        tables[s] = tab
+    return tables
+
+
+def _conv_bank(tab: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Valid 1-D convolution of position-major token ids [T, B] with one
+    bank's [s, N_TOKENS, F] tap tables.
+
+    The taps are added in order onto bias + tap 0.  Returns [T-s+1, B, F],
+    position-major, so a max over positions folds whole [B, F] planes left
+    to right (of two equal values, the later one is kept).  Token ids must
+    be checked first: mode="clip" gathers without a bounds error, and
+    mode="raise" with out= copies through a buffer.
+    """
+    s = tab.shape[0]
+    n_pos = tokens.shape[0] - s + 1
+    out = tab[0].take(tokens[:n_pos], axis=0, mode="clip")
     tap = np.empty_like(out)
     for j in range(1, s):
-        out += np.take(tab[j], tokens[:, j:j + n_pos], axis=0, out=tap)
+        out += tab[j].take(tokens[j:j + n_pos], axis=0, out=tap, mode="clip")
     return out
+
+
+def cnn_head(params: CnnParams, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Highway layer, linear projection and softmax over pooled features.
+
+    Returns (logits, probs, acts), where acts holds the activations
+    cnn_backward reads.
+    """
+    t_gate = sigmoid(pooled @ params.hw_t_w + params.hw_t_b)
+    h_pre = pooled @ params.hw_h_w + params.hw_h_b
+    h_act = np.maximum(h_pre, 0.0)
+    y = t_gate * h_act + (1.0 - t_gate) * pooled
+    logits = y @ params.out_w + params.out_b
+    ensure_finite("cnn logits", logits)
+    return logits, softmax(logits), {"t_gate": t_gate, "h_pre": h_pre, "h_act": h_act, "y": y}
 
 
 def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False):
@@ -354,29 +408,73 @@ def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False)
     through a highway layer and a linear projection.  Returns
     (logits, probs) or (logits, probs, cache) when want_cache is set.
     """
-    b = tokens.shape[0]
+    check_tokens(tokens)
     f = params.n_filters
-    pooled = np.empty((b, len(KERNEL_SIZES) * f))
+    tables = conv_tables(params)
+    by_pos = np.ascontiguousarray(tokens.T)
+    pooled = np.empty((tokens.shape[0], len(KERNEL_SIZES) * f))
     argmaxes: dict[int, np.ndarray] = {}
     for idx, s in enumerate(KERNEL_SIZES):
-        conv = _conv_bank(params, tokens, s)
-        conv.max(axis=1, out=pooled[:, idx * f:(idx + 1) * f])
+        conv = _conv_bank(tables[s], by_pos)
+        conv.max(axis=0, out=pooled[:, idx * f:(idx + 1) * f])
         if want_cache:
-            argmaxes[s] = conv.argmax(axis=1)  # [B, F]
-    t_gate = sigmoid(pooled @ params.hw_t_w + params.hw_t_b)
-    h_pre = pooled @ params.hw_h_w + params.hw_h_b
-    h_act = np.maximum(h_pre, 0.0)
-    y = t_gate * h_act + (1.0 - t_gate) * pooled
-    logits = y @ params.out_w + params.out_b
-    ensure_finite("cnn logits", logits)
-    probs = softmax(logits)
+            argmaxes[s] = conv.argmax(axis=0)  # [B, F]
+    logits, probs, acts = cnn_head(params, pooled)
     if not want_cache:
         return logits, probs
-    cache = {
-        "tokens": tokens, "argmaxes": argmaxes, "pooled": pooled,
-        "t_gate": t_gate, "h_pre": h_pre, "h_act": h_act, "y": y,
-    }
-    return logits, probs, cache
+    return logits, probs, {"tokens": tokens, "argmaxes": argmaxes, "pooled": pooled, **acts}
+
+
+class RolloutPool:
+    """Pooled features of Monte Carlo rollouts of one sampled batch [B, SEQ_LEN].
+
+    A rollout at position t keeps the first t tokens of its sampled row, so
+    every window that ends before t is a window of that row.  Max-pooling is
+    an exact maximum, so a rollout's feature is the max of the row's running
+    max over those windows and the max over the windows that touch the
+    tail, and only the latter are convolved per rollout.  np.maximum and the
+    position-major max folds keep the later of two equal values (+0.0 over
+    -0.0 when it comes later), so with the prefix first the features equal
+    a full pass over the rollouts bit for bit.  The tap tables are built
+    once.
+    """
+
+    def __init__(self, params: CnnParams, tokens: np.ndarray):
+        check_tokens(tokens)
+        self.params = params
+        self.rows = tokens.shape[0]
+        self.tables = conv_tables(params)
+        by_pos = np.ascontiguousarray(tokens.T)
+        # [SEQ_LEN-s+1, B, F]: entry p is the max over the row's windows 0..p
+        self.running = {
+            s: np.maximum.accumulate(_conv_bank(self.tables[s], by_pos), axis=0)
+            for s in KERNEL_SIZES
+        }
+
+    def pooled(self, t: int, rollouts: np.ndarray) -> np.ndarray:
+        """Features [B*N, len(KERNEL_SIZES) * F] of the rollouts at position t.
+
+        Row b*N + n of rollouts [B*N, SEQ_LEN] continues sampled row b after
+        its first t tokens.  At t = SEQ_LEN the rollouts are the sampled
+        rows themselves, whose features are the running maxima.
+        """
+        if t == SEQ_LEN:
+            return np.concatenate([run[-1] for run in self.running.values()], axis=1)
+        check_tokens(rollouts)
+        f = self.params.n_filters
+        by_pos = np.ascontiguousarray(rollouts.T)
+        pooled = np.empty((rollouts.shape[0], len(KERNEL_SIZES) * f))
+        by_row = pooled.reshape(self.rows, -1, pooled.shape[1])  # [B, N, P] view
+        for idx, s in enumerate(KERNEL_SIZES):
+            cols = slice(idx * f, (idx + 1) * f)
+            first = max(0, t - s + 1)  # the first window that touches the tail
+            tail = _conv_bank(self.tables[s], by_pos[first:]).max(axis=0)
+            if first:
+                np.maximum(self.running[s][first - 1, :, None], tail.reshape(self.rows, -1, f),
+                           out=by_row[:, :, cols])
+            else:
+                pooled[:, cols] = tail
+        return pooled
 
 
 def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -478,61 +576,6 @@ class RmsProp:
 
 
 # ---------------------------------------------------------------------------
-# Gradient verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    loss_fn,
-    tensors: dict[str, np.ndarray],
-    analytic: dict[str, np.ndarray],
-    rng: np.random.Generator,
-    n_samples: int = 200,
-    step: float = 1e-5,
-) -> dict:
-    """Compare analytic gradients against central finite differences.
-
-    Samples coordinates across all tensors (every tensor gets at least one).
-    Relative error uses a small magnitude floor so near-zero gradients are
-    compared absolutely.  Returns a report with the worst coordinate.
-    """
-    names = list(tensors)
-    sizes = np.array([tensors[n].size for n in names])
-    total = int(sizes.sum())
-    n_samples = min(max(n_samples, len(names)), total)
-    flat_choices = set()
-    for i, n in enumerate(names):  # one probe per tensor, guaranteed
-        offset = int(sizes[:i].sum())
-        flat_choices.add(offset + int(rng.integers(tensors[n].size)))
-    while len(flat_choices) < n_samples:
-        flat_choices.add(int(rng.integers(total)))
-    bounds = np.cumsum(sizes)
-    worst = {"rel_err": 0.0, "tensor": None, "index": None,
-             "analytic": 0.0, "numeric": 0.0}
-    for flat in sorted(flat_choices):
-        ti = int(np.searchsorted(bounds, flat, side="right"))
-        local = flat - (int(bounds[ti - 1]) if ti else 0)
-        name = names[ti]
-        p = tensors[name]  # may be a strided view, so index it in place
-        idx = np.unravel_index(local, p.shape)
-        orig = p[idx]
-        p[idx] = orig + step
-        up = loss_fn()
-        p[idx] = orig - step
-        down = loss_fn()
-        p[idx] = orig
-        numeric = (up - down) / (2.0 * step)
-        a = float(analytic[name][idx])
-        denom = max(abs(a), abs(numeric), 1e-5)
-        rel = abs(a - numeric) / denom
-        if rel > worst["rel_err"]:
-            worst = {"rel_err": rel, "tensor": name, "index": local,
-                     "analytic": a, "numeric": numeric}
-    worst["n_checked"] = len(flat_choices)
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # Checkpoint serialization
 # ---------------------------------------------------------------------------
 
@@ -569,28 +612,37 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint written by save_checkpoint, bit-exactly."""
+    """Read a checkpoint written by save_checkpoint, bit-exactly.
+
+    Every read is checked against the bytes left in the file, so a short
+    or corrupt file raises ValueError, and a tensor larger than the rest of
+    the file is rejected before anything is allocated for it.
+    """
     with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ValueError(f"{path}: truncated {what}")
+            left -= n
+            return fh.read(n)
+
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+        left -= len(magic)
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            data = fh.read(8 * n_items)
-            if len(data) != 8 * n_items:
-                raise ValueError(f"{path}: truncated tensor {name}")
-            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(
-                np.float64
-            )
-        trailing = fh.read(1)
-        if trailing:
+            (name_len,) = struct.unpack("<H", read(2, "tensor name"))
+            name = read(name_len, "tensor name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4, f"tensor {name}"))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"tensor {name}"))
+            data = read(8 * math.prod(shape), f"tensor {name}")
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        if left:
             raise ValueError(f"{path}: trailing bytes after last tensor")
     return out

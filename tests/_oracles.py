@@ -13,8 +13,9 @@ distances; the row-blocked library kernels do the same arithmetic, so
 they must agree with them bit for bit.
 The network references are the earlier forms of the forward and backward
 passes: the discriminator convolution as one matmul per tap over the
-embedded input, the boolean-mask sigmoid, and the LSTM with four separate
-gate products.  The LSTM references copy the four gate banks out of the
+embedded input, the boolean-mask and select forms of the sigmoid, rollout
+scoring as class_probs over every whole rollout, and the LSTM with four
+separate gate products.  The LSTM references copy the four gate banks out of the
 column blocks of the library's fused `w_gates` and `b_gates`, and the BPTT
 reference returns one gradient per bank (`w_i..w_g`, `b_i..b_g`); the
 tests concatenate those in gate order to compare them with the fused
@@ -35,6 +36,7 @@ from collections import Counter
 import numpy as np
 
 from sixgan.addr import NybbleSeq
+from sixgan.gan import _sample_tokens
 from sixgan.nn import BOS, KERNEL_SIZES, SEQ_LEN, lstm_init_state, lstm_step_batch
 
 
@@ -269,6 +271,12 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def where_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The select form: 1 or e^-|x| over 1 + e^-|x|."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
 def tap_conv_bank(params, x: np.ndarray, s: int) -> np.ndarray:
     """Size-s convolution of x [B, T, E] as one [B, T-s+1, E] @ [E, F] per tap."""
     e = params.embed_dim
@@ -343,6 +351,17 @@ def dense_cnn_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
     return grads
 
 
+class FullPassScores:
+    """A discriminator whose rollout scorer runs class_probs on every whole
+    rollout, as rollout scoring did before it reused the sampled prefix."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def rollout_scorer(self, tokens):
+        return lambda t, rollouts: self.d.class_probs(rollouts)
+
+
 def _gate_banks(params):
     """Contiguous copies of the four gate banks, as they were once stored."""
     h = params.hidden_dim
@@ -405,6 +424,69 @@ def per_gate_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
         np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
         dh_next = dz[:, e:]
     return grads
+
+
+# ---------------------------------------------------------------------------
+# Gradient verification and sampling helpers
+# ---------------------------------------------------------------------------
+
+
+def grad_check(
+    loss_fn,
+    tensors: dict,
+    analytic: dict,
+    rng: np.random.Generator,
+    n_samples: int = 200,
+    step: float = 1e-5,
+) -> dict:
+    """Compare analytic gradients against central finite differences.
+
+    Samples coordinates across all tensors (every tensor gets at least one).
+    Relative error uses a small magnitude floor so near-zero gradients are
+    compared absolutely.  Returns a report with the worst coordinate.
+    """
+    names = list(tensors)
+    sizes = np.array([tensors[n].size for n in names])
+    total = int(sizes.sum())
+    n_samples = min(max(n_samples, len(names)), total)
+    flat_choices = set()
+    for i, n in enumerate(names):  # one probe per tensor, guaranteed
+        offset = int(sizes[:i].sum())
+        flat_choices.add(offset + int(rng.integers(tensors[n].size)))
+    while len(flat_choices) < n_samples:
+        flat_choices.add(int(rng.integers(total)))
+    bounds = np.cumsum(sizes)
+    worst = {"rel_err": 0.0, "tensor": None, "index": None,
+             "analytic": 0.0, "numeric": 0.0}
+    for flat in sorted(flat_choices):
+        ti = int(np.searchsorted(bounds, flat, side="right"))
+        local = flat - (int(bounds[ti - 1]) if ti else 0)
+        name = names[ti]
+        p = tensors[name]  # may be a strided view, so index it in place
+        idx = np.unravel_index(local, p.shape)
+        orig = p[idx]
+        p[idx] = orig + step
+        up = loss_fn()
+        p[idx] = orig - step
+        down = loss_fn()
+        p[idx] = orig
+        numeric = (up - down) / (2.0 * step)
+        a = float(analytic[name][idx])
+        denom = max(abs(a), abs(numeric), 1e-5)
+        rel = abs(a - numeric) / denom
+        if rel > worst["rel_err"]:
+            worst = {"rel_err": rel, "tensor": name, "index": local,
+                     "analytic": a, "numeric": numeric}
+    worst["n_checked"] = len(flat_choices)
+    return worst
+
+
+def sample_sequences(g, n: int) -> list:
+    """n addresses sampled from the generator's current policy."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    tokens, _, _ = _sample_tokens(g.params, n, g.rng)
+    return [NybbleSeq(tuple(int(v) for v in row)) for row in tokens]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from _oracles import (
     bf_hit_and_generation,
     bf_novelty,
     bf_pattern_quality,
+    grad_check,
     plant_entropy_corpus,
 )
 from sixgan.addr import AliasTrie, NybbleSeq, parse_address, parse_prefix
@@ -45,7 +46,6 @@ from sixgan.nn import (
     RmsProp,
     cnn_forward,
     cnn_nll_grads,
-    grad_check,
     load_checkpoint,
     lstm_nll,
     lstm_nll_grads,

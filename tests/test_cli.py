@@ -374,6 +374,16 @@ class TestExitCodes:
         assert f"invalid input: {path}: bad checkpoint magic" in capsys.readouterr().err
         assert not (tmp_path / "candidates.txt").exists()
 
+    def test_truncated_generator_checkpoint(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "generator_00.ckpt"
+        path.write_bytes((pipeline["out"] / "generator_00.ckpt").read_bytes()[:30])
+        capsys.readouterr()
+        assert main(["generate", "--out", str(tmp_path), "--budget", "5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}: truncated ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "candidates.txt").exists()
+
     def test_four_bank_generator_checkpoint(self, pipeline, tmp_path, capsys):
         # the layout with one tensor per gate bank, which generators no longer read
         tensors = load_checkpoint(str(pipeline["out"] / "generator_00.ckpt"))

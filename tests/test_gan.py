@@ -8,7 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import combined_q, mc_rollout, reward_alias, reward_discriminator
+from _oracles import (
+    FullPassScores,
+    combined_q,
+    mc_rollout,
+    reward_alias,
+    reward_discriminator,
+    sample_sequences,
+)
+from sixgan import nn
 from sixgan.addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from sixgan.classify import classify_rfc_corpus
 from sixgan.gan import (
@@ -23,15 +31,19 @@ from sixgan.gan import (
     pg_logit_grad,
     pretrain_generator,
     rollout_penalties,
-    sample_sequences,
     train_6gan,
 )
 from sixgan.nn import (
+    KERNEL_SIZES,
+    N_TOKENS,
     CnnParams,
     DivergenceError,
     LstmParams,
     RmsProp,
+    RolloutPool,
+    _conv_bank,
     cnn_forward,
+    conv_tables,
     lstm_nll,
     softmax,
 )
@@ -72,6 +84,9 @@ class StubScores:
 
     def class_probs(self, tokens):
         return self.rows[: len(tokens)]
+
+    def rollout_scorer(self, tokens):
+        return lambda t, rollouts: self.class_probs(rollouts)
 
 
 class TestConfigs:
@@ -266,6 +281,136 @@ class TestRolloutPenalties:
         assert q_d.shape == q_a.shape == (3, 32)
         assert not q_a.any()
         assert ((q_d >= 0.0) & (q_d <= 1.0)).all()
+
+
+# (embedding width, filters) of the exactness checks
+ROLLOUT_WIDTHS = [(5, 3), (24, 8), (200, 32)]
+
+
+def biased_discriminator(embed, filters, seed=0):
+    """A k=3 discriminator with nonzero conv biases, so their order shows."""
+    d = make_discriminator(seed=seed, k=3, embed=embed, filters=filters)
+    rng = np.random.default_rng(seed + 7)
+    for bias in d.params.conv_b.values():
+        bias[...] = rng.normal(size=filters)
+    return d
+
+
+def materialised_rollouts(tokens, t, n, rng):
+    """[B*n, 32] rows that keep tokens[:, :t] and continue with random nybbles."""
+    if t == 32:
+        return tokens
+    tails = rng.integers(0, 16, size=(len(tokens) * n, 32 - t))
+    return np.concatenate([np.repeat(tokens[:, :t], n, axis=0), tails], axis=1)
+
+
+def full_pass_pooled(params, rollouts):
+    return cnn_forward(params, rollouts, want_cache=True)[2]["pooled"]
+
+
+class TestIncrementalRolloutScoring:
+    """Rollout scores from the prefix running max plus tail windows equal a
+    full pass over the materialised rollouts bit for bit."""
+
+    @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
+    def test_penalties_equal_full_pass(self, embed, filters):
+        g = make_generator(seed=embed)
+        ref = copy.deepcopy(g)
+        d = biased_discriminator(embed, filters)
+        trie = AliasTrie([parse_prefix("2001:db8::/32")])
+        cfg = RewardConfig(rollouts=3)
+        got = rollout_penalties(g, d, trie, cfg, *_sample_tokens(g.params, 4, g.rng, keep_states=True))
+        want = rollout_penalties(ref, FullPassScores(d), trie, cfg,
+                                 *_sample_tokens(ref.params, 4, ref.rng, keep_states=True))
+        assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+
+    @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
+    def test_pg_step_equals_full_pass(self, embed, filters):
+        g = make_generator(seed=embed + 1)
+        ref = copy.deepcopy(g)
+        d = biased_discriminator(embed, filters, seed=1)
+        trie = AliasTrie([parse_prefix("2001:db8::/32")])
+        cfg = RewardConfig(rollouts=3)
+        stats = generator_pg_step(g, d, trie, cfg, batch_size=4)
+        assert stats == generator_pg_step(ref, FullPassScores(d), trie, cfg, batch_size=4)
+        for name, t in g.params.tensors().items():
+            assert t.tobytes() == ref.params.tensors()[name].tobytes(), name
+            assert g.opt.acc[name].tobytes() == ref.opt.acc[name].tobytes(), name
+
+    @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
+    def test_scores_equal_class_probs_at_every_position(self, embed, filters):
+        # t = 1, s-1 and s for every kernel size s, 31, and the sampled rows at 32
+        d = biased_discriminator(embed, filters, seed=2)
+        rng = np.random.default_rng(embed)
+        tokens = rng.integers(0, 16, size=(3, 32))
+        pool = RolloutPool(d.params, tokens)
+        score = d.rollout_scorer(tokens)
+        for t in range(1, 33):
+            rollouts = materialised_rollouts(tokens, t, 2, rng)
+            assert pool.pooled(t, rollouts).tobytes() == full_pass_pooled(d.params, rollouts).tobytes(), t
+            assert score(t, rollouts).tobytes() == d.class_probs(rollouts).tobytes(), t
+
+    @pytest.mark.parametrize("t", [1, 16, 31])
+    def test_blocked_rows_equal_class_probs(self, t):
+        # 70 rows x 15 rollouts = 1,050 rows: two blocks, as in class_probs
+        d = biased_discriminator(24, 8, seed=3)
+        rng = np.random.default_rng(t)
+        tokens = rng.integers(0, 16, size=(70, 32))
+        rollouts = materialised_rollouts(tokens, t, 15, rng)
+        assert len(rollouts) > 2 * 512
+        got = d.rollout_scorer(tokens)(t, rollouts)
+        assert got.tobytes() == d.class_probs(rollouts).tobytes()
+
+    def test_tie_between_prefix_and_tail_window(self):
+        # in period-8 rows a window depends only on its start mod 8; at t = 24
+        # the prefix and the tail windows each cover all 8 starts, so every
+        # bank's max is reached in both
+        d = biased_discriminator(24, 8, seed=4)
+        t, n = 24, 2
+        tokens = np.tile(np.random.default_rng(5).integers(0, 16, size=(3, 8)), (1, 4))
+        rollouts = np.repeat(tokens, n, axis=0)
+        tables = conv_tables(d.params)
+        for s in KERNEL_SIZES:
+            conv = _conv_bank(tables[s], np.ascontiguousarray(tokens.T))
+            prefix, tail = conv[:t - s + 1].max(axis=0), conv[t - s + 1:].max(axis=0)
+            assert np.array_equal(prefix, tail), s
+        assert RolloutPool(d.params, tokens).pooled(t, rollouts).tobytes() == \
+            full_pass_pooled(d.params, rollouts).tobytes()
+
+    def test_signed_zero_tie(self, monkeypatch):
+        # token 0 reads -0.0 on every tap (bias included), token 1 +0.0, every
+        # other -1.0: a window of 0s is -0.0, of 0s and 1s +0.0, else negative
+        f, t = 2, 16
+        d = make_discriminator(seed=5, k=3, embed=6, filters=f)
+        by_token = np.full(N_TOKENS, -1.0)
+        by_token[:2] = [-0.0, 0.0]
+        tables = {s: np.broadcast_to(by_token[None, :, None], (s, N_TOKENS, f)).copy()
+                  for s in KERNEL_SIZES}
+        monkeypatch.setattr(nn, "conv_tables", lambda params: tables)
+        ones, zeros, other = np.ones(16, int), np.zeros(16, int), np.full(16, 5)
+        tokens = np.stack([np.r_[zeros[:8], other[:8], zeros],
+                           np.r_[ones[:8], other[:8], ones]])
+        tails = np.stack([ones, other, zeros, other])  # two rollouts per row
+        rollouts = np.concatenate([np.repeat(tokens[:, :t], 2, axis=0), tails], axis=1)
+        got = RolloutPool(d.params, tokens).pooled(t, rollouts)
+        assert got.tobytes() == full_pass_pooled(d.params, rollouts).tobytes()
+        small = got[:, :8 * f]  # kernel sizes 1..8 all see a zero-valued window
+        assert (small == 0.0).all()
+        assert np.signbit(small).any() and not np.signbit(small).all()
+
+    @pytest.mark.parametrize("bad", [N_TOKENS, -1])
+    def test_out_of_range_token_is_an_error(self, bad):
+        d = biased_discriminator(5, 3)
+        tokens = np.random.default_rng(6).integers(0, 16, size=(2, 32))
+        rollouts = materialised_rollouts(tokens, 4, 2, np.random.default_rng(7))
+        rollouts[3, 20] = bad
+        with pytest.raises(ValueError, match="token ids"):
+            d.class_probs(rollouts)
+        with pytest.raises(ValueError, match="token ids"):
+            d.rollout_scorer(tokens)(4, rollouts)
+        tokens[0, 0] = bad
+        with pytest.raises(ValueError, match="token ids"):
+            d.rollout_scorer(tokens)
 
 
 class TestPenaltyBoundChecks:

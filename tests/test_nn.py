@@ -10,13 +10,16 @@ import pytest
 from _oracles import (
     dense_cnn_backward,
     four_gate_lstm_cell,
+    grad_check,
     masked_sigmoid,
     per_gate_lstm_backward,
     tap_cnn_logits,
+    where_sigmoid,
 )
 from sixgan.nn import (
     CHECKPOINT_MAGIC,
     KERNEL_SIZES,
+    N_TOKENS,
     CnnParams,
     DivergenceError,
     LstmParams,
@@ -25,7 +28,6 @@ from sixgan.nn import (
     cnn_forward,
     cnn_nll_grads,
     ensure_finite,
-    grad_check,
     lstm_backward,
     lstm_forward,
     lstm_init_state,
@@ -203,6 +205,16 @@ class TestExactForms:
         x.flat[:8] = [745.0, -745.0, 30.0, -30.0, 0.0, -0.0, 1e-300, -1e-300]
         assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
 
+    def test_sigmoid_matches_select_form(self):
+        special = [0.0, 1e-300, 30.0, 745.0, 800.0, np.inf]
+        x = np.array(special + [-v for v in special])
+        assert np.signbit(x[len(special)])  # -0.0 is in the set
+        assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+        # and on a strided view, as the LSTM passes its gate columns
+        wide = np.random.default_rng(2).normal(scale=20.0, size=(16, 3 * len(x)))
+        wide[:, :len(x)] = x
+        assert sigmoid(wide[:, :2 * len(x)]).tobytes() == where_sigmoid(wide[:, :2 * len(x)]).tobytes()
+
     def test_rmsprop_update_changes_fused_bank(self):
         p = tiny_lstm(seed=20)
         w_before, b_before = p.w_gates.copy(), p.b_gates.copy()
@@ -318,6 +330,17 @@ class TestCnnForward:
         _, grads = cnn_nll_grads(p, tokens, np.array([0]))
         assert np.array_equal(grads["emb"][9], np.zeros(4))
         assert np.abs(grads["emb"]).sum() > 0
+
+    @pytest.mark.parametrize("bad", [N_TOKENS, -1])
+    def test_out_of_range_token_is_an_error(self, bad):
+        # the table gathers clip their indices; the entry check keeps this an error
+        p = tiny_cnn(seed=5)
+        tokens = np.random.default_rng(6).integers(0, 16, size=(3, 32))
+        tokens[1, 7] = bad
+        with pytest.raises(ValueError, match=r"token ids must be in \[0, 17\)"):
+            cnn_forward(p, tokens)
+        with pytest.raises(ValueError, match="token ids"):
+            cnn_nll_grads(p, tokens, np.zeros(3, dtype=np.int64))
 
     def test_carry_bias_initialized_negative(self):
         p = tiny_cnn(seed=7)
@@ -588,3 +611,72 @@ class TestCheckpoint:
         del cnn["conv_b_07"], cnn["out_w"]
         with pytest.raises(ValueError, match="^missing tensor out_w, conv_b_07$"):
             CnnParams.from_tensors(cnn)
+
+
+def generator_checkpoint(tmp_path):
+    """A generator checkpoint as `sixgan train` writes one, and its tensors."""
+    tensors = dict(tiny_lstm(seed=26).tensors())
+    tensors["meta_pattern_id"] = np.array([0.0])
+    path = tmp_path / "generator_00.ckpt"
+    save_checkpoint(str(path), tensors)
+    return path, load_checkpoint(str(path))
+
+
+def load_or_value_error(path, want):
+    """Loading path raises ValueError or returns tensors equal to want."""
+    try:
+        got = load_checkpoint(str(path))
+    except ValueError:
+        return "error"
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    return "loaded"
+
+
+class TestCorruptCheckpoint:
+    """Every short or corrupt checkpoint is a ValueError, never a crash."""
+
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        path, want = generator_checkpoint(tmp_path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(ValueError):
+                load_checkpoint(str(cut))
+        cut.write_bytes(data)
+        assert load_or_value_error(cut, want) == "loaded"
+
+    def test_flipped_header_and_first_tensor_fields(self, tmp_path):
+        path, want = generator_checkpoint(tmp_path)
+        data = path.read_bytes()
+        name_len = int.from_bytes(data[12:14], "little")
+        assert data[14:14 + name_len] == b"b_gates"  # sorted first
+        rank_at = 14 + name_len
+        # header (magic, version, count), name length, rank and its one dim
+        offsets = list(range(12)) + [12, 13] + list(range(rank_at, rank_at + 4 + 8))
+        bad = tmp_path / "bad.ckpt"
+        outcomes = set()
+        for at in offsets:
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(data)
+                flipped[at] ^= mask
+                bad.write_bytes(bytes(flipped))
+                outcomes.add(load_or_value_error(bad, want))
+        assert outcomes == {"error"}
+
+    def test_huge_declared_tensor_is_rejected_before_allocation(self, tmp_path):
+        path, want = generator_checkpoint(tmp_path)
+        data = bytearray(path.read_bytes())
+        dim_at = 14 + 7 + 4  # the first tensor's one dim
+        data[dim_at + 4] = 0x10  # about 2^36 float64s
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated tensor b_gates"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
