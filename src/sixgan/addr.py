@@ -10,6 +10,9 @@ how long is the longest matching prefix".
 from __future__ import annotations
 
 import logging
+import operator
+import re
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -20,11 +23,18 @@ log = logging.getLogger("sixgan.addr")
 SEQ_LEN = 32  # nybbles per address
 IID_START = 16  # nybble index where the interface identifier begins
 
-_HEX_VAL = {c: int(c, 16) for c in "0123456789abcdefABCDEF"}
+_NYBBLE_VALUES = frozenset(range(16))
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class AddressParseError(ValueError):
     """Raised for malformed address or prefix text."""
+
+
+def _check_nybbles(nybbles: tuple[int, ...]) -> None:
+    if not _NYBBLE_VALUES.issuperset(nybbles):
+        bad = next(v for v in nybbles if v not in _NYBBLE_VALUES)
+        raise ValueError(f"nybble value must be an integer in [0, 15], got {bad!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,9 +46,7 @@ class NybbleSeq:
     def __post_init__(self) -> None:
         if len(self.nybbles) != SEQ_LEN:
             raise ValueError(f"address must have {SEQ_LEN} nybbles, got {len(self.nybbles)}")
-        for v in self.nybbles:
-            if not 0 <= v <= 15:
-                raise ValueError(f"nybble value out of range: {v}")
+        _check_nybbles(self.nybbles)
 
     @property
     def iid(self) -> tuple[int, ...]:
@@ -57,9 +65,7 @@ class NybblePrefix:
     def __post_init__(self) -> None:
         if not 1 <= len(self.nybbles) <= SEQ_LEN:
             raise ValueError(f"prefix length must be in [1, {SEQ_LEN}], got {len(self.nybbles)}")
-        for v in self.nybbles:
-            if not 0 <= v <= 15:
-                raise ValueError(f"nybble value out of range: {v}")
+        _check_nybbles(self.nybbles)
 
     def __len__(self) -> int:
         return len(self.nybbles)
@@ -72,54 +78,66 @@ class NybblePrefix:
         return f"{format_address(NybbleSeq(padded))}/{4 * len(self.nybbles)}"
 
 
+# A '::'-free run of groups: 1-4 hex digits each, the last one optionally a
+# dotted quad (captured octets; whether it may stand there is the caller's).
+_CHUNK = re.compile(
+    r"(?:[0-9A-Fa-f]{1,4}:)*"
+    r"(?:[0-9A-Fa-f]{1,4}|([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3}))"
+)
+# hex digit -> its value as a byte
+_NYBBLE_BYTES = bytes.maketrans(b"0123456789abcdefABCDEF", bytes(range(16)) + bytes(range(10, 16)))
+
+
 def _bad(text: str, pos: int, why: str) -> AddressParseError:
     return AddressParseError(f"{text!r}: {why} at position {pos}")
 
 
-def _parse_v4_tail(text: str, tail: str, offset: int) -> list[int]:
-    """Expand a trailing dotted quad into 8 nybbles."""
-    parts = tail.split(".")
-    if len(parts) != 4:
-        raise _bad(text, offset, f"embedded IPv4 needs 4 octets, got {len(parts)}")
-    nybs: list[int] = []
-    pos = offset
-    for part in parts:
-        if not part or not part.isdigit() or len(part) > 3:
-            raise _bad(text, pos, f"invalid IPv4 octet {part!r}")
-        val = int(part)
-        if val > 255:
-            raise _bad(text, pos, f"IPv4 octet {part} exceeds 255")
-        nybs.extend((val >> 4, val & 0xF))
-        pos += len(part) + 1
-    return nybs
+def _chunk_error(text: str, chunk: str, offset: int, final: bool) -> AddressParseError:
+    """The error for a chunk that _chunk_groups refused: the first bad group's.
 
-
-def _parse_groups(text: str, chunk: str, offset: int) -> list[list[int]]:
-    """Parse a colon-separated run of hex groups (no '::' inside)."""
-    groups: list[list[int]] = []
-    pos = offset
+    Checks the groups left to right, each at its position in the stripped
+    text; `final` says whether the chunk ends the address, the one place a
+    dotted quad may stand (RFC 4291 section 2.2).
+    """
     parts = chunk.split(":")
+    pos = offset
     for idx, part in enumerate(parts):
         if "." in part:
-            # dotted-quad tail, must be the final part
-            if idx != len(parts) - 1:
-                raise _bad(text, pos, "embedded IPv4 must be the final group")
-            nybs = _parse_v4_tail(text, part, pos)
-            groups.append(nybs[:4])
-            groups.append(nybs[4:])
+            if not final or idx != len(parts) - 1:
+                return _bad(text, pos, "embedded IPv4 must be the final group")
+            octets = part.split(".")
+            if len(octets) != 4:
+                return _bad(text, pos, f"embedded IPv4 needs 4 octets, got {len(octets)}")
+            for octet in octets:
+                if not (octet.isascii() and octet.isdigit()) or len(octet) > 3:
+                    return _bad(text, pos, f"invalid IPv4 octet {octet!r}")
+                if int(octet) > 255:
+                    return _bad(text, pos, f"IPv4 octet {octet} exceeds 255")
+                pos += len(octet) + 1
+        elif not part:
+            return _bad(text, pos, "empty group")
+        elif len(part) > 4:
+            return _bad(text, pos + 4, f"group {part!r} longer than 4 digits")
+        else:
+            for i, c in enumerate(part):
+                if c not in _HEX_DIGITS:
+                    return _bad(text, pos + i, f"invalid character {c!r}")
             pos += len(part) + 1
-            continue
-        if not part:
-            raise _bad(text, pos, "empty group")
-        if len(part) > 4:
-            raise _bad(text, pos + 4, f"group {part!r} longer than 4 digits")
-        vals = []
-        for i, c in enumerate(part):
-            if c not in _HEX_VAL:
-                raise _bad(text, pos + i, f"invalid character {c!r}")
-            vals.append(_HEX_VAL[c])
-        groups.append([0] * (4 - len(vals)) + vals)
-        pos += len(part) + 1
+    # not reached: _CHUNK and the checks above accept the same groups
+    return _bad(text, offset, "malformed groups")
+
+
+def _chunk_groups(text: str, chunk: str, offset: int, final: bool) -> list[str]:
+    """The hex groups of a '::'-free chunk, a dotted quad as two of them."""
+    m = _CHUNK.fullmatch(chunk)
+    if m is None:
+        raise _chunk_error(text, chunk, offset, final)
+    groups = chunk.split(":")
+    if m.lastindex:
+        a, b, c, d = map(int, m.groups())
+        if not final or max(a, b, c, d) > 255:
+            raise _chunk_error(text, chunk, offset, final)
+        groups[-1:] = [f"{a:02x}{b:02x}", f"{c:02x}{d:02x}"]
     return groups
 
 
@@ -132,23 +150,50 @@ def parse_address(text: str) -> NybbleSeq:
     s = text.strip()
     if not s:
         raise _bad(text, 0, "empty address")
-    n_dc = s.count("::")
-    if n_dc > 1:
-        raise _bad(text, s.index("::", s.index("::") + 1), "more than one '::'")
-    if n_dc == 1:
-        head, _, tail = s.partition("::")
-        left = _parse_groups(text, head, 0) if head else []
-        right = _parse_groups(text, tail, len(head) + 2) if tail else []
+    head, dc, tail = s.partition("::")
+    if dc:
+        if "::" in tail:
+            raise _bad(text, s.index("::", len(head) + 1), "more than one '::'")
+        left = _chunk_groups(text, head, 0, final=False) if head else []
+        right = _chunk_groups(text, tail, len(head) + 2, final=True) if tail else []
         missing = 8 - len(left) - len(right)
         if missing < 1:
-            raise _bad(text, s.index("::"), "'::' present but no groups elided")
-        groups = left + [[0, 0, 0, 0]] * missing + right
+            raise _bad(text, len(head), "'::' present but no groups elided")
+        groups = left + ["0"] * missing + right
     else:
-        groups = _parse_groups(text, s, 0)
+        groups = _chunk_groups(text, s, 0, final=True)
         if len(groups) != 8:
             raise _bad(text, len(s) - 1, f"expected 8 groups, got {len(groups)}")
-    nybbles = tuple(v for g in groups for v in g)
-    return NybbleSeq(nybbles)
+    digits = "".join([g.zfill(4) for g in groups])
+    return NybbleSeq(tuple(digits.encode().translate(_NYBBLE_BYTES)))
+
+
+def _compressed_formats() -> dict[tuple[bool, ...], tuple[str, int, int]]:
+    """Per zero-group mask: the %-format and the group run [start, end) that '::' replaces.
+
+    The longest run of two or more zero groups is compressed, the leftmost
+    on ties; a single zero group is not.
+    """
+    formats = {}
+    for mask in range(256):
+        zero = tuple(bool(mask >> i & 1) for i in range(8))
+        start = end = 0
+        for i in range(8):
+            j = i
+            while j < 8 and zero[j]:
+                j += 1
+            if j - i > max(end - start, 1):
+                start, end = i, j
+        if end:
+            fmt = ":".join(["%x"] * start) + "::" + ":".join(["%x"] * (8 - end))
+        else:
+            fmt = ":".join(["%x"] * 8)
+        formats[zero] = (fmt, start, end)
+    return formats
+
+
+_FORMATS = _compressed_formats()
+_GROUPS = struct.Struct(">8H")
 
 
 def format_address(seq: NybbleSeq) -> str:
@@ -157,27 +202,10 @@ def format_address(seq: NybbleSeq) -> str:
     Longest all-zero run of groups is replaced with '::' (leftmost run on
     ties); a single zero group is never compressed.
     """
-    groups = [seq.nybbles[i : i + 4] for i in range(0, SEQ_LEN, 4)]
-    vals = [g[0] * 4096 + g[1] * 256 + g[2] * 16 + g[3] for g in groups]
-
-    best_start, best_len = -1, 0
-    run_start, run_len = -1, 0
-    for i, v in enumerate(vals + [1]):  # sentinel terminates the final run
-        if v == 0:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-        else:
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-            run_len = 0
-
-    texts = [f"{v:x}" for v in vals]
-    if best_len >= 2:
-        head = ":".join(texts[:best_start])
-        tail = ":".join(texts[best_start + best_len :])
-        return f"{head}::{tail}"
-    return ":".join(texts)
+    # one hex digit per nybble, then the eight 16-bit groups
+    groups = _GROUPS.unpack(bytes.fromhex(bytes(seq.nybbles).hex()[1::2]))
+    fmt, start, end = _FORMATS[tuple(map(operator.not_, groups))]
+    return fmt % (groups[:start] + groups[end:])
 
 
 def parse_prefix(text: str) -> NybblePrefix:
@@ -274,8 +302,7 @@ def load_alias_file(path: str) -> list[NybblePrefix]:
 
 
 def write_address_file(path: str, seqs: list[NybbleSeq], header: "str | None" = None) -> None:
+    lines = [f"# {header}\n"] if header else []
+    lines += [format_address(seq) + "\n" for seq in seqs]
     with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for seq in seqs:
-            fh.write(format_address(seq) + "\n")
+        fh.write("".join(lines))

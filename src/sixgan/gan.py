@@ -472,8 +472,7 @@ def generate_candidates(
         chunk = min(max(budget - len(out), 1), 4096)
         tokens, _, _ = _sample_tokens(g.params, chunk, g.rng)
         attempts += chunk
-        for row in tokens:
-            key = tuple(int(v) for v in row)
+        for key in map(tuple, tokens.tolist()):
             if key in seen or key in exclude:
                 continue
             seen.add(key)

@@ -97,14 +97,23 @@ def _nearest_jaccard(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
     m agreeing positions, an exact one-hot dot product, give m/(64-m); that
     grows with m, so it is applied to each row's largest count.  Blocks of
-    _BLOCK rows bound the working memory to _BLOCK x len(cb).
+    _BLOCK rows bound the working memory to _BLOCK x len(cb).  Against
+    itself, a block is multiplied only by its own and the later rows: each
+    product's row maxima go to the block's rows and its column maxima to
+    the later rows, so two rows in different blocks are multiplied once,
+    not twice.  The counts are integers of at most 32, exact in float32, so
+    every maximum is the same as the whole matrix's.
     """
-    best = np.empty(len(ca))
+    best = np.full(len(ca), -1.0)
     for lo in range(0, len(ca), _BLOCK):
-        counts = ca[lo:lo + _BLOCK] @ cb.T
+        hi = lo + _BLOCK
         if ca is cb:
-            np.fill_diagonal(counts[:, lo:], -1.0)
-        best[lo:lo + _BLOCK] = counts.max(axis=1)
+            counts = ca[lo:hi] @ ca[lo:].T
+            np.fill_diagonal(counts, -1.0)
+            np.maximum(best[hi:], counts[:, hi - lo:].max(axis=0, initial=-1.0), out=best[hi:])
+        else:
+            counts = ca[lo:hi] @ cb.T
+        np.maximum(best[lo:hi], counts.max(axis=1), out=best[lo:hi])
     return best / (64.0 - best)
 
 

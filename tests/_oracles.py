@@ -26,7 +26,9 @@ library adds the same gradient terms grouped by token rather than by
 position, so the two agree only to rounding.  The skip-gram reference is the earlier ipv62vec
 embedder, which scatters its updates into the weight matrices row by row;
 the library scatters the same element updates, in the same order, into
-their flat views, so the vectors must match bit for bit.
+their flat views, so the vectors must match bit for bit.  The codec
+references are the earlier address parser, one character at a time, and
+formatter, one zero-group run scan per address.
 """
 
 import math
@@ -35,7 +37,7 @@ from collections import Counter
 
 import numpy as np
 
-from sixgan.addr import NybbleSeq
+from sixgan.addr import AddressParseError, NybbleSeq
 from sixgan.gan import _sample_tokens
 from sixgan.nn import BOS, KERNEL_SIZES, SEQ_LEN, lstm_init_state, lstm_step_batch
 
@@ -255,6 +257,126 @@ def seq_from_hex(digits: str) -> NybbleSeq:
 
 def seq_to_hex(seq: NybbleSeq) -> str:
     return "".join(f"{v:x}" for v in seq.nybbles)
+
+
+# ---------------------------------------------------------------------------
+# Earlier address codec
+# ---------------------------------------------------------------------------
+
+# The library's earlier parser and formatter, one character and one group
+# at a time.  The table-driven codec must return the same addresses, texts
+# and error messages, except that a dotted quad now ends the address only
+# (never the text before '::') and its octets take ASCII digits only.
+
+_CHARWISE_HEX = {c: int(c, 16) for c in "0123456789abcdefABCDEF"}
+
+
+def _charwise_bad(text: str, pos: int, why: str) -> AddressParseError:
+    return AddressParseError(f"{text!r}: {why} at position {pos}")
+
+
+def _charwise_v4_tail(text: str, tail: str, offset: int) -> list[int]:
+    """Expand a trailing dotted quad into 8 nybbles."""
+    parts = tail.split(".")
+    if len(parts) != 4:
+        raise _charwise_bad(text, offset, f"embedded IPv4 needs 4 octets, got {len(parts)}")
+    nybs: list[int] = []
+    pos = offset
+    for part in parts:
+        if not part or not part.isdigit() or len(part) > 3:
+            raise _charwise_bad(text, pos, f"invalid IPv4 octet {part!r}")
+        val = int(part)
+        if val > 255:
+            raise _charwise_bad(text, pos, f"IPv4 octet {part} exceeds 255")
+        nybs.extend((val >> 4, val & 0xF))
+        pos += len(part) + 1
+    return nybs
+
+
+def _charwise_groups(text: str, chunk: str, offset: int) -> list[list[int]]:
+    """Parse a colon-separated run of hex groups (no '::' inside)."""
+    groups: list[list[int]] = []
+    pos = offset
+    parts = chunk.split(":")
+    for idx, part in enumerate(parts):
+        if "." in part:
+            # dotted-quad tail, must be the final part
+            if idx != len(parts) - 1:
+                raise _charwise_bad(text, pos, "embedded IPv4 must be the final group")
+            nybs = _charwise_v4_tail(text, part, pos)
+            groups.append(nybs[:4])
+            groups.append(nybs[4:])
+            pos += len(part) + 1
+            continue
+        if not part:
+            raise _charwise_bad(text, pos, "empty group")
+        if len(part) > 4:
+            raise _charwise_bad(text, pos + 4, f"group {part!r} longer than 4 digits")
+        vals = []
+        for i, c in enumerate(part):
+            if c not in _CHARWISE_HEX:
+                raise _charwise_bad(text, pos + i, f"invalid character {c!r}")
+            vals.append(_CHARWISE_HEX[c])
+        groups.append([0] * (4 - len(vals)) + vals)
+        pos += len(part) + 1
+    return groups
+
+
+def charwise_parse_address(text: str) -> NybbleSeq:
+    """Parse full, '::'-compressed, or dotted-quad-tailed IPv6 text.
+
+    Case-insensitive.  Raises AddressParseError naming the offending
+    character position on malformed input.
+    """
+    s = text.strip()
+    if not s:
+        raise _charwise_bad(text, 0, "empty address")
+    n_dc = s.count("::")
+    if n_dc > 1:
+        raise _charwise_bad(text, s.index("::", s.index("::") + 1), "more than one '::'")
+    if n_dc == 1:
+        head, _, tail = s.partition("::")
+        left = _charwise_groups(text, head, 0) if head else []
+        right = _charwise_groups(text, tail, len(head) + 2) if tail else []
+        missing = 8 - len(left) - len(right)
+        if missing < 1:
+            raise _charwise_bad(text, s.index("::"), "'::' present but no groups elided")
+        groups = left + [[0, 0, 0, 0]] * missing + right
+    else:
+        groups = _charwise_groups(text, s, 0)
+        if len(groups) != 8:
+            raise _charwise_bad(text, len(s) - 1, f"expected 8 groups, got {len(groups)}")
+    nybbles = tuple(v for g in groups for v in g)
+    return NybbleSeq(nybbles)
+
+
+def runscan_format_address(seq: NybbleSeq) -> str:
+    """Canonical compressed lowercase text for a nybble sequence.
+
+    Longest all-zero run of groups is replaced with '::' (leftmost run on
+    ties); a single zero group is never compressed.
+    """
+    groups = [seq.nybbles[i : i + 4] for i in range(0, SEQ_LEN, 4)]
+    vals = [g[0] * 4096 + g[1] * 256 + g[2] * 16 + g[3] for g in groups]
+
+    best_start, best_len = -1, 0
+    run_start, run_len = -1, 0
+    for i, v in enumerate(vals + [1]):  # sentinel terminates the final run
+        if v == 0:
+            if run_len == 0:
+                run_start = i
+            run_len += 1
+        else:
+            if run_len > best_len:
+                best_start, best_len = run_start, run_len
+            run_len = 0
+
+    texts = [f"{v:x}" for v in vals]
+    if best_len >= 2:
+        head = ":".join(texts[:best_start])
+        tail = ":".join(texts[best_start + best_len :])
+        return f"{head}::{tail}"
+    return ":".join(texts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Address codec and aliased-prefix matcher behavior."""
 
+import ipaddress
 import logging
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _oracles import seq_from_hex, seq_to_hex
+from _oracles import charwise_parse_address, runscan_format_address, seq_from_hex, seq_to_hex
 
 from sixgan.addr import (
     AddressParseError,
@@ -74,6 +76,171 @@ class TestParseAddress:
             parse_address("12345::")
 
 
+# Malformed text and the full message the parser gives, position included.
+# Positions count from the start of the stripped text.
+MALFORMED = [
+    ("", "'': empty address at position 0"),
+    ("   ", "'   ': empty address at position 0"),
+    ("1::2::3", "'1::2::3': more than one '::' at position 4"),
+    ("1:2:3:4::5:6:7:8", "'1:2:3:4::5:6:7:8': '::' present but no groups elided at position 7"),
+    ("1:2:3:4:5:6:7:8:9", "'1:2:3:4:5:6:7:8:9': expected 8 groups, got 9 at position 16"),
+    ("1:2:3", "'1:2:3': expected 8 groups, got 3 at position 4"),
+    ("1:2:3:4:5:6:7:1.2.3.4", "'1:2:3:4:5:6:7:1.2.3.4': expected 8 groups, got 9 at position 20"),
+    ("12z45::", "'12z45::': group '12z45' longer than 4 digits at position 4"),
+    ("12345:1::", "'12345:1::': group '12345' longer than 4 digits at position 4"),
+    ("2001:dz8::1", "'2001:dz8::1': invalid character 'z' at position 6"),
+    ("  2001:db8::g1 ", "'  2001:db8::g1 ': invalid character 'g' at position 10"),
+    (":1:2:3:4:5:6:7", "':1:2:3:4:5:6:7': empty group at position 0"),
+    ("1:2:3:4:5:6:7:", "'1:2:3:4:5:6:7:': empty group at position 14"),
+    (":::", "':::': empty group at position 2"),
+    ("::1.2.3", "'::1.2.3': embedded IPv4 needs 4 octets, got 3 at position 2"),
+    ("::1.2.3.4.5", "'::1.2.3.4.5': embedded IPv4 needs 4 octets, got 5 at position 2"),
+    ("::1.2.256.4", "'::1.2.256.4': IPv4 octet 256 exceeds 255 at position 6"),
+    ("::1..2.3", "'::1..2.3': invalid IPv4 octet '' at position 4"),
+    ("::1.2.3.4:5", "'::1.2.3.4:5': embedded IPv4 must be the final group at position 2"),
+    ("2001:db8::\u0661", "'2001:db8::\u0661': invalid character '\u0661' at position 10"),
+    ("\u0661:2:3:4:5:6:7:8", "'\u0661:2:3:4:5:6:7:8': invalid character '\u0661' at position 0"),
+]
+
+
+def parse_error(parse, text: str) -> str:
+    with pytest.raises(AddressParseError) as err:
+        parse(text)
+    return str(err.value)
+
+
+class TestErrorText:
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_message_pinned(self, text, message):
+        assert parse_error(parse_address, text) == message
+        assert parse_error(charwise_parse_address, text) == message
+
+    def test_seed_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_text("# header\n2001:db8::1\n\n2001:dz8::1  # bad\n")
+        message = parse_error(load_seed_file, str(path))
+        assert message == f"{path}:4: " + parse_error(charwise_parse_address, "2001:dz8::1")
+
+    def test_alias_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "alias.txt"
+        path.write_text("2001:db8::/32\n1:2:3/48\n")
+        message = parse_error(load_alias_file, str(path))
+        assert message == f"{path}:2: " + parse_error(charwise_parse_address, "1:2:3")
+
+
+class TestDottedQuadPlacement:
+    """A dotted quad may only end an address (RFC 4291 section 2.2)."""
+
+    @pytest.mark.parametrize("text, pos", [("1.2.3.4::", 0), ("1:2:1.2.3.4::", 4)])
+    def test_quad_before_compression_rejected(self, text, pos):
+        with pytest.raises(ValueError):
+            ipaddress.IPv6Address(text)
+        want = f"{text!r}: embedded IPv4 must be the final group at position {pos}"
+        assert parse_error(parse_address, text) == want
+        assert parse_error(parse_prefix, text + "/32") == want
+
+    @pytest.mark.parametrize(
+        "text", ["::1.2.3.4", "1::1.2.3.4", "1:2:3:4:5:6:1.2.3.4", "::ffff:0.0.0.0"]
+    )
+    def test_quad_that_ends_the_address(self, text):
+        want = NybbleSeq(tuple(int(c, 16) for c in ipaddress.IPv6Address(text).packed.hex()))
+        assert parse_address(text) == charwise_parse_address(text) == want
+
+    @pytest.mark.parametrize("octet", ["\u0661", "\u00b2"])
+    def test_octets_take_ascii_digits_only(self, octet):
+        text = f"::1.2.3.{octet}"
+        with pytest.raises(ValueError):
+            ipaddress.IPv6Address(text)
+        want = f"{text!r}: invalid IPv4 octet {octet!r} at position 8"
+        assert parse_error(parse_address, text) == want
+
+
+def seq_with_zero_groups(mask: int, rng: random.Random) -> NybbleSeq:
+    """Group g is zero where bit g of mask is set, else a nonzero value of random width."""
+    nybs: list[int] = []
+    for g in range(8):
+        value = 0 if mask >> g & 1 else rng.randrange(1, 16 ** rng.randint(1, 4))
+        nybs += [value >> 12, value >> 8 & 15, value >> 4 & 15, value & 15]
+    return NybbleSeq(tuple(nybs))
+
+
+def mixed_padding(text: str, rng: random.Random) -> str:
+    """text with each group left-padded with zeros to a random width of at most 4."""
+    def pad(group: str) -> str:
+        return group.zfill(rng.randint(len(group), 4)) if group else group
+
+    return "::".join(":".join(pad(g) for g in half.split(":")) for half in text.split("::"))
+
+
+def text_forms(seq: NybbleSeq, rng: random.Random) -> list[str]:
+    compressed = format_address(seq)
+    return [
+        compressed,
+        ipaddress.IPv6Address(compressed).exploded,
+        compressed.upper(),
+        mixed_padding(compressed, rng),
+    ]
+
+
+class TestCodecOracle:
+    """The table-driven codec against the earlier character-wise one."""
+
+    def test_every_zero_group_mask(self):
+        rng = random.Random(0)
+        for mask in range(256):
+            for _ in range(4):
+                seq = seq_with_zero_groups(mask, rng)
+                text = format_address(seq)
+                assert text == runscan_format_address(seq), mask
+                assert text == ipaddress.IPv6Address(text).compressed, mask
+                for form in text_forms(seq, rng):
+                    assert parse_address(form) == charwise_parse_address(form) == seq, form
+
+    @given(nybbles32, st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_addresses(self, nybs, rng):
+        seq = NybbleSeq(nybs)
+        assert format_address(seq) == runscan_format_address(seq)
+        for form in text_forms(seq, rng):
+            assert parse_address(form) == charwise_parse_address(form) == seq, form
+
+    @given(nybbles32, st.integers(0, 6), st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_dotted_quad_forms(self, nybs, start, length):
+        end = min(6, start + length)
+        nybs = nybs[: 4 * start] + (0,) * (4 * (end - start)) + nybs[4 * end:]
+        seq = NybbleSeq(nybs)
+        groups = [f"{int(seq_to_hex(seq)[4 * g:4 * g + 4], 16):x}" for g in range(6)]
+        quad = ".".join(str(16 * hi + lo) for hi, lo in zip(nybs[24::2], nybs[25::2]))
+        if end > start:
+            text = ":".join(groups[:start]) + "::" + "".join(g + ":" for g in groups[end:]) + quad
+        else:
+            text = ":".join(groups) + ":" + quad
+        assert parse_address(text) == charwise_parse_address(text) == seq, text
+
+    @given(
+        st.tuples(
+            st.sampled_from(["", "::", "1::", "::ffff:", "1:2:3:4:5:6:", "1:2:3:4:5:6:7:"]),
+            st.text(alphabet="0123456789abcdefABCDEFg:. ", max_size=40),
+        ).map("".join)
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_arbitrary_text(self, text):
+        def outcome(parse):
+            try:
+                return parse(text)
+            except AddressParseError as exc:
+                return str(exc)
+
+        head, dc, _ = text.strip().partition("::")
+        got = outcome(parse_address)
+        if dc and "." in head:
+            # a dotted quad before '::' is refused; the earlier parser could take it
+            assert isinstance(got, str)
+        else:
+            assert got == outcome(charwise_parse_address)
+
+
 class TestFormatAddress:
     def test_all_zeros_compresses_fully(self):
         assert format_address(seq_from_hex("0" * 32)) == "::"
@@ -122,6 +289,13 @@ class TestNybbleSeq:
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):
             NybbleSeq(tuple([16] + [0] * 31))
+
+    @pytest.mark.parametrize("bad", [1.5, -1, 16, "1", None])
+    def test_non_nybble_value_named(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            NybbleSeq((0,) * 31 + (bad,))
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            NybblePrefix((3, bad))
 
     def test_iid_is_low_half(self):
         seq = seq_from_hex("20010db8000000000123456789abcdef")
@@ -248,6 +422,13 @@ class TestFiles:
         text = path.read_text()
         assert text.startswith("# two addresses\n")
         assert load_seed_file(str(path)) == seqs
+
+    def test_write_is_one_line_per_address(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_address_file(str(path), [seq_from_hex("0" * 32), seq_from_hex("1" * 32)])
+        assert path.read_text() == "::\n1111:1111:1111:1111:1111:1111:1111:1111\n"
+        write_address_file(str(path), [], header="none")
+        assert path.read_text() == "# none\n"
 
     def test_seed_file_parse_error_propagates(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -661,6 +661,14 @@ class TestGenerateCandidates:
         assert len({s.nybbles for s in second}) == len(second) == 40
         assert not exclude & {s.nybbles for s in second}
 
+    def test_rows_in_sampling_order(self):
+        g = make_generator(seed=33)
+        rng = copy.deepcopy(g.rng)
+        tokens, _, _ = _sample_tokens(g.params, 40, rng)
+        rows = [tuple(int(v) for v in row) for row in tokens]
+        assert len(set(rows)) == 40
+        assert [s.nybbles for s in generate_candidates(g, 40)] == rows
+
     def test_shortfall_warns(self, caplog):
         g = make_generator(seed=32, embed=16, hidden=20, lr=2e-2)
         one = np.tile(np.array(PREFIX_A * 4), (32, 1))

@@ -20,6 +20,7 @@ from _oracles import (
     broadcast_diversity,
     broadcast_novelty,
     dense_seed_cosines,
+    jaccard_matrix,
 )
 from sixgan import metrics
 from sixgan.addr import NybbleSeq, parse_address, parse_prefix
@@ -186,6 +187,15 @@ def assert_pattern_qualities_dense(cands, seeds):
     assert pattern_quality_max(cands, seeds) == float(sims.max(axis=1).mean())
 
 
+def assert_self_nearest_dense(cands):
+    sims = jaccard_matrix(cands, cands)
+    np.fill_diagonal(sims, -np.inf)
+    onehot = metrics._onehot(cands)
+    nearest = metrics._nearest_jaccard(onehot, onehot)
+    assert nearest.tobytes() == sims.max(axis=1).tobytes()
+    return nearest
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -231,6 +241,31 @@ class TestBlockedKernels:
         cands = [base, one_off] + shared_prefix_seqs(rng, prefix, n - 2)
         seeds = shared_prefix_seqs(rng, prefix, 5) + [cands[-1]]
         assert novelty(cands, seeds) == broadcast_novelty(cands, seeds)
+        assert diversity(cands) == broadcast_diversity(cands)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_self_nearest_per_row(self, n):
+        # every row's own maximum, not only their mean: the one-triangle
+        # product reaches earlier rows through later blocks' column maxima
+        rng = np.random.default_rng(5000 + n)
+        cands = random_seqs(rng, n)
+        assert_self_nearest_dense(cands)
+
+    def test_pair_hand_value(self):
+        a = NybbleSeq((1,) * 16 + (2,) * 16)
+        b = NybbleSeq((1,) * 16 + (3,) * 16)
+        # 16 agreeing positions: Jaccard 16/48 for both
+        assert_self_nearest_dense([a, b])
+        assert diversity([a, b]) == pytest.approx(100.0 * 2 / 3, rel=1e-15)
+
+    def test_copies_across_block_edges(self):
+        rng = np.random.default_rng(4000)
+        cands = random_seqs(rng, 2 * BLOCK + 1)
+        cands[BLOCK] = cands[BLOCK - 1]  # either side of the first block edge
+        cands[2 * BLOCK] = cands[0]  # the first row and the last block's only row
+        nearest = assert_self_nearest_dense(cands)
+        assert nearest[[0, BLOCK - 1, BLOCK, 2 * BLOCK]].tolist() == [1.0] * 4
+        assert (nearest[1:BLOCK - 1] < 1.0).all()
         assert diversity(cands) == broadcast_diversity(cands)
 
     def test_diversity_working_memory_bounded(self):
