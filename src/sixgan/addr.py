@@ -23,7 +23,7 @@ log = logging.getLogger("sixgan.addr")
 SEQ_LEN = 32  # nybbles per address
 IID_START = 16  # nybble index where the interface identifier begins
 
-_NYBBLE_VALUES = frozenset(range(16))
+_NYBBLE_RANGE = bytes(range(16))
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -31,9 +31,18 @@ class AddressParseError(ValueError):
     """Raised for malformed address or prefix text."""
 
 
+def _all_nybbles(values: tuple[int, ...]) -> bool:
+    """Whether every value is an integer in [0, 15]: bytes() takes integers
+    (NumPy's too) and refuses floats, even integral ones."""
+    try:
+        return not bytes(values).translate(None, _NYBBLE_RANGE)
+    except (TypeError, ValueError):
+        return False
+
+
 def _check_nybbles(nybbles: tuple[int, ...]) -> None:
-    if not _NYBBLE_VALUES.issuperset(nybbles):
-        bad = next(v for v in nybbles if v not in _NYBBLE_VALUES)
+    if not _all_nybbles(nybbles):
+        bad = next(v for v in nybbles if not _all_nybbles((v,)))
         raise ValueError(f"nybble value must be an integer in [0, 15], got {bad!r}")
 
 
@@ -245,7 +254,7 @@ class AliasTrie:
 
     __slots__ = ("_by_len",)
 
-    def __init__(self, prefixes: "Iterable[NybblePrefix]" = ()):
+    def __init__(self, prefixes: Iterable[NybblePrefix] = ()):
         by_len: dict[int, set[tuple[int, ...]]] = {}
         for p in prefixes:
             by_len.setdefault(len(p), set()).add(p.nybbles)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addr import IID_START, NybblePrefix, NybbleSeq
+from .addr import NybblePrefix, NybbleSeq, parse_address
 
 log = logging.getLogger("sixgan.classify")
 
@@ -529,8 +529,6 @@ def write_labels_file(path: str, corpus: LabeledSeedCorpus) -> None:
 
 
 def read_labels_file(path: str) -> LabeledSeedCorpus:
-    from .addr import parse_address
-
     seeds: list[NybbleSeq] = []
     raw_ids: list[int] = []
     names: dict[int, str] = {}
@@ -543,9 +541,12 @@ def read_labels_file(path: str) -> LabeledSeedCorpus:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            seeds.append(parse_address(parts[0]))
+            try:
+                seeds.append(parse_address(parts[0]))
+                cid = int(parts[2])
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
             method = parts[1]
-            cid = int(parts[2])
             raw_ids.append(cid)
             names[cid] = parts[3]
     if not seeds:

@@ -1,17 +1,18 @@
 """Operator pipeline: classify, train, generate, evaluate, and helpers.
 
 Every command resolves a full configuration (defaults < config file <
-SIXGAN_* environment variables < flags), runs, and writes a manifest
-recording the resolved config, the seed, and SHA-256 hashes of every
-input and output artifact.  No silent defaults: the manifest carries
-every field.  Exit codes: 0 success, 2 configuration error or malformed
-input, 3 training divergence.
+SIXGAN_* environment variables < flags), runs, and returns the files it
+read and wrote; `main` then writes a manifest recording the resolved
+config, the seed, and SHA-256 hashes of every input and output artifact.
+No silent defaults: the manifest carries every field.  Exit codes: 0
+success, 2 configuration error or malformed input, 3 training divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import glob
 import hashlib
 import json
@@ -27,7 +28,6 @@ from .addr import (
     NybbleSeq,
     load_alias_file,
     load_seed_file,
-    parse_address,
     write_address_file,
 )
 from .alias import filter_aliased
@@ -47,7 +47,7 @@ from .gan import (
     train_6gan,
 )
 from .metrics import CandidateSet, allocate_budget, evaluate, write_report_files
-from .nn import CnnParams, DivergenceError, LstmParams, RmsProp
+from .nn import CnnParams, DivergenceError, LstmParams
 from .oracle import UniverseOracle, UniverseSpec, sample_seeds
 
 log = logging.getLogger("sixgan.cli")
@@ -73,25 +73,25 @@ DEFAULTS: dict = {
     "n_seeds": 2000,
     "budget": 1000,
     "rates": None,
-    "reward": {"alpha": 0.9, "lam": 10.0, "rollouts": 15},
-    "schedule": {
-        "g_pretrain": 60,
-        "d_pretrain": 20,
-        "g_steps": 5,
-        "d_steps": 1,
-        "adversarial_rounds": 20,
-        "batch_size": 64,
-    },
-    "nn": {
-        "embed_dim": 200,
-        "hidden_dim": 200,
-        "n_filters": 32,
-        "lr_gen": 1e-3,
-        "lr_disc": 1e-4,
-    },
+    "reward": dataclasses.asdict(RewardConfig()),
+    "schedule": dataclasses.asdict(TrainSchedule()),
+    "nn": {"embed_dim": 200, "hidden_dim": 200, "n_filters": 32, "lr_gen": 1e-3, "lr_disc": 1e-4},
 }
 
 _SECTIONS = ("reward", "schedule", "nn")
+
+# The type of each key whose default is None (the file keys are strings);
+# such a key also takes null.  Every other key takes its default's type.
+_OPTIONAL = {"k": int, "rates": list}
+_NUMBER = (int, float)
+_TAKES = {  # what a key of each type takes: a float key also takes an integer
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in _NUMBER),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list of numbers", lambda v: type(v) is list and all(type(x) in _NUMBER for x in v)),
+}
+
+_Files = tuple[list[str], list[str]]  # what a command read and what it wrote
 
 
 class ConfigError(Exception):
@@ -103,18 +103,23 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _merge(base: dict, over: dict, path: str = "") -> dict:
+def _merge(base: dict, over: dict, defaults: dict = DEFAULTS, path: str = "") -> dict:
+    """base updated from over, each value checked against the type of its default."""
     out = copy.deepcopy(base)
     for key, val in over.items():
         where = f"{path}{key}"
-        if key not in out:
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(out[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where} must be a section")
-            out[key] = _merge(out[key], val, where + ".")
-        else:
-            out[key] = val
+            out[key] = _merge(out[key], val, default, where + ".")
+            continue
+        what, takes = _TAKES[_OPTIONAL.get(key, str) if default is None else type(default)]
+        if not (takes(val) or (val is None and default is None)):
+            raise ConfigError(f"config key {where} must be {what}, got {json.dumps(val)}")
+        out[key] = val
     return out
 
 
@@ -142,11 +147,14 @@ def resolve_config(args: argparse.Namespace, environ: dict | None = None) -> dic
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = _merge(cfg, json.load(fh))
+                doc = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        cfg = _merge(cfg, doc)
     cfg = _merge(cfg, _env_overrides(environ if environ is not None else dict(os.environ)))
     flag_map = {
         "seed": "seed",
@@ -229,15 +237,14 @@ def _disc_ckpt(out: str) -> str:
     return os.path.join(out, "discriminator.ckpt")
 
 
-def _save_generator(path: str, g: GeneratorModel) -> None:
-    tensors = dict(g.params.tensors())
-    tensors["meta_pattern_id"] = np.array([float(g.pattern_id)])
-    nn.save_checkpoint(path, tensors)
+def _labels_path(cfg: dict) -> str:
+    return cfg.get("labels_file") or os.path.join(cfg["out_dir"], "labels.tsv")
 
 
-def _save_discriminator(path: str, d: DiscriminatorModel) -> None:
-    tensors = dict(d.params.tensors())
-    tensors["meta_k"] = np.array([float(d.k)])
+def _save_checkpoint(path: str, params, meta: str, value: int) -> None:
+    """params' tensors and the integer value as the meta tensor."""
+    tensors = dict(params.tensors())
+    tensors[meta] = np.array([float(value)])
     nn.save_checkpoint(path, tensors)
 
 
@@ -252,28 +259,19 @@ def _read_checkpoint(path: str, cls, meta: str) -> tuple:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _load_generator(path: str, rng: np.random.Generator) -> GeneratorModel:
-    params, pattern_id = _read_checkpoint(path, LstmParams, "meta_pattern_id")
-    return GeneratorModel(params=params, pattern_id=pattern_id, rng=rng)
-
-
-def _load_discriminator(path: str) -> DiscriminatorModel:
-    params, k = _read_checkpoint(path, CnnParams, "meta_k")
-    return DiscriminatorModel(params=params, k=k)
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the resolved config and the parsed arguments, and
+# returns the paths of its input and output files for the manifest
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: dict) -> int:
+def cmd_synth(cfg: dict, args: argparse.Namespace) -> _Files:
     spec_path = _require_file(_require(cfg, "spec_file", "for synth"), "universe spec")
     spec = UniverseSpec.load(spec_path)
     oracle = UniverseOracle(spec)
     out = _ensure_out(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
-    seeds = sample_seeds(oracle, int(cfg["n_seeds"]), rng)
+    seeds = sample_seeds(oracle, cfg["n_seeds"], rng)
 
     seeds_path = os.path.join(out, "seeds.txt")
     alias_path = os.path.join(out, "aliased_prefixes.txt")
@@ -284,13 +282,12 @@ def cmd_synth(cfg: dict) -> int:
         for p in spec.aliased_prefixes:
             fh.write(f"{p}\n")
     spec.save(universe_path)
-    _write_manifest(cfg, "synth", [spec_path], [seeds_path, alias_path, universe_path])
     print(f"wrote {len(seeds)} seeds to {seeds_path}")
     print(f"wrote {len(spec.aliased_prefixes)} aliased prefixes to {alias_path}")
-    return EXIT_OK
+    return [spec_path], [seeds_path, alias_path, universe_path]
 
 
-def cmd_classify(cfg: dict) -> int:
+def cmd_classify(cfg: dict, args: argparse.Namespace) -> _Files:
     seeds_path = _require_file(_require(cfg, "seeds_file", "for classify"), "seeds file")
     seeds = load_seed_file(seeds_path)
     if not seeds:
@@ -299,36 +296,30 @@ def cmd_classify(cfg: dict) -> int:
     if method == "rfc":
         corpus = classify_rfc_corpus(seeds)
     elif method == "entropy":
-        k = cfg["k"]
-        if not k:
+        if not cfg["k"]:
             raise ConfigError("entropy classification requires --k")
         try:
             corpus = classify_entropy(
-                seeds, int(k), fp_prefix_len=int(cfg["fp_prefix_len"]),
-                seed=int(cfg["seed"]), min_group=int(cfg["min_group"]),
+                seeds, cfg["k"], fp_prefix_len=cfg["fp_prefix_len"],
+                seed=cfg["seed"], min_group=cfg["min_group"],
             )
         except ValueError as err:
             raise ConfigError(str(err)) from err
     else:
-        target = int(cfg["k"]) if cfg["k"] else None
-        corpus = classify_ipv62vec(seeds, target_k=target, seed=int(cfg["seed"]))
-    out = _ensure_out(cfg)
-    labels_path = cfg.get("labels_file") or os.path.join(out, "labels.tsv")
+        corpus = classify_ipv62vec(seeds, target_k=cfg["k"] or None, seed=cfg["seed"])
+    _ensure_out(cfg)
+    labels_path = _labels_path(cfg)
     write_labels_file(labels_path, corpus)
     counts = corpus.class_counts()
     print(f"{len(seeds)} seeds -> {corpus.k} classes ({method})")
     for cid, count in enumerate(counts):
         name = corpus.labels[corpus.class_index[cid][0]].class_name
         print(f"  class {cid} ({name}): {count}")
-    _write_manifest(cfg, "classify", [seeds_path], [labels_path])
-    return EXIT_OK
+    return [seeds_path], [labels_path]
 
 
-def cmd_train(cfg: dict) -> int:
-    labels_path = _require_file(
-        cfg.get("labels_file") or os.path.join(cfg["out_dir"], "labels.tsv"),
-        "labels file",
-    )
+def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
+    labels_path = _require_file(_labels_path(cfg), "labels file")
     corpus = read_labels_file(labels_path)
     trie = None
     inputs = [labels_path]
@@ -336,12 +327,8 @@ def cmd_train(cfg: dict) -> int:
         alias_path = _require_file(cfg["alias_file"], "alias prefix file")
         trie = AliasTrie(load_alias_file(alias_path))
         inputs.append(alias_path)
-    reward = RewardConfig(
-        alpha=float(cfg["reward"]["alpha"]),
-        lam=float(cfg["reward"]["lam"]),
-        rollouts=int(cfg["reward"]["rollouts"]),
-    )
-    schedule = TrainSchedule(**{k: int(v) for k, v in cfg["schedule"].items()})
+    reward = RewardConfig(**cfg["reward"])
+    schedule = TrainSchedule(**cfg["schedule"])
     out = _ensure_out(cfg)
 
     last_saved = None  # round of the checkpoints on disk; -1 is after pretraining
@@ -349,19 +336,17 @@ def cmd_train(cfg: dict) -> int:
     def save_all(rnd: int, gens: list[GeneratorModel], disc: DiscriminatorModel) -> None:
         nonlocal last_saved
         for g in gens:
-            _save_generator(_generator_ckpt(out, g.pattern_id), g)
-        _save_discriminator(_disc_ckpt(out), disc)
+            _save_checkpoint(
+                _generator_ckpt(out, g.pattern_id), g.params, "meta_pattern_id", g.pattern_id
+            )
+        _save_checkpoint(_disc_ckpt(out), disc.params, "meta_k", disc.k)
         last_saved = rnd
 
-    hp = cfg["nn"]
     log_path = os.path.join(out, "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as log_fh:  # streamed: kept on exit 3
         try:
             generators, disc, records = train_6gan(
-                corpus, trie, reward, schedule, seed=int(cfg["seed"]),
-                embed_dim=int(hp["embed_dim"]), hidden_dim=int(hp["hidden_dim"]),
-                n_filters=int(hp["n_filters"]),
-                lr_gen=float(hp["lr_gen"]), lr_disc=float(hp["lr_disc"]),
+                corpus, trie, reward, schedule, seed=cfg["seed"], **cfg["nn"],
                 on_round=save_all,
                 on_record=lambda rec: print(
                     json.dumps(rec, sort_keys=True), file=log_fh, flush=True
@@ -376,14 +361,13 @@ def cmd_train(cfg: dict) -> int:
             raise DivergenceError(f"{err} ({kept})") from err
     outputs = [log_path, _disc_ckpt(out)]
     outputs += [_generator_ckpt(out, g.pattern_id) for g in generators]
-    _write_manifest(cfg, "train", inputs, outputs)
     print(f"trained {corpus.k} generators for {schedule.adversarial_rounds} rounds")
     print(f"checkpoints and {len(records)} log records in {out}")
-    return EXIT_OK
+    return inputs, outputs
 
 
 def _load_exclude(cfg: dict) -> tuple[set[tuple[int, ...]], list[str]]:
-    labels_path = cfg.get("labels_file") or os.path.join(cfg["out_dir"], "labels.tsv")
+    labels_path = _labels_path(cfg)
     if os.path.isfile(labels_path):
         corpus = read_labels_file(labels_path)
         return {s.nybbles for s in corpus.seeds}, [labels_path]
@@ -394,7 +378,7 @@ def _load_exclude(cfg: dict) -> tuple[set[tuple[int, ...]], list[str]]:
     return set(), []
 
 
-def cmd_generate(cfg: dict) -> int:
+def cmd_generate(cfg: dict, args: argparse.Namespace) -> _Files:
     out = _ensure_out(cfg)
     pattern = os.path.join(glob.escape(out), "generator_[0-9][0-9]*.ckpt")
     found = {os.path.basename(p) for p in glob.glob(pattern)}
@@ -412,20 +396,21 @@ def cmd_generate(cfg: dict) -> int:
     if len(rates) != k:
         raise ConfigError(f"got {len(rates)} rates for {k} generators")
     try:
-        budgets = allocate_budget(rates, int(cfg["budget"]))
+        budgets = allocate_budget(rates, cfg["budget"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
     exclude, inputs = _load_exclude(cfg)
     inputs += paths
 
-    streams = np.random.SeedSequence([int(cfg["seed"]), 1]).spawn(k)
+    streams = np.random.SeedSequence([cfg["seed"], 1]).spawn(k)
     merged: list[NybbleSeq] = []
     seen: set[tuple[int, ...]] = set()
     outputs = []
     for i, (path, budget) in enumerate(zip(paths, budgets)):
-        g = _load_generator(path, np.random.default_rng(streams[i]))
-        if g.pattern_id != i:
-            raise ConfigError(f"{path} carries pattern id {g.pattern_id}, expected {i}")
+        params, pattern_id = _read_checkpoint(path, LstmParams, "meta_pattern_id")
+        if pattern_id != i:
+            raise ConfigError(f"{path} carries pattern id {pattern_id}, expected {i}")
+        g = GeneratorModel(params=params, pattern_id=i, rng=np.random.default_rng(streams[i]))
         cands = generate_candidates(g, budget, exclude)
         part_path = os.path.join(out, f"candidates_pattern_{i:02d}.txt")
         write_address_file(part_path, cands, header=f"pattern: {i}")
@@ -438,14 +423,13 @@ def cmd_generate(cfg: dict) -> int:
     merged_path = os.path.join(out, "candidates.txt")
     write_address_file(merged_path, merged, header="merged candidates")
     outputs.append(merged_path)
-    _write_manifest(cfg, "generate", inputs, outputs)
     print(f"{len(merged)} merged candidates in {merged_path}")
-    return EXIT_OK
+    return inputs, outputs
 
 
-def cmd_evaluate(cfg: dict, candidates_path: str) -> int:
+def cmd_evaluate(cfg: dict, args: argparse.Namespace) -> _Files:
     spec_path = _require_file(_require(cfg, "spec_file", "for evaluate"), "universe spec")
-    candidates_path = _require_file(candidates_path, "candidates file")
+    candidates_path = _require_file(args.candidates, "candidates file")
     seeds_path = _require_file(_require(cfg, "seeds_file", "for evaluate"), "seeds file")
     spec = UniverseSpec.load(spec_path)
     oracle = UniverseOracle(spec)
@@ -456,22 +440,20 @@ def cmd_evaluate(cfg: dict, candidates_path: str) -> int:
     json_path = os.path.join(out, "report.json")
     csv_path = os.path.join(out, "report.csv")
     write_report_files(report, json_path, csv_path)
-    _write_manifest(
-        cfg, "evaluate", [spec_path, candidates_path, seeds_path], [json_path, csv_path]
-    )
     print(
         f"|C|={report.n_candidates} hit={report.hit_rate:.4f} "
         f"generation={report.generation_rate:.4f} aliased={report.n_aliased} "
         f"({report.aliased_pct:.2%}) loss={report.loss}"
     )
-    return EXIT_OK
+    return [spec_path, candidates_path, seeds_path], [json_path, csv_path]
 
 
-def cmd_discriminate(cfg: dict, addresses_path: str) -> int:
+def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
     out = _ensure_out(cfg)
     ckpt = _require_file(_disc_ckpt(out), "discriminator checkpoint")
-    addresses_path = _require_file(addresses_path, "addresses file")
-    disc = _load_discriminator(ckpt)
+    addresses_path = _require_file(args.addresses, "addresses file")
+    params, k = _read_checkpoint(ckpt, CnnParams, "meta_k")
+    disc = DiscriminatorModel(params=params, k=k)
     addrs = load_seed_file(addresses_path)
     if not addrs:
         raise ConfigError(f"addresses file {addresses_path} is empty")
@@ -510,14 +492,13 @@ def cmd_discriminate(cfg: dict, addresses_path: str) -> int:
             fh.write("\n")
         outputs.append(conf_path)
         print(f"accuracy {accuracy:.4f} over {len(addrs)} addresses")
-    _write_manifest(cfg, "discriminate", inputs, outputs)
     print(f"scores in {scores_path}")
-    return EXIT_OK
+    return inputs, outputs
 
 
-def cmd_alias_check(cfg: dict, addresses_path: str) -> int:
+def cmd_alias_check(cfg: dict, args: argparse.Namespace) -> _Files:
     alias_path = _require_file(_require(cfg, "alias_file", "for alias-check"), "alias prefix file")
-    addresses_path = _require_file(addresses_path, "addresses file")
+    addresses_path = _require_file(args.addresses, "addresses file")
     trie = AliasTrie(load_alias_file(alias_path))
     addrs = load_seed_file(addresses_path)
     kept, removed = filter_aliased(trie, addrs)
@@ -526,9 +507,8 @@ def cmd_alias_check(cfg: dict, addresses_path: str) -> int:
     removed_path = os.path.join(out, "removed.txt")
     write_address_file(kept_path, kept, header="non-aliased")
     write_address_file(removed_path, removed, header="aliased")
-    _write_manifest(cfg, "alias-check", [alias_path, addresses_path], [kept_path, removed_path])
     print(f"kept {len(kept)}, removed {len(removed)} aliased")
-    return EXIT_OK
+    return [alias_path, addresses_path], [kept_path, removed_path]
 
 
 # ---------------------------------------------------------------------------
@@ -573,21 +553,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.candidates)
-        if args.command == "discriminate":
-            return cmd_discriminate(cfg, args.addresses)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "alias-check":
-            return cmd_alias_check(cfg, args.addresses)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # looked up on every call, so a command replaced on the module is the one run
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        inputs, outputs = command(cfg, args)
+        _write_manifest(cfg, args.command, inputs, outputs)
+        return EXIT_OK
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -571,9 +571,6 @@ class RmsProp:
             p -= self.lr * g / np.sqrt(acc + self.eps)
             ensure_finite(f"param {name}", p)
 
-    def state_tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}acc_{name}": arr for name, arr in self.acc.items()}
-
 
 # ---------------------------------------------------------------------------
 # Checkpoint serialization

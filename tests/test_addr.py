@@ -3,6 +3,7 @@
 import ipaddress
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,8 +252,8 @@ class TestFormatAddress:
         )
 
     def test_single_zero_group_not_compressed(self):
-        assert format_address(seq_from_hex("20010db8000868d3b7918741c1270a75")) == (
-            "2001:db8:8:68d3:b791:8741:c127:a75"
+        assert format_address(seq_from_hex("20010db8000000010001000100010001")) == (
+            "2001:db8:0:1:1:1:1:1"
         )
 
     def test_leftmost_run_wins_ties(self):
@@ -290,12 +291,17 @@ class TestNybbleSeq:
         with pytest.raises(ValueError):
             NybbleSeq(tuple([16] + [0] * 31))
 
-    @pytest.mark.parametrize("bad", [1.5, -1, 16, "1", None])
+    @pytest.mark.parametrize("bad", [1.5, -1, 16, "1", None, 1.0, np.float64(2.0)])
     def test_non_nybble_value_named(self, bad):
-        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
             NybbleSeq((0,) * 31 + (bad,))
-        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
             NybblePrefix((3, bad))
+
+    def test_numpy_integers_accepted(self):
+        values = tuple(np.arange(32, dtype=np.int64) % 16)
+        assert NybbleSeq(values) == seq_from_hex("0123456789abcdef" * 2)
+        assert len(NybblePrefix((np.uint8(3), np.int32(15)))) == 2
 
     def test_iid_is_low_half(self):
         seq = seq_from_hex("20010db8000000000123456789abcdef")

@@ -1,8 +1,12 @@
 """Command-line pipeline: artifacts, manifests, overrides, exit codes."""
 
 import hashlib
+import inspect
 import json
 import os
+import pathlib
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import sixgan.cli as cli
 from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
 from sixgan.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from sixgan.gan import train_6gan
 from sixgan.nn import DivergenceError, load_checkpoint, save_checkpoint
 
 UNIVERSE = {
@@ -227,8 +232,88 @@ class TestOverrides:
         manifest = json.loads((out / "manifest_synth.json").read_text())
         assert manifest["config"]["schedule"]["batch_size"] == 8
 
+    def test_float_key_takes_integer_and_optional_key_takes_null(self, tmp_path, monkeypatch):
+        spec = write_json(tmp_path / "spec.json", UNIVERSE)
+        monkeypatch.setenv("SIXGAN_REWARD_LAM", "10")
+        monkeypatch.setenv("SIXGAN_K", "null")
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path)]) == EXIT_OK
+        config = json.loads((tmp_path / "manifest_synth.json").read_text())["config"]
+        assert config["reward"]["lam"] == 10 and config["k"] is None
+
+    @pytest.mark.parametrize("command, env, raw, key", [
+        ("synth", "SIXGAN_N_SEEDS", "null", "n_seeds"),
+        ("generate", "SIXGAN_BUDGET", "null", "budget"),
+        ("train", "SIXGAN_REWARD_ALPHA", "null", "reward.alpha"),
+        ("synth", "SIXGAN_N_SEEDS", "2.7", "n_seeds"),
+        ("train", "SIXGAN_SCHEDULE_BATCH_SIZE", "2.5", "schedule.batch_size"),
+        ("generate", "SIXGAN_BUDGET", "10.9", "budget"),
+        ("generate", "SIXGAN_RATES", "5", "rates"),
+        ("generate", "SIXGAN_RATES", '[1, "a"]', "rates"),
+        ("train", "SIXGAN_NN_EMBED_DIM", "x", "nn.embed_dim"),
+        ("synth", "SIXGAN_SEED", "true", "seed"),
+    ])
+    def test_malformed_value_names_key(self, pipeline, tmp_path, monkeypatch, capsys,
+                                       command, env, raw, key):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = write_json(tmp_path / "config.json", tiny_config(str(out)))
+        spec = ["--spec", pipeline["spec"]] if command == "synth" else []
+        monkeypatch.setenv(env, raw)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out), *spec]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key {key} must be ")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestDefaults:
+    def test_nn_defaults_are_train_6gan_defaults(self):
+        params = inspect.signature(train_6gan).parameters
+        assert cli.DEFAULTS["nn"] == {key: params[key].default for key in cli.DEFAULTS["nn"]}
+        assert set(cli.DEFAULTS["nn"]) == {
+            key for key, p in params.items() if p.default not in (p.empty, None)
+        }
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+        section = section.split("\n## ")[0]
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]*?) \|", section, re.M))
+        flat = {}
+        for key, val in cli.DEFAULTS.items():
+            if isinstance(val, dict):
+                flat.update({f"{key}.{sub}": v for sub, v in val.items()})
+            else:
+                flat[key] = val
+        assert set(rows) == set(flat)
+        for key, val in flat.items():
+            if type(val) in (int, float):
+                assert float(rows[key]) == val, key
+            elif type(val) is str:
+                assert rows[key] == f"`{val}`", key
+
 
 class TestExitCodes:
+    def test_main_runs_the_command_found_on_the_module(self, tmp_path, monkeypatch):
+        # main looks the command up when it runs, so one replaced on the
+        # module (as a tracer does) is the one called
+        written = tmp_path / "x.txt"
+        written.write_text("x\n")
+        calls = []
+
+        def fake(cfg, args):
+            calls.append(args.addresses)
+            return [], [str(written)]
+
+        monkeypatch.setattr(cli, "cmd_alias_check", fake)
+        assert main(["alias-check", "--out", str(tmp_path), "addrs.txt"]) == EXIT_OK
+        assert calls == ["addrs.txt"]
+        manifest = json.loads((tmp_path / "manifest_alias-check.json").read_text())
+        assert manifest["inputs"] == {}
+        assert manifest["outputs"] == {"x.txt": hashlib.sha256(b"x\n").hexdigest()}
+
     def test_missing_seeds_file(self, tmp_path):
         assert main(["classify", "--out", str(tmp_path)]) == EXIT_CONFIG
 
@@ -236,6 +321,12 @@ class TestExitCodes:
         cfg = write_json(tmp_path / "c.json", {"n_seedz": 10})
         assert main(["synth", "--config", cfg,
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", [1, 2])
+        capsys.readouterr()
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config file {cfg} must hold a JSON object\n"
 
     def test_unknown_nested_key(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"schedule": {"warmup": 5}})
@@ -407,6 +498,17 @@ class TestExitCodes:
         assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"invalid input: {labels}:1: expected 4 tab-separated fields" in err
+
+    @pytest.mark.parametrize("line, why", [
+        ("2001:zz8::1\trfc\t0\tlow", "'2001:zz8::1': invalid character 'z' at position 5"),
+        ("2001:db8::2\trfc\tx\tlow", "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_bad_labels_line_names_file_and_line(self, tmp_path, capsys, line, why):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text(f"2001:db8::1\trfc\t0\tlow\n{line}\n")
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"invalid input: {labels}:2: {why}\n"
 
     def test_zero_rollouts(self, pipeline, tmp_path, monkeypatch, capsys):
         (tmp_path / "labels.tsv").write_bytes((pipeline["out"] / "labels.tsv").read_bytes())

@@ -479,7 +479,7 @@ class TestRmsProp:
         tensors = {"w": rng.normal(size=(4, 4))}
         for _ in range(50):
             opt.update(tensors, {"w": rng.normal(size=(4, 4))})
-        for acc in opt.state_tensors("opt").values():
+        for acc in opt.acc.values():
             assert (acc >= 0).all()
 
     def test_shape_mismatch_rejected(self):

@@ -18,3 +18,23 @@ def test_no_assert_statements_in_package():
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")), f"no modules found under {SRC}"
     assert found == [], f"assert statements in the package: {found}"
+
+
+def test_no_unused_imports_in_package():
+    # a name imported and never read; __init__.py imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == [], f"unused imports in the package: {found}"
