@@ -17,6 +17,7 @@ import glob
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -38,6 +39,7 @@ from .classify import (
     read_labels_file,
     write_labels_file,
 )
+from .fileio import atomic_write
 from .gan import (
     DiscriminatorModel,
     GeneratorModel,
@@ -91,6 +93,10 @@ _TAKES = {  # what a key of each type takes: a float key also takes an integer
     list: ("a list of numbers", lambda v: type(v) is list and all(type(x) in _NUMBER for x in v)),
 }
 
+# the range of each bounded integer key
+_RANGES = {"n_seeds": (1, math.inf), "budget": (0, math.inf), "k": (1, math.inf),
+           "min_group": (1, math.inf), "fp_prefix_len": (1, 32)}
+
 _Files = tuple[list[str], list[str]]  # what a command read and what it wrote
 
 
@@ -101,6 +107,10 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Configuration resolution
 # ---------------------------------------------------------------------------
+
+
+def _type_of(key: str, default) -> type:
+    return _OPTIONAL.get(key, str) if default is None else type(default)
 
 
 def _merge(base: dict, over: dict, defaults: dict = DEFAULTS, path: str = "") -> dict:
@@ -116,7 +126,7 @@ def _merge(base: dict, over: dict, defaults: dict = DEFAULTS, path: str = "") ->
                 raise ConfigError(f"config key {where} must be a section")
             out[key] = _merge(out[key], val, default, where + ".")
             continue
-        what, takes = _TAKES[_OPTIONAL.get(key, str) if default is None else type(default)]
+        what, takes = _TAKES[_type_of(key, default)]
         if not (takes(val) or (val is None and default is None)):
             raise ConfigError(f"config key {where} must be {what}, got {json.dumps(val)}")
         out[key] = val
@@ -124,21 +134,30 @@ def _merge(base: dict, over: dict, defaults: dict = DEFAULTS, path: str = "") ->
 
 
 def _env_overrides(environ: dict) -> dict:
+    """SIXGAN_* variables as config overrides.
+
+    A string key (a file, out_dir, method) takes the raw value; any other
+    key takes the value parsed as JSON, or the raw string if it is not
+    JSON, which _merge then refuses with the key's name.
+    """
     over: dict = {}
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
-        tail = name[len(ENV_PREFIX):].lower()
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+        key = name[len(ENV_PREFIX):].lower()
+        into, defaults = over, DEFAULTS
         for section in _SECTIONS:
-            if tail.startswith(section + "_"):
-                over.setdefault(section, {})[tail[len(section) + 1:]] = value
+            if key.startswith(section + "_"):
+                into, defaults = over.setdefault(section, {}), DEFAULTS[section]
+                key = key[len(section) + 1:]
                 break
-        else:
-            over[tail] = value
+        value = raw
+        if _type_of(key, defaults.get(key)) is not str:
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError:
+                pass
+        into[key] = value
     return over
 
 
@@ -175,6 +194,11 @@ def resolve_config(args: argparse.Namespace, environ: dict | None = None) -> dic
             raise ConfigError(f"--rates must be a CSV of numbers: {err}") from err
     if cfg["method"] not in ("rfc", "entropy", "ipv62vec"):
         raise ConfigError(f"unknown method {cfg['method']!r}")
+    for key, (lo, hi) in _RANGES.items():
+        val = cfg[key]
+        if val is not None and not lo <= val <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise ConfigError(f"config key {key} must be {bound}, got {val}")
     return cfg
 
 
@@ -212,7 +236,7 @@ def _write_manifest(cfg: dict, command: str, inputs: list[str], outputs: list[st
         "versions": {"sixgan": __version__, "numpy": np.__version__},
     }
     path = os.path.join(cfg["out_dir"], f"manifest_{command}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

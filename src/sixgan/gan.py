@@ -133,35 +133,38 @@ class DiscriminatorModel:
 # ---------------------------------------------------------------------------
 
 
-def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One sample per row from row-wise distributions (inverse CDF)."""
-    cdf = probs.cumsum(axis=1)
-    u = rng.random(probs.shape[0])
-    return np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+def _categorical_rows(probs: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One sample per row of each generator's [n, V] distributions
+    (inverse CDF); generator j draws its n uniforms from rngs[j]."""
+    cdf = probs.cumsum(axis=-1)
+    u = np.empty(cdf.shape[:-1])
+    for j, rng in enumerate(rngs):
+        rng.random(out=u[j])
+    return np.minimum((cdf < u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
 
 
 def _continue_tokens(
     params: LstmParams,
+    rngs: list[np.random.Generator],
     h: np.ndarray,
     c: np.ndarray,
     prev: np.ndarray,
     steps: int,
-    rng: np.random.Generator,
     keep_states: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """[n, steps] tokens drawn one LSTM step at a time from state (h, c),
-    whose last token is prev.
+    """[k, n, steps] tokens drawn one lockstep LSTM step at a time from the
+    stack's states (h, c) [k, n, H], whose last tokens are prev [k, n].
 
     When keep_states is set, also returns the (h, c) state recorded after
     each drawn position, for resuming rollouts mid-sequence.
     """
-    out = np.empty((prev.shape[0], steps), dtype=np.int64)
+    out = np.empty(prev.shape + (steps,), dtype=np.int64)
     hs: list[np.ndarray] = []
     cs: list[np.ndarray] = []
     for t in range(steps):
-        h, c, _, probs = lstm_step_batch(params, h, c, prev)
-        prev = _categorical_rows(probs, rng)
-        out[:, t] = prev
+        h, c, _, probs = lstm_step_batch(params, h, c, prev.ravel())
+        prev = _categorical_rows(probs, rngs)
+        out[..., t] = prev
         if keep_states:
             hs.append(h)
             cs.append(c)
@@ -170,14 +173,15 @@ def _continue_tokens(
 
 def _sample_tokens(
     params: LstmParams,
+    rngs: list[np.random.Generator],
     n: int,
-    rng: np.random.Generator,
     keep_states: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Autoregressive batch sampling of [n, 32] nybble tokens from BOS."""
+    """Autoregressive sampling of [k, n, 32] nybble tokens from BOS, n rows
+    for each generator of the stack."""
     h, c = lstm_init_state(params, n)
-    prev = np.full(n, BOS, dtype=np.int64)
-    return _continue_tokens(params, h, c, prev, SEQ_LEN, rng, keep_states)
+    prev = np.full((len(rngs), n), BOS, dtype=np.int64)
+    return _continue_tokens(params, rngs, h, c, prev, SEQ_LEN, keep_states)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,8 @@ def _alias_contrib(lengths: np.ndarray, t: int, lam: float) -> np.ndarray:
 
 
 def rollout_penalties(
-    g: GeneratorModel,
+    params: LstmParams,
+    generators: list[GeneratorModel],
     d: DiscriminatorModel,
     trie: AliasTrie | None,
     cfg: RewardConfig,
@@ -203,36 +208,47 @@ def rollout_penalties(
     hs: list[np.ndarray],
     cs: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo penalties (Q_D, Q_A), each [B, SEQ_LEN], of a sampled batch.
+    """Monte Carlo penalties (Q_D, Q_A), each [k, B, SEQ_LEN], of the
+    sampled batches of the generators in the stack params.
 
     tokens, hs and cs come from _sample_tokens(keep_states=True).  At each
     position t < SEQ_LEN, cfg.rollouts completions continue every sequence
-    from its cached state, sampled from g itself; at t = SEQ_LEN the
-    sequence itself is scored; d.rollout_scorer scores both.  Q_D is the
-    mean discriminator penalty 1 - D^i over the completions.  Q_A is the
-    mean alias penalty: a completion under an aliased prefix of length L
+    from its cached state, sampled from its own generator; all k
+    generators' completions are drawn first, in lockstep and in position
+    order.  Then each generator's d.rollout_scorer scores its completions,
+    and at t = SEQ_LEN its sequences themselves, one generator at a time,
+    so one scorer's running maxima are live at once.  Q_D is the mean
+    discriminator penalty 1 - D^i over the completions.  Q_A is the mean
+    alias penalty: a completion under an aliased prefix of length L
     contributes (t/L)*lambda when t <= L, and 0 otherwise.  Without a trie
     Q_A is 0.
     """
-    b, n_roll = tokens.shape[0], cfg.rollouts
-    q_d = np.empty((b, SEQ_LEN))
-    q_a = np.zeros((b, SEQ_LEN))
-    score = d.rollout_scorer(tokens)
-    for t in range(1, SEQ_LEN + 1):
-        if t < SEQ_LEN:
-            n = n_roll
-            h_rep = np.repeat(hs[t - 1], n, axis=0)
-            c_rep = np.repeat(cs[t - 1], n, axis=0)
-            prev = np.repeat(tokens[:, t - 1], n)
-            tails, _, _ = _continue_tokens(g.params, h_rep, c_rep, prev, SEQ_LEN - t, g.rng)
-            full = np.concatenate([np.repeat(tokens[:, :t], n, axis=0), tails], axis=1)
-        else:
-            n, full = 1, tokens
-        probs = score(t, full)
-        q_d[:, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, n).mean(axis=1)
-        if trie is not None:
-            contrib = _alias_contrib(trie.match_batch(full), t, cfg.lam)
-            q_a[:, t - 1] = contrib.reshape(b, n).mean(axis=1)
+    k, b = tokens.shape[:2]
+    n = cfg.rollouts
+    rngs = [g.rng for g in generators]
+    tails = []  # [k, B*n, SEQ_LEN-t] per position t, as nybbles
+    for t in range(1, SEQ_LEN):
+        h_rep = np.repeat(hs[t - 1], n, axis=1)
+        c_rep = np.repeat(cs[t - 1], n, axis=1)
+        prev = np.repeat(tokens[:, :, t - 1], n, axis=1)
+        drawn, _, _ = _continue_tokens(params, rngs, h_rep, c_rep, prev, SEQ_LEN - t)
+        tails.append(drawn.astype(np.uint8))
+    q_d = np.empty((k, b, SEQ_LEN))
+    q_a = np.zeros((k, b, SEQ_LEN))
+    for j, g in enumerate(generators):
+        score = d.rollout_scorer(tokens[j])
+        for t in range(1, SEQ_LEN + 1):
+            if t < SEQ_LEN:
+                m = n
+                full = np.concatenate([np.repeat(tokens[j, :, :t], n, axis=0), tails[t - 1][j]],
+                                      axis=1)
+            else:
+                m, full = 1, tokens[j]
+            probs = score(t, full)
+            q_d[j, :, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, m).mean(axis=1)
+            if trie is not None:
+                contrib = _alias_contrib(trie.match_batch(full), t, cfg.lam)
+                q_a[j, :, t - 1] = contrib.reshape(b, m).mean(axis=1)
     return q_d, q_a
 
 
@@ -252,57 +268,69 @@ def pg_logit_grad(probs: np.ndarray, actions: np.ndarray, q: np.ndarray) -> np.n
     """d/dlogits of the penalty surrogate mean_b sum_t Q * log p(action).
 
     Descending this surrogate lowers the probability of high-penalty
-    actions.  probs is [B, T, V]; actions and q are [B, T].
+    actions.  probs is [..., B, T, V]; actions and q are [..., B, T].
     """
-    b, t_len, _ = probs.shape
-    grad = -q[:, :, None] * probs
-    rows = np.arange(b)[:, None]
-    cols = np.arange(t_len)[None, :]
-    grad[rows, cols, actions] += q
-    return grad / b
+    grad = -q[..., None] * probs
+    picked = np.take_along_axis(grad, actions[..., None], axis=-1)
+    np.put_along_axis(grad, actions[..., None], picked + q[..., None], axis=-1)
+    grad /= probs.shape[-3]
+    return grad
+
+
+def _update(params: LstmParams, generators: list[GeneratorModel], grads: dict) -> None:
+    """One optimiser step per generator, in place on its entry of the stack."""
+    for j, g in enumerate(generators):
+        g.opt.update(params[j].tensors(), {name: grad[j] for name, grad in grads.items()})
 
 
 def generator_pg_step(
-    g: GeneratorModel,
+    params: LstmParams,
+    generators: list[GeneratorModel],
     d: DiscriminatorModel,
     trie: AliasTrie | None,
     cfg: RewardConfig,
     batch_size: int,
-) -> dict:
-    """One REINFORCE update of a generator from a sampled batch.
+) -> list[dict]:
+    """One REINFORCE update of every generator in the stack params, in
+    lockstep; returns one stats record per generator.
 
-    For every position t of every sampled sequence, N rollouts complete
-    the sequence from the generator's cached state; the discriminator and
-    alias penalties of the completions give Q_AD(x_t), and one RMSProp
-    step descends the penalty-weighted log-likelihood.
+    generators[j] draws from its own rng, is scored for its own pattern
+    and updates entry j of the stack with its own optimiser.  For every
+    position t of every sampled sequence, N rollouts complete the sequence
+    from the generator's cached state; the discriminator and alias
+    penalties of the completions give Q_AD(x_t), and one RMSProp step
+    descends the penalty-weighted log-likelihood.
     """
-    params = g.params
-    b = batch_size
-    tokens, hs, cs = _sample_tokens(params, b, g.rng, keep_states=True)
-    q_d, q_a = rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
-    aliased_rate = float((trie.match_batch(tokens) > 0).mean()) if trie is not None else 0.0
+    tokens, hs, cs = _sample_tokens(params, [g.rng for g in generators], batch_size,
+                                    keep_states=True)
+    q_d, q_a = rollout_penalties(params, generators, d, trie, cfg, tokens, hs, cs)
+    del hs, cs  # the k-fold BPTT cache below is the step's peak; keep it alone
+    aliased_rates = [float((trie.match_batch(toks) > 0).mean()) if trie is not None else 0.0
+                     for toks in tokens]
 
     _check_range("Q_D", q_d, 1.0)
     _check_range("Q_A", q_a, cfg.lam)
     q = q_d + cfg.alpha * q_a
     _check_range("Q_AD", q, 1.0 + cfg.alpha * cfg.lam)
 
-    inputs = np.concatenate(
-        [np.full((b, 1), BOS, dtype=tokens.dtype), tokens[:, :-1]], axis=1
-    )
-    logits, cache = lstm_forward(params, inputs)
-    dlogits = pg_logit_grad(softmax(logits), tokens, q)
+    bos = np.full(tokens.shape[:-1] + (1,), BOS, dtype=tokens.dtype)
+    logits, cache = lstm_forward(params, np.concatenate([bos, tokens[..., :-1]], axis=-1))
+    dlogits = pg_logit_grad(softmax(logits, out=logits), tokens, q)
+    del logits
     grads = lstm_backward(params, cache, dlogits)
     # the BPTT cache is most of what is live here; the update's temporaries
     # are each as large as w_gates, so free the cache before they exist
-    del logits, cache, dlogits
-    g.opt.update(params.tensors(), grads)
-    return {
-        "mean_q_d": float(q_d.mean()),
-        "mean_q_a": float(q_a.mean()),
-        "mean_q_ad": float(q.mean()),
-        "aliased_rate": aliased_rate,
-    }
+    del cache, dlogits
+    _update(params, generators, grads)
+    return [
+        {
+            "mean_q_d": float(q_d[j].mean()),
+            "mean_q_a": float(q_a[j].mean()),
+            "mean_q_ad": float(q[j].mean()),
+            "aliased_rate": aliased_rates[j],
+        }
+        for j in range(len(generators))
+    ]
 
 
 def discriminator_step(
@@ -324,21 +352,26 @@ def discriminator_step(
 
 
 def pretrain_generator(
-    g: GeneratorModel,
-    seed_tokens: np.ndarray,
+    params: LstmParams,
+    generators: list[GeneratorModel],
+    seed_tokens: list[np.ndarray],
     steps: int,
     batch_size: int,
-) -> list[float]:
-    """Teacher-forced MLE pretraining; returns the per-step NLL curve."""
-    if len(seed_tokens) == 0:
+) -> list[list[float]]:
+    """Teacher-forced MLE pretraining of every generator in the stack
+    params, in lockstep, generators[j] on seed_tokens[j]; returns each
+    generator's per-step NLL curve."""
+    if any(len(toks) == 0 for toks in seed_tokens):
         raise ValueError("cannot pretrain on an empty seed class")
-    curve = []
+    curves: list[list[float]] = [[] for _ in generators]
     for _ in range(steps):
-        idx = g.rng.integers(len(seed_tokens), size=batch_size)
-        nll, grads = lstm_nll_grads(g.params, seed_tokens[idx])
-        g.opt.update(g.params.tensors(), grads)
-        curve.append(nll)
-    return curve
+        batch = np.stack([toks[g.rng.integers(len(toks), size=batch_size)]
+                          for g, toks in zip(generators, seed_tokens)])
+        nll, grads = lstm_nll_grads(params, batch)
+        _update(params, generators, grads)
+        for curve, value in zip(curves, nll):
+            curve.append(float(value))
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +386,8 @@ def _fake_pool(generators: list[GeneratorModel], n: int) -> np.ndarray:
     parts = []
     for g, c in zip(generators, counts):
         if c > 0:
-            tokens, _, _ = _sample_tokens(g.params, c, g.rng)
-            parts.append(tokens)
+            tokens, _, _ = _sample_tokens(g.params[None], [g.rng], c)
+            parts.append(tokens[0])
     return np.concatenate(parts, axis=0)
 
 
@@ -374,7 +407,9 @@ def train_6gan(
 ) -> tuple[list[GeneratorModel], DiscriminatorModel, list[dict]]:
     """Pretrain k generators and the discriminator, then alternate
     g_steps policy-gradient updates per generator with d_steps
-    discriminator updates for the scheduled number of rounds.
+    discriminator updates for the scheduled number of rounds.  The k
+    generators take their pretraining and policy-gradient steps in
+    lockstep, with the values each would reach alone.
 
     on_round, when given, is called as on_round(round_index, generators,
     discriminator) after pretraining (index -1) and after every
@@ -382,6 +417,9 @@ def train_6gan(
     still leaves the last finite state on disk.  on_record, when given,
     is called with each log record as it is made, e.g. to stream the
     training log so a divergence still leaves the steps that led to it.
+    The generators' records of a lockstep phase (pretraining, or a
+    round's policy-gradient steps) are made when the phase ends, by
+    generator and then step.
     """
     k = corpus.k
     for cid in range(k):
@@ -394,11 +432,15 @@ def train_6gan(
 
     ss = np.random.SeedSequence(seed)
     streams = [s.spawn(2) for s in ss.spawn(k + 1)]  # (init, runtime) per model
+    # the generators train in lockstep on one stack; each one's params are
+    # views of its entry, so its optimiser and its checkpoint see its own
+    stack = LstmParams.stack([
+        LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim)
+        for i in range(k)
+    ])
     generators = [
         GeneratorModel(
-            params=LstmParams.init(
-                np.random.default_rng(streams[i][0]), embed_dim, hidden_dim
-            ),
+            params=stack[i],
             pattern_id=i,
             rng=np.random.default_rng(streams[i][1]),
             opt=RmsProp(lr=lr_gen),
@@ -421,8 +463,9 @@ def train_6gan(
         if on_record is not None:
             on_record(rec)
 
-    for i, g in enumerate(generators):
-        curve = pretrain_generator(g, class_tokens[i], schedule.g_pretrain, schedule.batch_size)
+    curves = pretrain_generator(stack, generators, class_tokens, schedule.g_pretrain,
+                                schedule.batch_size)
+    for i, curve in enumerate(curves):
         for step, nll in enumerate(curve):
             emit({"kind": "g_pretrain", "generator": i, "step": step, "nll": nll})
 
@@ -440,10 +483,11 @@ def train_6gan(
     if on_round is not None:
         on_round(-1, generators, disc)
     for rnd in range(schedule.adversarial_rounds):
-        for i, g in enumerate(generators):
-            for step in range(schedule.g_steps):
-                stats = generator_pg_step(g, disc, trie, cfg, schedule.batch_size)
-                emit({"kind": "g_step", "round": rnd, "generator": i, "step": step, **stats})
+        by_step = [generator_pg_step(stack, generators, disc, trie, cfg, schedule.batch_size)
+                   for _ in range(schedule.g_steps)]
+        for i in range(k):  # records by generator, then step
+            for step, stats in enumerate(by_step):
+                emit({"kind": "g_step", "round": rnd, "generator": i, "step": step, **stats[i]})
         for step in range(schedule.d_steps):
             loss = discriminator_step(disc, real_batches(), _fake_pool(generators, per_class))
             emit({"kind": "d_step", "round": rnd, "step": step, "loss": loss})
@@ -470,9 +514,9 @@ def generate_candidates(
     attempts = 0
     while len(out) < budget and attempts < 50 * budget:
         chunk = min(max(budget - len(out), 1), 4096)
-        tokens, _, _ = _sample_tokens(g.params, chunk, g.rng)
+        tokens, _, _ = _sample_tokens(g.params[None], [g.rng], chunk)
         attempts += chunk
-        for key in map(tuple, tokens.tolist()):
+        for key in map(tuple, tokens[0].tolist()):
             if key in seen or key in exclude:
                 continue
             seen.add(key)

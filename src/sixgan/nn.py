@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
+
 VOCAB = 16  # nybble values 0..15
 BOS = 16  # begin-of-sequence token
 N_TOKENS = VOCAB + 1
@@ -30,14 +32,16 @@ class DivergenceError(RuntimeError):
 
 
 def ensure_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DivergenceError(f"non-finite values in {name}")
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along axis; out=x computes it in place."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -76,7 +80,13 @@ class LstmParams:
     """Embedding, the four gate banks over [input + hidden], output projection.
 
     The gate banks are one fused matrix, columns in GATES order, so one
-    product gives every gate's pre-activation.
+    product gives every gate's pre-activation.  A stack of k generators
+    holds the same five tensors with a leading [k] axis, and every LSTM
+    function below takes one generator or a stack.  A stack runs its
+    generators in lockstep: each NumPy call covers all of them, while each
+    matrix product stays one BLAS call per generator on the shape that
+    generator alone would use, so every generator gets the bytes of its
+    own pass.
     """
 
     emb: np.ndarray  # [N_TOKENS, E]
@@ -87,11 +97,11 @@ class LstmParams:
 
     @property
     def embed_dim(self) -> int:
-        return self.emb.shape[1]
+        return self.emb.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_out.shape[0]
+        return self.w_out.shape[-2]
 
     @classmethod
     def init(cls, rng: np.random.Generator, embed_dim: int = 200, hidden_dim: int = 200) -> "LstmParams":
@@ -109,6 +119,17 @@ class LstmParams:
             b_out=np.zeros(VOCAB),
         )
 
+    @classmethod
+    def stack(cls, generators: list["LstmParams"]) -> "LstmParams":
+        """A [k, ...] stack holding copies of k generators' tensors."""
+        return cls(**{name: np.stack([p.tensors()[name] for p in generators])
+                      for name in generators[0].tensors()})
+
+    def __getitem__(self, idx) -> "LstmParams":
+        """Views of every tensor indexed by idx: entry i of a stack is
+        stack[i], and p[None] is p as a one-generator stack."""
+        return LstmParams(**{name: arr[idx] for name, arr in self.tensors().items()})
+
     def tensors(self) -> dict[str, np.ndarray]:
         return {"emb": self.emb, "w_gates": self.w_gates, "b_gates": self.b_gates,
                 "w_out": self.w_out, "b_out": self.b_out}
@@ -118,34 +139,36 @@ class LstmParams:
         return cls(**_float_tensors(t, ["emb", "w_gates", "b_gates", "w_out", "b_out"]))
 
 
+def _emb_rows(params: LstmParams, tokens: np.ndarray) -> np.ndarray:
+    """Rows of the [-1, E] embedding view that token ids [..., n] read.
+
+    The axes before n follow the stack's: generator j's ids are offset
+    to its own block of N_TOKENS rows.
+    """
+    lead = params.emb.shape[:-2]
+    return tokens + N_TOKENS * np.arange(math.prod(lead)).reshape(lead + (1,))
+
+
 def lstm_init_state(params: LstmParams, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    h = np.zeros((batch, params.hidden_dim))
+    h = np.zeros(params.w_out.shape[:-2] + (batch, params.hidden_dim))
     return h, h.copy()
 
 
-def _lstm_cell(
-    params: LstmParams,
-    tokens: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The gated update for a batch of token ids.
+def _lstm_cell(params: LstmParams, z: np.ndarray, c_prev: np.ndarray) -> dict[str, np.ndarray]:
+    """The gated update of rows z = [embedding, h_prev], [..., n, E+H].
 
-    Returns the next-nybble logits and every intermediate lstm_backward
-    needs, keyed as in lstm_forward's cache; "h" and "c" are the new state.
+    Returns the gates, keyed as in lstm_forward's cache, and the new
+    state "h" and "c".
     """
     hd = params.hidden_dim
-    z = np.concatenate([params.emb[tokens], h_prev], axis=1)
-    a = z @ params.w_gates + params.b_gates
-    ifo = sigmoid(a[:, :3 * hd])
-    i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
-    g = np.tanh(a[:, 3 * hd:])
+    a = z @ params.w_gates
+    a += params.b_gates[..., None, :]
+    ifo = sigmoid(a[..., :3 * hd])
+    i, f, o = ifo[..., :hd], ifo[..., hd:2 * hd], ifo[..., 2 * hd:]
+    g = np.tanh(a[..., 3 * hd:])
     c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    logits = h @ params.w_out + params.b_out
-    return logits, {"z": z, "i": i, "f": f, "o": o, "g": g,
-                    "c_prev": c_prev, "c": c, "tc": tc, "h": h}
+    h = o * np.tanh(c)
+    return {"i": i, "f": f, "o": o, "g": g, "c": c, "h": h}
 
 
 def lstm_step_batch(
@@ -156,53 +179,81 @@ def lstm_step_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One gated recurrent update for a batch of token ids.
 
-    Returns (h, c, logits, probs); probs is the next-nybble distribution.
+    h_prev and c_prev are [..., n, H]; tokens holds one id per row, in
+    the rows' order (for a stack, flattened generator-major).  Returns
+    (h, c, logits, probs); probs is the next-nybble distribution.
     """
-    logits, step = _lstm_cell(params, tokens, h_prev, c_prev)
+    e = params.embed_dim
+    rows = _emb_rows(params, tokens.reshape(h_prev.shape[:-1]))
+    z = np.concatenate([params.emb.reshape(-1, e)[rows], h_prev], axis=-1)
+    step = _lstm_cell(params, z, c_prev)
+    logits = step["h"] @ params.w_out + params.b_out[..., None, :]
     ensure_finite("lstm logits", logits)
     return step["h"], step["c"], logits, softmax(logits)
 
 
 def lstm_forward(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Unrolled forward over inputs [B, T] of token ids.
+    """Unrolled forward over inputs [..., B, T] of token ids.
 
-    Returns logits [B, T, VOCAB] and the cache needed by lstm_backward.
+    Returns logits [..., B, T, VOCAB] and the cache needed by
+    lstm_backward.  Every step's embedding rows are gathered at once into
+    the z buffer, and h @ w_out is one stacked product over the steps.
+    The cache is time-major: entry t of each of its arrays and lists is
+    step t.  It holds each state once (h only inside z) and c rather than
+    tanh(c), which the backward pass recomputes, so a stack's k-fold
+    cache stays small.
     """
-    b, t_len = inputs.shape
-    h, c = lstm_init_state(params, b)
-    logits = np.empty((b, t_len, VOCAB))
-    cache: dict = {"inputs": inputs}
-    for t in range(t_len):
-        logits[:, t], step = _lstm_cell(params, inputs[:, t], h, c)
-        for name, arr in step.items():
-            cache.setdefault(name, []).append(arr)
-        h, c = step["h"], step["c"]
+    check_tokens(inputs)  # an id past N_TOKENS would read the next generator's rows
+    e, hd = params.embed_dim, params.hidden_dim
+    by_pos = np.moveaxis(inputs, -1, 0)  # [T, ..., B]
+    # z[t] = [embedding of input t, h after step t-1]; z[T] holds the last h
+    z = np.zeros((len(by_pos) + 1,) + by_pos.shape[1:] + (e + hd,))
+    z[:-1, ..., :e] = params.emb.reshape(-1, e)[_emb_rows(params, by_pos)]
+    hs = z[1:, ..., e:]
+    c = np.zeros(hs.shape[1:])
+    cache: dict = {"inputs": inputs, "z": z, "h": hs,
+                   "i": [], "f": [], "o": [], "g": [], "c_prev": [], "c": []}
+    for t in range(len(hs)):
+        cache["c_prev"].append(c)
+        step = _lstm_cell(params, z[t], c)
+        for name in ("i", "f", "o", "g", "c"):
+            cache[name].append(step[name])
+        hs[t] = step["h"]
+        c = step["c"]
+    logits = np.empty(inputs.shape + (VOCAB,))
+    np.matmul(hs, params.w_out, out=np.moveaxis(logits, -2, 0))
+    logits += params.b_out[..., None, None, :]
     ensure_finite("lstm logits", logits)
     return logits, cache
 
 
 def lstm_backward(params: LstmParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagation through time; dlogits is [B, T, VOCAB].
+    """Backpropagation through time; dlogits is [..., B, T, VOCAB].
 
-    Returns gradients keyed like params.tensors().
+    Returns gradients keyed like params.tensors().  Each step's products
+    and its np.add.at into the embedding gradient stay inside the loop:
+    hoisted, each would hold a [T, ..., B, H] or [T, ..., B, E] buffer on
+    top of a stack's k-fold cache, for a saving of one NumPy call a step.
     """
-    inputs = cache["inputs"]
-    b, t_len = inputs.shape
     e, hd = params.embed_dim, params.hidden_dim
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    z, hs = cache["z"], cache["h"]
+    grads = {name: np.zeros(arr.shape) for name, arr in params.tensors().items()}
     w = params.w_gates
-    da = np.empty((b, 4 * hd))  # gate pre-activation grads, columns in GATES order
-    da_i, da_f, da_o, da_g = (da[:, k * hd:(k + 1) * hd] for k in range(4))
-    dh_next = np.zeros((b, hd))
-    dc_next = np.zeros((b, hd))
-    for t in range(t_len - 1, -1, -1):
-        z = cache["z"][t]
+    w_t = [np.swapaxes(w[..., k * hd:(k + 1) * hd], -1, -2) for k in range(4)]
+    w_out_t = np.swapaxes(params.w_out, -1, -2)
+    emb_grad = grads["emb"].reshape(-1, e)
+    rows = _emb_rows(params, np.moveaxis(cache["inputs"], -1, 0))
+    da = np.empty(hs.shape[1:-1] + (4 * hd,))  # gate pre-activation grads, GATES order
+    da_i, da_f, da_o, da_g = (da[..., k * hd:(k + 1) * hd] for k in range(4))
+    dh_next = np.zeros(hs.shape[1:])
+    dc_next = np.zeros_like(dh_next)
+    for t in range(len(hs) - 1, -1, -1):
         i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
-        c_prev, tc, h = cache["c_prev"][t], cache["tc"][t], cache["h"][t]
-        dl = dlogits[:, t]
-        grads["w_out"] += h.T @ dl
-        grads["b_out"] += dl.sum(axis=0)
-        dh = dl @ params.w_out.T + dh_next
+        c_prev, tc = cache["c_prev"][t], np.tanh(cache["c"][t])
+        dl = dlogits[..., t, :]
+        grads["w_out"] += np.swapaxes(hs[t], -1, -2) @ dl
+        grads["b_out"] += dl.sum(axis=-2)
+        dh = dl @ w_out_t + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
         di = dc * g
@@ -213,44 +264,39 @@ def lstm_backward(params: LstmParams, cache: dict, dlogits: np.ndarray) -> dict[
         da_f[...] = df * f * (1.0 - f)
         da_o[...] = do * o * (1.0 - o)
         da_g[...] = dg * (1.0 - g * g)
-        grads["w_gates"] += z.T @ da
-        grads["b_gates"] += da.sum(axis=0)
+        grads["w_gates"] += np.swapaxes(z[t], -1, -2) @ da
+        grads["b_gates"] += da.sum(axis=-2)
         # four products, not da @ w_gates.T: that sums in another order
-        dz = (da_i @ w[:, :hd].T + da_f @ w[:, hd:2 * hd].T
-              + da_o @ w[:, 2 * hd:3 * hd].T + da_g @ w[:, 3 * hd:].T)
-        np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
-        dh_next = dz[:, e:]
+        dz = da_i @ w_t[0] + da_f @ w_t[1] + da_o @ w_t[2] + da_g @ w_t[3]
+        np.add.at(emb_grad, rows[t], dz[..., :e])
+        dh_next = dz[..., e:]
     for name, arr in grads.items():
         ensure_finite(f"lstm grad {name}", arr)
     return grads
 
 
-def lstm_nll(params: LstmParams, sequences: np.ndarray) -> tuple[float, dict, np.ndarray]:
+def lstm_nll(params: LstmParams, sequences: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
     """Teacher-forced mean negative log-likelihood of nybble sequences.
 
-    sequences is [B, T] of values 0..15; the input at step t is the previous
-    value (BOS at t=0).  Returns (nll, cache, probs) where probs is
-    [B, T, VOCAB].
+    sequences is [..., B, T] of values 0..15; the input at step t is the
+    previous value (BOS at t=0).  Returns (nll, cache, probs), where nll
+    has one mean per generator (a scalar for one generator) and probs is
+    [..., B, T, VOCAB].
     """
-    b, t_len = sequences.shape
-    inputs = np.concatenate(
-        [np.full((b, 1), BOS, dtype=sequences.dtype), sequences[:, :-1]], axis=1
-    )
+    bos = np.full(sequences.shape[:-1] + (1,), BOS, dtype=sequences.dtype)
+    inputs = np.concatenate([bos, sequences[..., :-1]], axis=-1)
     logits, cache = lstm_forward(params, inputs)
-    probs = softmax(logits)
-    picked = np.take_along_axis(probs, sequences[..., None], axis=2)[..., 0]
-    nll = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    probs = softmax(logits, out=logits)
+    picked = np.take_along_axis(probs, sequences[..., None], axis=-1)[..., 0]
+    nll = -np.mean(np.log(np.maximum(picked, 1e-300)), axis=(-2, -1))
     return nll, cache, probs
 
 
-def lstm_nll_grads(params: LstmParams, sequences: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+def lstm_nll_grads(params: LstmParams, sequences: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """NLL loss and its analytic gradients in one pass."""
-    b, t_len = sequences.shape
-    nll, cache, probs = lstm_nll(params, sequences)
-    dlogits = probs.copy()
-    rows = np.arange(b)[:, None]
-    cols = np.arange(t_len)[None, :]
-    dlogits[rows, cols, sequences] -= 1.0
+    b, t_len = sequences.shape[-2:]
+    nll, cache, dlogits = lstm_nll(params, sequences)
+    dlogits -= np.arange(VOCAB) == sequences[..., None]  # p - 1 at the picked value
     dlogits /= b * t_len
     return nll, lstm_backward(params, cache, dlogits)
 
@@ -582,30 +628,22 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
     Layout: magic, version u32, count u32, then per tensor sorted by name:
     name (u16 length + utf-8), ndim u32, dims u64 each, float64
-    little-endian values in C order.  The bytes go to a temporary file in
-    the same directory, which then replaces path, so a write that fails or
-    is killed part-way leaves the previous file at path intact.
+    little-endian values in C order.  The write is atomic (atomic_write),
+    so one that fails or is killed part-way leaves the previous file at
+    path intact.
     """
-    head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(arr.tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(arr.tobytes(order="C"))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

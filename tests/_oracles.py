@@ -38,8 +38,25 @@ from collections import Counter
 import numpy as np
 
 from sixgan.addr import AddressParseError, NybbleSeq
-from sixgan.gan import _sample_tokens
-from sixgan.nn import BOS, KERNEL_SIZES, SEQ_LEN, lstm_init_state, lstm_step_batch
+from sixgan.gan import (
+    DiscriminatorModel,
+    GeneratorModel,
+    _alias_contrib,
+    _check_range,
+    _sample_tokens,
+    discriminator_step,
+)
+from sixgan.nn import (
+    BOS,
+    KERNEL_SIZES,
+    SEQ_LEN,
+    CnnParams,
+    LstmParams,
+    RmsProp,
+    ensure_finite,
+    sigmoid,
+    softmax,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +542,7 @@ def per_gate_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
     for t in range(t_len - 1, -1, -1):
         z = cache["z"][t]
         i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
-        c_prev, tc, h = cache["c_prev"][t], cache["tc"][t], cache["h"][t]
+        c_prev, tc, h = cache["c_prev"][t], np.tanh(cache["c"][t]), cache["h"][t]
         dl = dlogits[:, t]
         grads["w_out"] += h.T @ dl
         grads["b_out"] += dl.sum(axis=0)
@@ -546,6 +563,244 @@ def per_gate_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
         np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
         dh_next = dz[:, e:]
     return grads
+
+
+# ---------------------------------------------------------------------------
+# Single-generator LSTM and training references
+# ---------------------------------------------------------------------------
+# The library runs its k generators in lockstep on one [k, ...] parameter
+# stack, gathers every step's embedding rows at once, makes h @ w_out and
+# dl @ w_out.T one stacked product over the steps and adds the embedding
+# gradient with one np.add.at.  These are its earlier forms, one generator
+# at a time: per-step gathers and output products, one np.add.at per step,
+# and a training loop that finishes generator 0's steps before generator
+# 1's.  Each lockstep product is the same BLAS call on the same shape, per
+# generator and step, and every elementwise expression keeps its operand
+# order, so the two must agree bit for bit.
+
+
+def single_lstm_cell(params, tokens, h_prev, c_prev):
+    """(logits, step) of one step; step holds the cache entries and the new state."""
+    hd = params.hidden_dim
+    z = np.concatenate([params.emb[tokens], h_prev], axis=1)
+    a = z @ params.w_gates + params.b_gates
+    ifo = sigmoid(a[:, :3 * hd])
+    i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
+    g = np.tanh(a[:, 3 * hd:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    logits = h @ params.w_out + params.b_out
+    return logits, {"z": z, "i": i, "f": f, "o": o, "g": g,
+                    "c_prev": c_prev, "c": c, "tc": tc, "h": h}
+
+
+def single_lstm_step(params, h_prev, c_prev, tokens):
+    """(h, c, logits, probs) of one step for a batch of token ids."""
+    logits, step = single_lstm_cell(params, tokens, h_prev, c_prev)
+    ensure_finite("lstm logits", logits)
+    return step["h"], step["c"], logits, softmax(logits)
+
+
+def single_lstm_forward(params, inputs):
+    """Logits [B, T, VOCAB] and the per-step cache lists of inputs [B, T]."""
+    b, t_len = inputs.shape
+    h = np.zeros((b, params.hidden_dim))
+    c = h.copy()
+    logits = np.empty((b, t_len, 16))
+    cache: dict = {"inputs": inputs}
+    for t in range(t_len):
+        logits[:, t], step = single_lstm_cell(params, inputs[:, t], h, c)
+        for name, arr in step.items():
+            cache.setdefault(name, []).append(arr)
+        h, c = step["h"], step["c"]
+    ensure_finite("lstm logits", logits)
+    return logits, cache
+
+
+def single_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
+    """Backpropagation through time, one step's products at a time."""
+    inputs = cache["inputs"]
+    b, t_len = inputs.shape
+    e, hd = params.embed_dim, params.hidden_dim
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    w = params.w_gates
+    da = np.empty((b, 4 * hd))
+    da_i, da_f, da_o, da_g = (da[:, k * hd:(k + 1) * hd] for k in range(4))
+    dh_next = np.zeros((b, hd))
+    dc_next = np.zeros((b, hd))
+    for t in range(t_len - 1, -1, -1):
+        z = cache["z"][t]
+        i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
+        c_prev, tc, h = cache["c_prev"][t], cache["tc"][t], cache["h"][t]
+        dl = dlogits[:, t]
+        grads["w_out"] += h.T @ dl
+        grads["b_out"] += dl.sum(axis=0)
+        dh = dl @ params.w_out.T + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        da_i[...] = di * i * (1.0 - i)
+        da_f[...] = df * f * (1.0 - f)
+        da_o[...] = do * o * (1.0 - o)
+        da_g[...] = dg * (1.0 - g * g)
+        grads["w_gates"] += z.T @ da
+        grads["b_gates"] += da.sum(axis=0)
+        dz = (da_i @ w[:, :hd].T + da_f @ w[:, hd:2 * hd].T
+              + da_o @ w[:, 2 * hd:3 * hd].T + da_g @ w[:, 3 * hd:].T)
+        np.add.at(grads["emb"], inputs[:, t], dz[:, :e])
+        dh_next = dz[:, e:]
+    for name, arr in grads.items():
+        ensure_finite(f"lstm grad {name}", arr)
+    return grads
+
+
+def _bos_inputs(sequences):
+    return np.concatenate(
+        [np.full((len(sequences), 1), BOS, dtype=sequences.dtype), sequences[:, :-1]], axis=1
+    )
+
+
+def single_lstm_nll_grads(params, sequences):
+    """Teacher-forced mean NLL of sequences [B, T] and its gradients."""
+    b, t_len = sequences.shape
+    logits, cache = single_lstm_forward(params, _bos_inputs(sequences))
+    probs = softmax(logits)
+    picked = np.take_along_axis(probs, sequences[..., None], axis=2)[..., 0]
+    nll = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    dlogits = probs.copy()
+    dlogits[np.arange(b)[:, None], np.arange(t_len)[None, :], sequences] -= 1.0
+    dlogits /= b * t_len
+    return nll, single_lstm_backward(params, cache, dlogits)
+
+
+def single_continue_tokens(params, h, c, prev, steps, rng, keep_states=False):
+    """[n, steps] tokens drawn one step at a time from state (h, c)."""
+    out = np.empty((prev.shape[0], steps), dtype=np.int64)
+    hs, cs = [], []
+    for t in range(steps):
+        h, c, _, probs = single_lstm_step(params, h, c, prev)
+        cdf = probs.cumsum(axis=1)
+        u = rng.random(probs.shape[0])
+        prev = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+        out[:, t] = prev
+        if keep_states:
+            hs.append(h)
+            cs.append(c)
+    return out, hs, cs
+
+
+def single_sample_tokens(params, n, rng, keep_states=False):
+    """[n, 32] tokens sampled from BOS."""
+    h = np.zeros((n, params.hidden_dim))
+    prev = np.full(n, BOS, dtype=np.int64)
+    return single_continue_tokens(params, h, h.copy(), prev, SEQ_LEN, rng, keep_states)
+
+
+def single_rollout_penalties(g, d, trie, cfg, tokens, hs, cs):
+    """(Q_D, Q_A), each [B, SEQ_LEN], of one generator's sampled batch."""
+    b, n_roll = tokens.shape[0], cfg.rollouts
+    q_d = np.empty((b, SEQ_LEN))
+    q_a = np.zeros((b, SEQ_LEN))
+    score = d.rollout_scorer(tokens)
+    for t in range(1, SEQ_LEN + 1):
+        if t < SEQ_LEN:
+            n = n_roll
+            h_rep = np.repeat(hs[t - 1], n, axis=0)
+            c_rep = np.repeat(cs[t - 1], n, axis=0)
+            prev = np.repeat(tokens[:, t - 1], n)
+            tails, _, _ = single_continue_tokens(g.params, h_rep, c_rep, prev, SEQ_LEN - t, g.rng)
+            full = np.concatenate([np.repeat(tokens[:, :t], n, axis=0), tails], axis=1)
+        else:
+            n, full = 1, tokens
+        probs = score(t, full)
+        q_d[:, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, n).mean(axis=1)
+        if trie is not None:
+            contrib = _alias_contrib(trie.match_batch(full), t, cfg.lam)
+            q_a[:, t - 1] = contrib.reshape(b, n).mean(axis=1)
+    return q_d, q_a
+
+
+def single_generator_pg_step(g, d, trie, cfg, batch_size: int) -> dict:
+    """One REINFORCE update of one generator."""
+    b = batch_size
+    tokens, hs, cs = single_sample_tokens(g.params, b, g.rng, keep_states=True)
+    q_d, q_a = single_rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
+    aliased_rate = float((trie.match_batch(tokens) > 0).mean()) if trie is not None else 0.0
+    _check_range("Q_D", q_d, 1.0)
+    _check_range("Q_A", q_a, cfg.lam)
+    q = q_d + cfg.alpha * q_a
+    _check_range("Q_AD", q, 1.0 + cfg.alpha * cfg.lam)
+    logits, cache = single_lstm_forward(g.params, _bos_inputs(tokens))
+    dlogits = -q[:, :, None] * softmax(logits)
+    dlogits[np.arange(b)[:, None], np.arange(SEQ_LEN)[None, :], tokens] += q
+    g.opt.update(g.params.tensors(), single_lstm_backward(g.params, cache, dlogits / b))
+    return {
+        "mean_q_d": float(q_d.mean()),
+        "mean_q_a": float(q_a.mean()),
+        "mean_q_ad": float(q.mean()),
+        "aliased_rate": aliased_rate,
+    }
+
+
+def single_pretrain_generator(g, seed_tokens, steps: int, batch_size: int) -> list:
+    """Teacher-forced MLE pretraining of one generator; its NLL curve."""
+    curve = []
+    for _ in range(steps):
+        idx = g.rng.integers(len(seed_tokens), size=batch_size)
+        nll, grads = single_lstm_nll_grads(g.params, seed_tokens[idx])
+        g.opt.update(g.params.tensors(), grads)
+        curve.append(nll)
+    return curve
+
+
+def sequential_train_6gan(corpus, trie, cfg, schedule, seed, embed_dim=200, hidden_dim=200,
+                          n_filters=32, lr_gen=1e-3, lr_disc=1e-4):
+    """(generators, discriminator, records) of train_6gan, with every
+    generator trained alone: all of generator 0's pretraining steps, then
+    generator 1's, and likewise for each round's policy-gradient steps."""
+    k = corpus.k
+    class_tokens = [np.array([s.nybbles for s in corpus.class_seeds(cid)], dtype=np.int64)
+                    for cid in range(k)]
+    streams = [s.spawn(2) for s in np.random.SeedSequence(seed).spawn(k + 1)]
+    gens = [GeneratorModel(
+        params=LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim),
+        pattern_id=i, rng=np.random.default_rng(streams[i][1]), opt=RmsProp(lr=lr_gen),
+    ) for i in range(k)]
+    d_rng = np.random.default_rng(streams[k][1])
+    disc = DiscriminatorModel(
+        params=CnnParams.init(np.random.default_rng(streams[k][0]), k + 1, embed_dim, n_filters),
+        k=k, opt=RmsProp(lr=lr_disc),
+    )
+    records = []
+    for i, g in enumerate(gens):
+        curve = single_pretrain_generator(g, class_tokens[i], schedule.g_pretrain,
+                                          schedule.batch_size)
+        records += [{"kind": "g_pretrain", "generator": i, "step": step, "nll": nll}
+                    for step, nll in enumerate(curve)]
+    per_class = max(1, schedule.batch_size // (k + 1))
+
+    def d_step():
+        real = [toks[d_rng.integers(len(toks), size=per_class)] for toks in class_tokens]
+        counts = [per_class // k + (1 if i < per_class % k else 0) for i in range(k)]
+        fakes = np.concatenate([single_sample_tokens(g.params, c, g.rng)[0]
+                                for g, c in zip(gens, counts) if c > 0])
+        return discriminator_step(disc, real, fakes)
+
+    for step in range(schedule.d_pretrain):
+        records.append({"kind": "d_pretrain", "step": step, "loss": d_step()})
+    for rnd in range(schedule.adversarial_rounds):
+        for i, g in enumerate(gens):
+            for step in range(schedule.g_steps):
+                stats = single_generator_pg_step(g, disc, trie, cfg, schedule.batch_size)
+                records.append({"kind": "g_step", "round": rnd, "generator": i, "step": step,
+                                **stats})
+        for step in range(schedule.d_steps):
+            records.append({"kind": "d_step", "round": rnd, "step": step, "loss": d_step()})
+    return gens, disc, records
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +862,8 @@ def sample_sequences(g, n: int) -> list:
     """n addresses sampled from the generator's current policy."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tokens, _, _ = _sample_tokens(g.params, n, g.rng)
-    return [NybbleSeq(tuple(int(v) for v in row)) for row in tokens]
+    tokens, _, _ = _sample_tokens(g.params[None], [g.rng], n)
+    return [NybbleSeq(tuple(int(v) for v in row)) for row in tokens[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -705,14 +960,15 @@ def mc_rollout(g, partial: tuple, n: int) -> list:
         raise ValueError(f"partial length must be in [1, {SEQ_LEN}], got {t}")
     if t == SEQ_LEN:
         return [NybbleSeq(tuple(partial))] * n
-    h, c = lstm_init_state(g.params, n)
+    h = np.zeros((n, g.params.hidden_dim))
+    c = h.copy()
     prev = np.full(n, BOS, dtype=np.int64)
     for v in partial:
-        h, c, _, _ = lstm_step_batch(g.params, h, c, prev)
+        h, c, _, _ = single_lstm_step(g.params, h, c, prev)
         prev = np.full(n, v, dtype=np.int64)
     tails = []
     for _ in range(SEQ_LEN - t):
-        h, c, _, probs = lstm_step_batch(g.params, h, c, prev)
+        h, c, _, probs = single_lstm_step(g.params, h, c, prev)
         cdf = probs.cumsum(axis=1)
         u = g.rng.random(n)
         prev = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)

@@ -268,6 +268,76 @@ class TestOverrides:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+    @pytest.mark.parametrize("command, env, raw, flags, key, bound", [
+        ("synth", "SIXGAN_N_SEEDS", "-5", [], "n_seeds", ">= 1, got -5"),
+        ("synth", "SIXGAN_N_SEEDS", "0", [], "n_seeds", ">= 1, got 0"),
+        ("generate", "SIXGAN_BUDGET", "-1", [], "budget", ">= 0, got -1"),
+        ("generate", None, None, ["--budget", "-3"], "budget", ">= 0, got -3"),
+        ("classify", None, None, ["--method", "entropy", "--k", "0"], "k", ">= 1, got 0"),
+        ("classify", "SIXGAN_K", "-2", [], "k", ">= 1, got -2"),
+        ("classify", "SIXGAN_MIN_GROUP", "-1", [], "min_group", ">= 1, got -1"),
+        ("classify", "SIXGAN_MIN_GROUP", "0", [], "min_group", ">= 1, got 0"),
+        ("classify", "SIXGAN_FP_PREFIX_LEN", "0", [], "fp_prefix_len", "in [1, 32], got 0"),
+        ("classify", "SIXGAN_FP_PREFIX_LEN", "33", [], "fp_prefix_len", "in [1, 32], got 33"),
+    ])
+    def test_out_of_range_value_names_key(self, pipeline, tmp_path, monkeypatch, capsys,
+                                          command, env, raw, flags, key, bound):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = write_json(tmp_path / "config.json", tiny_config(str(out)))
+        spec = ["--spec", pipeline["spec"]] if command == "synth" else []
+        if env:
+            monkeypatch.setenv(env, raw)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out), *spec, *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: config key {key} must be {bound}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("key, value", [("n_seeds", 1), ("budget", 0), ("k", 1),
+                                            ("min_group", 1), ("fp_prefix_len", 1),
+                                            ("fp_prefix_len", 32)])
+    def test_range_limits_are_inclusive(self, tmp_path, key, value):
+        cfg = write_json(tmp_path / "config.json", {key: value})
+        args = cli.build_parser().parse_args(["synth", "--config", cfg])
+        assert cli.resolve_config(args, environ={})[key] == value
+
+    def test_string_key_takes_raw_environment_value(self, pipeline, tmp_path, monkeypatch):
+        # "123" is valid JSON, but a file key is a string: the file named 123
+        shutil.copy(pipeline["out"] / "seeds.txt", tmp_path / "123")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SIXGAN_SEEDS_FILE", "123")
+        monkeypatch.setenv("SIXGAN_OUT_DIR", "007")
+        assert main(["classify"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "007" / "manifest_classify.json").read_text())
+        assert manifest["config"]["seeds_file"] == "123"
+        assert manifest["config"]["out_dir"] == "007"
+        assert manifest["inputs"] == {"123": cli._sha256(str(tmp_path / "123"))}
+
+    def test_manifest_write_failing_part_way_keeps_previous(self, tmp_path, monkeypatch):
+        spec = write_json(tmp_path / "spec.json", UNIVERSE)
+        args = ["synth", "--spec", spec, "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_OK
+        manifest = tmp_path / "out" / "manifest_synth.json"
+        before = manifest.read_bytes()
+
+        real_dump = json.dump
+
+        def dump_half(doc, fh, **kwargs):  # fails only on the manifest, part-way
+            if "command" not in doc:
+                return real_dump(doc, fh, **kwargs)
+            fh.write(json.dumps(doc, **kwargs)[:40])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", dump_half)
+        with pytest.raises(OSError, match="disk full"):
+            main([*args, "--seed", "1"])
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in manifest.parent.iterdir()) == [
+            "aliased_prefixes.txt", "manifest_synth.json", "seeds.txt", "universe.json"]
+
+
 class TestDefaults:
     def test_nn_defaults_are_train_6gan_defaults(self):
         params = inspect.signature(train_6gan).parameters

@@ -15,6 +15,11 @@ from _oracles import (
     reward_alias,
     reward_discriminator,
     sample_sequences,
+    sequential_train_6gan,
+    single_generator_pg_step,
+    single_pretrain_generator,
+    single_rollout_penalties,
+    single_sample_tokens,
 )
 from sixgan import nn
 from sixgan.addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
@@ -59,6 +64,16 @@ def make_generator(seed=0, embed=10, hidden=12, pattern_id=0, lr=1e-3):
         rng=np.random.default_rng(rng_run),
         opt=RmsProp(lr=lr),
     )
+
+
+def solo(g):
+    """g as a one-generator stack: (stack view of its params, [g])."""
+    return g.params[None], [g]
+
+
+def solo_rngs(g):
+    """g's stack view and its rng, as _sample_tokens takes them."""
+    return g.params[None], [g.rng]
 
 
 def make_discriminator(seed=0, k=1, embed=8, filters=2, lr=1e-4):
@@ -152,7 +167,7 @@ class TestSampling:
     def test_pretrained_constant_prefix_reproduced(self):
         g = make_generator(seed=4, embed=16, hidden=24, lr=2e-2)
         tokens = constant_prefix_tokens(128, np.random.default_rng(5))
-        pretrain_generator(g, tokens, steps=200, batch_size=32)
+        pretrain_generator(*solo(g), [tokens], steps=200, batch_size=32)
         seqs = sample_sequences(g, 200)
         hits = sum(1 for s in seqs if s.nybbles[:8] == PREFIX_A)
         assert hits >= 180
@@ -249,18 +264,18 @@ class TestRolloutPenalties:
     def test_batch_of_one_matches_scalar_reference(self):
         # pretrained toward PREFIX_A, so rollouts fall under the aliased prefix
         g = make_generator(seed=40, embed=16, hidden=24, lr=2e-2)
-        pretrain_generator(g, constant_prefix_tokens(128, np.random.default_rng(41)),
+        pretrain_generator(*solo(g), [constant_prefix_tokens(128, np.random.default_rng(41))],
                            steps=200, batch_size=32)
         d = make_discriminator(seed=42, k=1)
         trie = AliasTrie([NybblePrefix(PREFIX_A)])
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=5)
         ref = copy.deepcopy(g)  # same weights, same RNG state
 
-        tokens, hs, cs = _sample_tokens(g.params, 1, g.rng, keep_states=True)
-        q_d, q_a = rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
+        tokens, hs, cs = _sample_tokens(*solo_rngs(g), 1, keep_states=True)
+        (q_d,), (q_a,) = rollout_penalties(*solo(g), d, trie, cfg, tokens, hs, cs)
 
         seq = sample_sequences(ref, 1)[0].nybbles
-        assert seq == tuple(tokens[0].tolist())
+        assert seq == tuple(tokens[0, 0].tolist())
         want_d, want_a = [], []
         for t in range(1, 33):
             rollouts = mc_rollout(ref, seq[:t], cfg.rollouts)
@@ -276,8 +291,9 @@ class TestRolloutPenalties:
     def test_no_trie_means_no_alias_penalty(self):
         g = make_generator(seed=44)
         d = make_discriminator(seed=45, k=1)
-        tokens, hs, cs = _sample_tokens(g.params, 3, g.rng, keep_states=True)
-        q_d, q_a = rollout_penalties(g, d, None, RewardConfig(rollouts=2), tokens, hs, cs)
+        tokens, hs, cs = _sample_tokens(*solo_rngs(g), 3, keep_states=True)
+        (q_d,), (q_a,) = rollout_penalties(*solo(g), d, None, RewardConfig(rollouts=2),
+                                           tokens, hs, cs)
         assert q_d.shape == q_a.shape == (3, 32)
         assert not q_a.any()
         assert ((q_d >= 0.0) & (q_d <= 1.0)).all()
@@ -319,9 +335,10 @@ class TestIncrementalRolloutScoring:
         d = biased_discriminator(embed, filters)
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(rollouts=3)
-        got = rollout_penalties(g, d, trie, cfg, *_sample_tokens(g.params, 4, g.rng, keep_states=True))
-        want = rollout_penalties(ref, FullPassScores(d), trie, cfg,
-                                 *_sample_tokens(ref.params, 4, ref.rng, keep_states=True))
+        got = rollout_penalties(*solo(g), d, trie, cfg,
+                                *_sample_tokens(*solo_rngs(g), 4, keep_states=True))
+        want = rollout_penalties(*solo(ref), FullPassScores(d), trie, cfg,
+                                 *_sample_tokens(*solo_rngs(ref), 4, keep_states=True))
         assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
 
     @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
@@ -331,8 +348,8 @@ class TestIncrementalRolloutScoring:
         d = biased_discriminator(embed, filters, seed=1)
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(rollouts=3)
-        stats = generator_pg_step(g, d, trie, cfg, batch_size=4)
-        assert stats == generator_pg_step(ref, FullPassScores(d), trie, cfg, batch_size=4)
+        stats = generator_pg_step(*solo(g), d, trie, cfg, batch_size=4)
+        assert stats == generator_pg_step(*solo(ref), FullPassScores(d), trie, cfg, batch_size=4)
         for name, t in g.params.tensors().items():
             assert t.tobytes() == ref.params.tensors()[name].tobytes(), name
             assert g.opt.acc[name].tobytes() == ref.opt.acc[name].tobytes(), name
@@ -420,14 +437,14 @@ class TestPenaltyBoundChecks:
         g = make_generator(seed=46)
         stub = StubScores([[1.5, -0.5]] * (4 * 3))
         with pytest.raises(RuntimeError, match="Q_D out of range") as info:
-            generator_pg_step(g, stub, None, RewardConfig(rollouts=3), batch_size=4)
+            generator_pg_step(*solo(g), stub, None, RewardConfig(rollouts=3), batch_size=4)
         assert not isinstance(info.value, DivergenceError)
 
     def test_non_finite_penalty_is_divergence(self):
         g = make_generator(seed=47)
         stub = StubScores([[np.nan, 0.5]] * (4 * 3))
         with pytest.raises(DivergenceError, match="Q_D"):
-            generator_pg_step(g, stub, None, RewardConfig(rollouts=3), batch_size=4)
+            generator_pg_step(*solo(g), stub, None, RewardConfig(rollouts=3), batch_size=4)
 
 
 class TestPolicyGradient:
@@ -449,7 +466,7 @@ class TestPolicyGradient:
         d.params.out_b[...] = 0.0
         d.params.out_b[0] = 1000.0  # D^0 is exactly 1 on every input
         before = {k: v.copy() for k, v in g.params.tensors().items()}
-        stats = generator_pg_step(g, d, None, RewardConfig(rollouts=2), batch_size=8)
+        (stats,) = generator_pg_step(*solo(g), d, None, RewardConfig(rollouts=2), batch_size=8)
         assert stats["mean_q_d"] == 0.0
         assert stats["mean_q_ad"] == 0.0
         for name, t in g.params.tensors().items():
@@ -460,7 +477,7 @@ class TestPolicyGradient:
         d = make_discriminator(seed=17, k=1)
         det = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=3)
-        stats = generator_pg_step(g, d, det, cfg, batch_size=4)
+        (stats,) = generator_pg_step(*solo(g), d, det, cfg, batch_size=4)
         assert 0.0 <= stats["mean_q_d"] <= 1.0
         assert 0.0 <= stats["mean_q_a"] <= 10.0
         assert 0.0 <= stats["mean_q_ad"] <= 1.0 + 0.9 * 10.0
@@ -490,8 +507,8 @@ class TestPretrain:
     def test_zero_steps_no_change(self):
         g = make_generator(seed=19)
         before = {k: v.copy() for k, v in g.params.tensors().items()}
-        curve = pretrain_generator(g, constant_prefix_tokens(8, np.random.default_rng(0)),
-                                   steps=0, batch_size=4)
+        (curve,) = pretrain_generator(*solo(g), [constant_prefix_tokens(8, np.random.default_rng(0))],
+                                      steps=0, batch_size=4)
         assert curve == []
         for name, t in g.params.tensors().items():
             assert np.array_equal(t, before[name])
@@ -499,20 +516,20 @@ class TestPretrain:
     def test_nll_decreases(self):
         g = make_generator(seed=20, embed=16, hidden=20)
         tokens = constant_prefix_tokens(64, np.random.default_rng(21))
-        curve = pretrain_generator(g, tokens, steps=60, batch_size=32)
+        (curve,) = pretrain_generator(*solo(g), [tokens], steps=60, batch_size=32)
         assert curve[-1] < curve[0]
 
     def test_constant_corpus_nll_collapses(self):
         g = make_generator(seed=22, embed=16, hidden=20, lr=2e-2)
         one = np.tile(np.array(PREFIX_A * 4), (32, 1))
-        pretrain_generator(g, one, steps=200, batch_size=16)
+        pretrain_generator(*solo(g), [one], steps=200, batch_size=16)
         nll, _, _ = lstm_nll(g.params, one[:1])
         assert nll < 0.01
 
     def test_empty_class_rejected(self):
         g = make_generator(seed=23)
         with pytest.raises(ValueError):
-            pretrain_generator(g, np.zeros((0, 32), dtype=np.int64), 5, 4)
+            pretrain_generator(*solo(g), [np.zeros((0, 32), dtype=np.int64)], 5, 4)
 
 
 class TestClassProbs:
@@ -664,17 +681,152 @@ class TestGenerateCandidates:
     def test_rows_in_sampling_order(self):
         g = make_generator(seed=33)
         rng = copy.deepcopy(g.rng)
-        tokens, _, _ = _sample_tokens(g.params, 40, rng)
-        rows = [tuple(int(v) for v in row) for row in tokens]
+        tokens, _, _ = _sample_tokens(g.params[None], [rng], 40)
+        rows = [tuple(int(v) for v in row) for row in tokens[0]]
         assert len(set(rows)) == 40
         assert [s.nybbles for s in generate_candidates(g, 40)] == rows
 
     def test_shortfall_warns(self, caplog):
         g = make_generator(seed=32, embed=16, hidden=20, lr=2e-2)
         one = np.tile(np.array(PREFIX_A * 4), (32, 1))
-        pretrain_generator(g, one, steps=200, batch_size=16)
+        pretrain_generator(*solo(g), [one], steps=200, batch_size=16)
         only = generate_candidates(g, 1)[0]
         with caplog.at_level(logging.WARNING, logger="sixgan.gan"):
             out = generate_candidates(g, 3, exclude={only.nybbles})
         assert len(out) < 3
         assert any("unique candidates" in r.message for r in caplog.records)
+
+
+# (generators k, batch rows B, embedding width E, hidden width H)
+LOCKSTEP_SIZES = [(1, 4, 5, 7), (2, 1, 5, 7), (3, 1, 5, 7), (3, 4, 24, 24), (2, 2, 200, 200)]
+
+
+def lockstep_generators(k, embed, hidden, seed=0):
+    """(stack, generators, references): k generators with nonzero biases
+    whose params are views of one stack, and deep copies of them made
+    before stacking, for the single-generator references."""
+    gens = [make_generator(seed=seed + j, embed=embed, hidden=hidden, pattern_id=j, lr=1e-2)
+            for j in range(k)]
+    for j, g in enumerate(gens):
+        rng = np.random.default_rng(seed + 50 + j)
+        g.params.b_gates[...] = rng.normal(size=g.params.b_gates.shape)
+        g.params.b_out[...] = rng.normal(size=g.params.b_out.shape)
+    refs = copy.deepcopy(gens)
+    stack = LstmParams.stack([g.params for g in gens])
+    for j, g in enumerate(gens):
+        g.params = stack[j]
+    return stack, gens, refs
+
+
+def assert_same_generators(gens, refs):
+    for g, ref in zip(gens, refs):
+        for name, t in ref.params.tensors().items():
+            assert g.params.tensors()[name].tobytes() == t.tobytes(), (g.pattern_id, name)
+        assert sorted(g.opt.acc) == sorted(ref.opt.acc)
+        for name, acc in ref.opt.acc.items():
+            assert g.opt.acc[name].tobytes() == acc.tobytes(), (g.pattern_id, name)
+        assert g.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+class TestLockstep:
+    """k generators stepped in lockstep reach the bytes each one reaches
+    alone, through the single-generator references."""
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
+    def test_pretraining_matches_sequential(self, k, b, e, h):
+        stack, gens, refs = lockstep_generators(k, e, h)
+        seeds = [constant_prefix_tokens(20 + j, np.random.default_rng(j)) for j in range(k)]
+        curves = pretrain_generator(stack, gens, seeds, steps=3, batch_size=b)
+        for j, ref in enumerate(refs):
+            assert curves[j] == single_pretrain_generator(ref, seeds[j], 3, b)
+        assert_same_generators(gens, refs)
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
+    def test_sampling_matches_sequential(self, k, b, e, h):
+        stack, gens, refs = lockstep_generators(k, e, h, seed=10)
+        tokens, hs, cs = _sample_tokens(stack, [g.rng for g in gens], b, keep_states=True)
+        for j, ref in enumerate(refs):
+            want, want_hs, want_cs = single_sample_tokens(ref.params, b, ref.rng, keep_states=True)
+            assert tokens[j].tobytes() == want.tobytes(), j
+            assert [s[j].tobytes() for s in hs] == [s.tobytes() for s in want_hs], j
+            assert [s[j].tobytes() for s in cs] == [s.tobytes() for s in want_cs], j
+        assert_same_generators(gens, refs)
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
+    def test_rollout_penalties_match_sequential(self, k, b, e, h):
+        stack, gens, refs = lockstep_generators(k, e, h, seed=20)
+        d = biased_discriminator(8, 3)
+        trie = AliasTrie([parse_prefix("2001:db8::/32")])
+        cfg = RewardConfig(rollouts=3)
+        q_d, q_a = rollout_penalties(stack, gens, d, trie, cfg,
+                                     *_sample_tokens(stack, [g.rng for g in gens], b,
+                                                     keep_states=True))
+        for j, ref in enumerate(refs):
+            sampled = single_sample_tokens(ref.params, b, ref.rng, keep_states=True)
+            want_d, want_a = single_rollout_penalties(ref, d, trie, cfg, *sampled)
+            assert q_d[j].tobytes() == want_d.tobytes(), j
+            assert q_a[j].tobytes() == want_a.tobytes(), j
+        assert_same_generators(gens, refs)
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
+    def test_pg_step_matches_sequential(self, k, b, e, h):
+        stack, gens, refs = lockstep_generators(k, e, h, seed=30)
+        d = biased_discriminator(8, 3, seed=1)
+        trie = AliasTrie([parse_prefix("2001:db8::/32")])
+        cfg = RewardConfig(rollouts=3)
+        for _ in range(2):
+            stats = generator_pg_step(stack, gens, d, trie, cfg, batch_size=b)
+            assert stats == [single_generator_pg_step(ref, d, trie, cfg, b) for ref in refs]
+        assert_same_generators(gens, refs)
+
+    @pytest.mark.parametrize("with_trie", [False, True])
+    def test_train_6gan_matches_sequential(self, with_trie):
+        corpus = three_class_corpus()
+        assert corpus.k >= 3
+        trie = AliasTrie([NybblePrefix(PREFIX_A)]) if with_trie else None
+        cfg = RewardConfig(rollouts=2)
+        schedule = TrainSchedule(g_pretrain=4, d_pretrain=2, g_steps=2, d_steps=1,
+                                 adversarial_rounds=2, batch_size=8)
+        kwargs = dict(embed_dim=5, hidden_dim=7, n_filters=2, lr_gen=1e-2, lr_disc=1e-3)
+        streamed = []
+        gens, disc, records = train_6gan(corpus, trie, cfg, schedule, seed=3,
+                                         on_record=streamed.append, **kwargs)
+        want_gens, want_disc, want_records = sequential_train_6gan(corpus, trie, cfg, schedule,
+                                                                   seed=3, **kwargs)
+        assert records == want_records
+        assert streamed == want_records
+        assert_same_generators(gens, want_gens)
+        for name, t in want_disc.params.tensors().items():
+            assert disc.params.tensors()[name].tobytes() == t.tobytes(), name
+        for name, acc in want_disc.opt.acc.items():
+            assert disc.opt.acc[name].tobytes() == acc.tobytes(), name
+        base = gens[0].params.emb.base
+        assert all(g.params.emb.base is base for g in gens)  # one stack
+
+    def test_divergence_in_one_generator_raises(self):
+        stack, gens, _ = lockstep_generators(3, 5, 7, seed=40)
+        stack.w_out[2, 0, 0] = np.nan
+        seeds = [constant_prefix_tokens(8, np.random.default_rng(j)) for j in range(3)]
+        with pytest.raises(DivergenceError):
+            pretrain_generator(stack, gens, seeds, steps=1, batch_size=4)
+        with pytest.raises(DivergenceError):
+            generator_pg_step(stack, gens, make_discriminator(seed=41, k=3), None,
+                              RewardConfig(rollouts=2), batch_size=4)
+
+
+def three_class_corpus(n=90, seed=0):
+    """Seeds of three shapes, which the RFC classifier splits into k >= 3 classes."""
+    rng = np.random.default_rng(seed)
+    seeds, seen = [], set()
+    while len(seeds) < n:
+        shape = len(seeds) % 3
+        if shape == 0:  # low byte
+            nyb = PREFIX_A + (0,) * 8 + (0,) * 14 + tuple(rng.integers(0, 16, 2).tolist())
+        elif shape == 1:
+            nyb = PREFIX_A + (0,) * 8 + tuple(rng.integers(0, 16, 16).tolist())
+        else:
+            nyb = (0xF,) * 16 + tuple(rng.integers(0, 16, 16).tolist())
+        if nyb not in seen:
+            seen.add(nyb)
+            seeds.append(NybbleSeq(nyb))
+    return classify_rfc_corpus(seeds)

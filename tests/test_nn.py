@@ -13,6 +13,10 @@ from _oracles import (
     grad_check,
     masked_sigmoid,
     per_gate_lstm_backward,
+    single_lstm_backward,
+    single_lstm_forward,
+    single_lstm_nll_grads,
+    single_lstm_step,
     tap_cnn_logits,
     where_sigmoid,
 )
@@ -225,6 +229,107 @@ class TestExactForms:
             cols = slice(k * 7, (k + 1) * 7)
             assert not np.array_equal(p.w_gates[:, cols], w_before[:, cols])
             assert not np.array_equal(p.b_gates[cols], b_before[cols])
+
+
+# (generators k, batch rows B, embedding width E, hidden width H)
+LOCKSTEP_SHAPES = [(1, 16, 24, 24), (2, 1, 5, 7), (3, 1, 5, 7), (3, 16, 24, 24),
+                   (2, 8, 3, 5), (3, 4, 200, 200)]
+
+
+def lstm_stack(k, e, h, seed=0):
+    """k generators with nonzero biases, and a [k, ...] stack of copies."""
+    gens = []
+    for j in range(k):
+        p = LstmParams.init(np.random.default_rng(seed + j), embed_dim=e, hidden_dim=h)
+        rng = np.random.default_rng(seed + 100 + j)
+        p.b_gates[...] = rng.normal(size=p.b_gates.shape)
+        p.b_out[...] = rng.normal(size=p.b_out.shape)
+        gens.append(p)
+    return gens, LstmParams.stack(gens)
+
+
+class TestLockstep:
+    """A [k, ...] stack gives each generator the bytes of its own
+    single-generator pass."""
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SHAPES)
+    def test_forward_and_bptt_match_single_forms(self, k, b, e, h):
+        gens, stack = lstm_stack(k, e, h)
+        rng = np.random.default_rng(b)
+        inputs = rng.integers(0, 17, size=(k, b, 32))
+        dlogits = rng.normal(size=(k, b, 32, 16)) / b
+        logits, cache = lstm_forward(stack, inputs)
+        grads = lstm_backward(stack, cache, dlogits)
+        assert list(grads) == list(stack.tensors())
+        for j, p in enumerate(gens):
+            want_logits, want_cache = single_lstm_forward(p, inputs[j])
+            want = single_lstm_backward(p, want_cache, dlogits[j])
+            assert logits[j].tobytes() == want_logits.tobytes(), j
+            for t in range(32):
+                assert cache["h"][t][j].tobytes() == want_cache["h"][t].tobytes(), (j, t)
+                assert cache["c"][t][j].tobytes() == want_cache["c"][t].tobytes(), (j, t)
+            for name in want:
+                assert grads[name][j].tobytes() == want[name].tobytes(), (j, name)
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SHAPES)
+    def test_nll_grads_match_single_forms(self, k, b, e, h):
+        gens, stack = lstm_stack(k, e, h, seed=7)
+        seqs = np.random.default_rng(b + 1).integers(0, 16, size=(k, b, 32))
+        nll, grads = lstm_nll_grads(stack, seqs)
+        assert nll.shape == (k,)
+        for j, p in enumerate(gens):
+            want_nll, want = single_lstm_nll_grads(p, seqs[j])
+            assert nll[j] == want_nll
+            for name in want:
+                assert grads[name][j].tobytes() == want[name].tobytes(), (j, name)
+
+    @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SHAPES)
+    def test_step_matches_single_step(self, k, b, e, h):
+        gens, stack = lstm_stack(k, e, h, seed=3)
+        rng = np.random.default_rng(b + 2)
+        h_prev, c_prev = rng.normal(size=(k, b, h)), rng.normal(size=(k, b, h))
+        tokens = rng.integers(0, 17, size=(k, b))
+        got = lstm_step_batch(stack, h_prev, c_prev, tokens.ravel())
+        for j, p in enumerate(gens):
+            want = single_lstm_step(p, h_prev[j], c_prev[j], tokens[j])
+            assert [a[j].tobytes() for a in got] == [a.tobytes() for a in want], j
+
+    def test_one_generator_without_a_stack_axis(self):
+        (p,), stack = lstm_stack(1, 5, 7)
+        seqs = np.random.default_rng(4).integers(0, 16, size=(3, 32))
+        nll, grads = lstm_nll_grads(p, seqs)
+        stacked_nll, stacked = lstm_nll_grads(stack, seqs[None])
+        assert nll == stacked_nll[0]
+        for name, g in grads.items():
+            assert g.tobytes() == stacked[name][0].tobytes(), name
+
+    def test_stack_entries_are_views(self):
+        gens, stack = lstm_stack(3, 5, 7)
+        for j, p in enumerate(gens):
+            for name, arr in stack[j].tensors().items():
+                assert arr.base is stack.tensors()[name], name
+                assert arr.tobytes() == p.tensors()[name].tobytes(), name
+        RmsProp(lr=0.1).update(stack[1].tensors(), {name: np.ones_like(arr) for name, arr
+                                                     in stack[1].tensors().items()})
+        assert not np.array_equal(stack.w_out[1], gens[1].w_out)
+        assert np.array_equal(stack.w_out[0], gens[0].w_out)
+        one = gens[2][None]
+        assert one.emb.shape == (1,) + gens[2].emb.shape and one.emb.base is gens[2].emb
+
+    @pytest.mark.parametrize("bad", [N_TOKENS, -1])
+    def test_out_of_range_token_is_an_error(self, bad):
+        _, stack = lstm_stack(2, 5, 7)
+        inputs = np.random.default_rng(6).integers(0, 17, size=(2, 3, 32))
+        inputs[0, 1, 5] = bad  # in range of the flat [2 * 17, E] rows
+        with pytest.raises(ValueError, match="token ids"):
+            lstm_forward(stack, inputs)
+
+    def test_divergence_in_one_generator_raises(self):
+        _, stack = lstm_stack(3, 5, 7)
+        stack.w_out[1, 0, 0] = np.inf
+        seqs = np.random.default_rng(5).integers(0, 16, size=(3, 2, 32))
+        with pytest.raises(DivergenceError):
+            lstm_nll_grads(stack, seqs)
 
 
 def gate_blocks(t, h):
