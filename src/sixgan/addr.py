@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
+
 log = logging.getLogger("sixgan.addr")
 
 SEQ_LEN = 32  # nybbles per address
@@ -313,5 +315,5 @@ def load_alias_file(path: str) -> list[NybblePrefix]:
 def write_address_file(path: str, seqs: list[NybbleSeq], header: "str | None" = None) -> None:
     lines = [f"# {header}\n"] if header else []
     lines += [format_address(seq) + "\n" for seq in seqs]
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         fh.write("".join(lines))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addr import NybblePrefix, NybbleSeq, parse_address
+from .fileio import atomic_write
 
 log = logging.getLogger("sixgan.classify")
 
@@ -523,7 +524,7 @@ def classify_ipv62vec(
 
 def write_labels_file(path: str, corpus: LabeledSeedCorpus) -> None:
     """One line per seed: address<TAB>method<TAB>class_id<TAB>class_name."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for seq, lab in zip(corpus.seeds, corpus.labels):
             fh.write(f"{seq}\t{lab.method}\t{lab.class_id}\t{lab.class_name}\n")
 

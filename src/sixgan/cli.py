@@ -267,18 +267,20 @@ def _labels_path(cfg: dict) -> str:
 
 def _save_checkpoint(path: str, params, meta: str, value: int) -> None:
     """params' tensors and the integer value as the meta tensor."""
-    tensors = dict(params.tensors())
-    tensors[meta] = np.array([float(value)])
-    nn.save_checkpoint(path, tensors)
+    nn.save_checkpoint(path, {**params.tensors(), meta: np.array([float(value)])})
 
 
 def _read_checkpoint(path: str, cls, meta: str) -> tuple:
-    """A checkpoint's parameters and its integer meta tensor; errors name path."""
+    """A checkpoint's parameters and its meta value, one finite integer; errors name path."""
     tensors = nn.load_checkpoint(path)
     try:
         if meta not in tensors:
             raise ValueError(f"missing tensor {meta}")
-        return cls.from_tensors(tensors), int(tensors[meta].reshape(-1)[0])
+        value = tensors[meta].reshape(-1)
+        if value.size != 1 or not float(value[0]).is_integer():
+            got = value[0] if value.size == 1 else f"{value.size} values"
+            raise ValueError(f"tensor {meta} must hold one finite integer, got {got}")
+        return cls.from_tensors(tensors), int(value[0])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -301,7 +303,7 @@ def cmd_synth(cfg: dict, args: argparse.Namespace) -> _Files:
     alias_path = os.path.join(out, "aliased_prefixes.txt")
     universe_path = os.path.join(out, "universe.json")
     write_address_file(seeds_path, seeds, header="active non-aliased seeds")
-    with open(alias_path, "w", encoding="utf-8") as fh:
+    with atomic_write(alias_path, "w", encoding="utf-8") as fh:
         fh.write("# aliased prefixes\n")
         for p in spec.aliased_prefixes:
             fh.write(f"{p}\n")
@@ -427,14 +429,16 @@ def cmd_generate(cfg: dict, args: argparse.Namespace) -> _Files:
     inputs += paths
 
     streams = np.random.SeedSequence([cfg["seed"], 1]).spawn(k)
-    merged: list[NybbleSeq] = []
-    seen: set[tuple[int, ...]] = set()
-    outputs = []
-    for i, (path, budget) in enumerate(zip(paths, budgets)):
+    generators = []  # every checkpoint is read before any file is written
+    for i, (path, stream) in enumerate(zip(paths, streams)):
         params, pattern_id = _read_checkpoint(path, LstmParams, "meta_pattern_id")
         if pattern_id != i:
             raise ConfigError(f"{path} carries pattern id {pattern_id}, expected {i}")
-        g = GeneratorModel(params=params, pattern_id=i, rng=np.random.default_rng(streams[i]))
+        generators.append(GeneratorModel(params, i, np.random.default_rng(stream)))
+    merged: list[NybbleSeq] = []
+    seen: set[tuple[int, ...]] = set()
+    outputs = []
+    for i, (g, budget) in enumerate(zip(generators, budgets)):
         cands = generate_candidates(g, budget, exclude)
         part_path = os.path.join(out, f"candidates_pattern_{i:02d}.txt")
         write_address_file(part_path, cands, header=f"pattern: {i}")
@@ -485,7 +489,7 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
     probs = disc.class_probs(tokens)
     pred = probs.argmax(axis=1)
     scores_path = os.path.join(out, "scores.tsv")
-    with open(scores_path, "w", encoding="utf-8") as fh:
+    with atomic_write(scores_path, "w", encoding="utf-8") as fh:
         header = "\t".join(f"class_{c}" for c in range(disc.k + 1))
         fh.write(f"# address\tpredicted\t{header}\n")
         for a, p, row in zip(addrs, pred, probs):
@@ -508,7 +512,7 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
             confusion[gold_map[a.nybbles], int(p)] += 1
         accuracy = float(np.trace(confusion)) / len(addrs)
         conf_path = os.path.join(out, "confusion.json")
-        with open(conf_path, "w", encoding="utf-8") as fh:
+        with atomic_write(conf_path, "w", encoding="utf-8") as fh:
             json.dump(
                 {"confusion": confusion.tolist(), "accuracy": accuracy},
                 fh, indent=2, sort_keys=True,

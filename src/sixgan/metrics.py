@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .addr import NybbleSeq
+from .fileio import atomic_write
 from .oracle import ProbeStatus, UniverseOracle
 
 
@@ -239,9 +240,9 @@ def evaluate(
 
 
 def write_report_files(report: EvaluationReport, json_path: str, csv_path: str) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with atomic_write(json_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EvaluationReport.CSV_FIELDS)
         writer.writerow(report.csv_row())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,9 @@ BOS = 16  # begin-of-sequence token
 N_TOKENS = VOCAB + 1
 SEQ_LEN = 32
 KERNEL_SIZES = tuple(range(1, 17))
+# the rows of CnnParams.conv_w and of the tap tables that hold bank s's taps
+BANK_TAPS = {s: slice(s * (s - 1) // 2, s * (s + 1) // 2) for s in KERNEL_SIZES}
+N_TAPS = sum(KERNEL_SIZES)
 
 CHECKPOINT_MAGIC = b"6GAN"
 CHECKPOINT_VERSION = 1
@@ -67,16 +70,27 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 GATES = ("i", "f", "o", "g")  # input, forget, output, candidate
 
 
-def _float_tensors(t: dict[str, np.ndarray], names: list[str]) -> dict[str, np.ndarray]:
-    """The named tensors of t as contiguous float64; ValueError names any missing."""
-    missing = [name for name in names if name not in t]
-    if missing:
-        raise ValueError(f"missing tensor {', '.join(missing)}")
-    return {name: np.ascontiguousarray(t[name], dtype=np.float64) for name in names}
+class _Tensors:
+    """Float64 tensors named by the dataclass fields, in memory, gradients and checkpoints."""
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_tensors(cls, t: dict[str, np.ndarray]):
+        """cls from t's tensors; ValueError names a missing or misshapen one."""
+        missing = [f.name for f in fields(cls) if f.name not in t]
+        if missing:
+            raise ValueError(f"missing tensor {', '.join(missing)}")
+        got = {f.name: np.ascontiguousarray(t[f.name], dtype=np.float64) for f in fields(cls)}
+        for name, want in cls._shapes(got).items():  # the dimensions' sources first
+            if got[name].shape != want:
+                raise ValueError(f"tensor {name} has shape {got[name].shape}, expected {want}")
+        return cls(**got)
 
 
 @dataclass
-class LstmParams:
+class LstmParams(_Tensors):
     """Embedding, the four gate banks over [input + hidden], output projection.
 
     The gate banks are one fused matrix, columns in GATES order, so one
@@ -130,13 +144,12 @@ class LstmParams:
         stack[i], and p[None] is p as a one-generator stack."""
         return LstmParams(**{name: arr[idx] for name, arr in self.tensors().items()})
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"emb": self.emb, "w_gates": self.w_gates, "b_gates": self.b_gates,
-                "w_out": self.w_out, "b_out": self.b_out}
-
-    @classmethod
-    def from_tensors(cls, t: dict[str, np.ndarray]) -> "LstmParams":
-        return cls(**_float_tensors(t, ["emb", "w_gates", "b_gates", "w_out", "b_out"]))
+    @staticmethod
+    def _shapes(t: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+        """One generator's shapes, from E (emb) and H (w_out)."""
+        e, h = t["emb"].shape[-1], t["w_out"].shape[0]
+        return {"emb": (N_TOKENS, e), "w_out": (h, VOCAB), "w_gates": (e + h, 4 * h),
+                "b_gates": (4 * h,), "b_out": (VOCAB,)}
 
 
 def _emb_rows(params: LstmParams, tokens: np.ndarray) -> np.ndarray:
@@ -307,12 +320,13 @@ def lstm_nll_grads(params: LstmParams, sequences: np.ndarray) -> tuple[np.ndarra
 
 
 @dataclass
-class CnnParams:
-    """Embedding, one conv bank per kernel size, highway layer, projection."""
+class CnnParams(_Tensors):
+    """Embedding, every conv bank's taps (bank s's in rows BANK_TAPS[s])
+    and biases (row idx for size KERNEL_SIZES[idx]), highway, projection."""
 
     emb: np.ndarray  # [N_TOKENS, E]
-    conv_w: dict[int, np.ndarray]  # size s -> [s*E, F]
-    conv_b: dict[int, np.ndarray]  # size s -> [F]
+    conv_w: np.ndarray  # [N_TAPS, E, F]
+    conv_b: np.ndarray  # [len(KERNEL_SIZES), F]
     hw_t_w: np.ndarray  # [P, P] with P = len(KERNEL_SIZES) * F
     hw_t_b: np.ndarray
     hw_h_w: np.ndarray
@@ -321,12 +335,8 @@ class CnnParams:
     out_b: np.ndarray
 
     @property
-    def embed_dim(self) -> int:
-        return self.emb.shape[1]
-
-    @property
     def n_filters(self) -> int:
-        return self.conv_w[KERNEL_SIZES[0]].shape[1]
+        return self.conv_w.shape[2]
 
     @property
     def n_classes(self) -> int:
@@ -342,17 +352,14 @@ class CnnParams:
     ) -> "CnnParams":
         e, f = embed_dim, n_filters
         p = len(KERNEL_SIZES) * f
-        conv_w = {}
-        conv_b = {}
-        for s in KERNEL_SIZES:
-            bound = np.sqrt(6.0 / (s * e + f))
-            conv_w[s] = rng.uniform(-bound, bound, size=(s * e, f))
-            conv_b[s] = np.zeros(f)
+        bounds = [np.sqrt(6.0 / (s * e + f)) for s in KERNEL_SIZES]
+        conv_w = np.concatenate([rng.uniform(-bound, bound, size=(s, e, f))
+                                 for s, bound in zip(KERNEL_SIZES, bounds)])
         hw = 1.0 / np.sqrt(p)
         return cls(
             emb=rng.normal(0.0, 0.1, size=(N_TOKENS, e)),
             conv_w=conv_w,
-            conv_b=conv_b,
+            conv_b=np.zeros((len(KERNEL_SIZES), f)),
             hw_t_w=rng.uniform(-hw, hw, size=(p, p)),
             hw_t_b=np.full(p, -2.0),  # bias the carry gate toward identity
             hw_h_w=rng.uniform(-hw, hw, size=(p, p)),
@@ -361,28 +368,14 @@ class CnnParams:
             out_b=np.zeros(n_classes),
         )
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {"emb": self.emb}
-        for s in KERNEL_SIZES:
-            out[f"conv_w_{s:02d}"] = self.conv_w[s]
-            out[f"conv_b_{s:02d}"] = self.conv_b[s]
-        out.update({
-            "hw_t_w": self.hw_t_w, "hw_t_b": self.hw_t_b,
-            "hw_h_w": self.hw_h_w, "hw_h_b": self.hw_h_b,
-            "out_w": self.out_w, "out_b": self.out_b,
-        })
-        return out
-
-    @classmethod
-    def from_tensors(cls, t: dict[str, np.ndarray]) -> "CnnParams":
-        conv = [f"conv_{wb}_{s:02d}" for s in KERNEL_SIZES for wb in "wb"]
-        head = ["emb", "hw_t_w", "hw_t_b", "hw_h_w", "hw_h_b", "out_w", "out_b"]
-        got = _float_tensors(t, head + conv)
-        return cls(
-            conv_w={s: got.pop(f"conv_w_{s:02d}") for s in KERNEL_SIZES},
-            conv_b={s: got.pop(f"conv_b_{s:02d}") for s in KERNEL_SIZES},
-            **got,
-        )
+    @staticmethod
+    def _shapes(t: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+        """The shapes from E (emb), F (conv_w) and the class count (out_w)."""
+        e, f, c = t["emb"].shape[-1], t["conv_w"].shape[-1], t["out_w"].shape[-1]
+        p = len(KERNEL_SIZES) * f
+        return {"emb": (N_TOKENS, e), "conv_w": (N_TAPS, e, f), "out_w": (p, c),
+                "conv_b": (len(KERNEL_SIZES), f), "hw_t_w": (p, p), "hw_t_b": (p,),
+                "hw_h_w": (p, p), "hw_h_b": (p,), "out_b": (c,)}
 
 
 def check_tokens(tokens: np.ndarray) -> None:
@@ -397,25 +390,21 @@ def check_tokens(tokens: np.ndarray) -> None:
         )
 
 
-def conv_tables(params: CnnParams) -> dict[int, np.ndarray]:
-    """Per kernel size s, the [s, N_TOKENS, F] tap tables emb @ W_j.
+def conv_tables(params: CnnParams) -> np.ndarray:
+    """The [N_TAPS, N_TOKENS, F] tap tables emb @ conv_w, rows as in conv_w.
 
     Tap j of a window contributes emb[token] @ W_j, which is row token of
-    table j, so a convolution is gathers and adds.  The bank's bias is added
-    into table 0, which is the same addition a window makes onto tap 0.
+    table j, so a convolution is gathers and adds.  Each bank's bias is
+    added into its first tap's table: the same addition a window makes.
     """
-    e = params.embed_dim
-    tables = {}
-    for s in KERNEL_SIZES:
-        tab = params.emb @ params.conv_w[s].reshape(s, e, -1)
-        tab[0] += params.conv_b[s]
-        tables[s] = tab
+    tables = params.emb @ params.conv_w
+    tables[[taps.start for taps in BANK_TAPS.values()]] += params.conv_b[:, None, :]
     return tables
 
 
 def _conv_bank(tab: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Valid 1-D convolution of position-major token ids [T, B] with one
-    bank's [s, N_TOKENS, F] tap tables.
+    bank's [s, N_TOKENS, F] tap tables (a BANK_TAPS slice of conv_tables).
 
     The taps are added in order onto bias + tap 0.  Returns [T-s+1, B, F],
     position-major, so a max over positions folds whole [B, F] planes left
@@ -461,7 +450,7 @@ def cnn_forward(params: CnnParams, tokens: np.ndarray, want_cache: bool = False)
     pooled = np.empty((tokens.shape[0], len(KERNEL_SIZES) * f))
     argmaxes: dict[int, np.ndarray] = {}
     for idx, s in enumerate(KERNEL_SIZES):
-        conv = _conv_bank(tables[s], by_pos)
+        conv = _conv_bank(tables[BANK_TAPS[s]], by_pos)
         conv.max(axis=0, out=pooled[:, idx * f:(idx + 1) * f])
         if want_cache:
             argmaxes[s] = conv.argmax(axis=0)  # [B, F]
@@ -493,7 +482,7 @@ class RolloutPool:
         by_pos = np.ascontiguousarray(tokens.T)
         # [SEQ_LEN-s+1, B, F]: entry p is the max over the row's windows 0..p
         self.running = {
-            s: np.maximum.accumulate(_conv_bank(self.tables[s], by_pos), axis=0)
+            s: np.maximum.accumulate(_conv_bank(self.tables[BANK_TAPS[s]], by_pos), axis=0)
             for s in KERNEL_SIZES
         }
 
@@ -514,7 +503,7 @@ class RolloutPool:
         for idx, s in enumerate(KERNEL_SIZES):
             cols = slice(idx * f, (idx + 1) * f)
             first = max(0, t - s + 1)  # the first window that touches the tail
-            tail = _conv_bank(self.tables[s], by_pos[first:]).max(axis=0)
+            tail = _conv_bank(self.tables[BANK_TAPS[s]], by_pos[first:]).max(axis=0)
             if first:
                 np.maximum(self.running[s][first - 1, :, None], tail.reshape(self.rows, -1, f),
                            out=by_row[:, :, cols])
@@ -528,13 +517,13 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
     tokens = cache["tokens"]
     pooled, t_gate = cache["pooled"], cache["t_gate"]
     h_pre, h_act, y = cache["h_pre"], cache["h_act"], cache["y"]
-    b = tokens.shape[0]
-    e = params.embed_dim
     f = params.n_filters
     # each gradient is written once, in params.tensors() order; only emb sums
     # over the kernel sizes
     grads = dict.fromkeys(params.tensors())
     grads["emb"] = np.zeros_like(params.emb)
+    grads["conv_w"] = np.empty_like(params.conv_w)
+    grads["conv_b"] = np.empty_like(params.conv_b)
 
     grads["out_w"] = y.T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
@@ -550,11 +539,13 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
     grads["hw_h_w"] = pooled.T @ dh_pre
     grads["hw_h_b"] = dh_pre.sum(axis=0)
     dpooled += da_t @ params.hw_t_w.T + dh_pre @ params.hw_h_w.T
+    # the whole conv_w gradient is live from here on; free the [B, P] temporaries
+    del dy, dt, dh_act, dh_pre, da_t
 
     # max-pooling routes each (row, filter) gradient to one window, and tap j
     # of that window read one token, so tap j's gradient gathers by token
     # into an [N_TOKENS, F] table; bincount adds the slots rows share
-    rows = np.arange(b)[:, None, None]
+    rows = np.arange(len(tokens))[:, None, None]
     cols = np.arange(f)[:, None]
     for idx, s in enumerate(KERNEL_SIZES):
         taps = np.arange(s)
@@ -564,10 +555,9 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> dict[st
         by_token = np.bincount(
             slot.ravel(), weights=np.repeat(dp.ravel(), s), minlength=s * N_TOKENS * f
         ).reshape(s, N_TOKENS, f)
-        w = params.conv_w[s].reshape(s, e, f)
-        grads[f"conv_w_{s:02d}"] = (params.emb.T @ by_token).reshape(s * e, f)
-        grads["emb"] += (by_token @ w.transpose(0, 2, 1)).sum(axis=0)
-        grads[f"conv_b_{s:02d}"] = dp.sum(axis=0)
+        np.matmul(params.emb.T, by_token, out=grads["conv_w"][BANK_TAPS[s]])
+        grads["emb"] += (by_token @ params.conv_w[BANK_TAPS[s]].transpose(0, 2, 1)).sum(axis=0)
+        grads["conv_b"][idx] = dp.sum(axis=0)
     for name, arr in grads.items():
         ensure_finite(f"cnn grad {name}", arr)
     return grads

@@ -18,6 +18,7 @@ import numpy as np
 
 from .addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from .classify import RFC_CLASS_NAMES, classify_rfc
+from .fileio import atomic_write
 
 SAMPLE_ATTEMPT_LIMIT = 10 ** 6
 
@@ -91,7 +92,7 @@ class UniverseSpec:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

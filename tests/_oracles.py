@@ -23,10 +23,16 @@ gradients.  The table-lookup and fused-gate library forms do the same
 floating-point operations in the same order, so they must agree with them
 bit for bit too.  The dense discriminator backward is the exception: the
 library adds the same gradient terms grouped by token rather than by
-position, so the two agree only to rounding.  The skip-gram reference is the earlier ipv62vec
-embedder, which scatters its updates into the weight matrices row by row;
-the library scatters the same element updates, in the same order, into
-their flat views, so the vectors must match bit for bit.  The codec
+position, so the two agree only to rounding.  The per-bank references
+(`bank_tensors`, `bank_conv_tables`, `bank_pooled`, `bank_cnn_backward`)
+are the discriminator layout with one weight and one bias tensor per kernel
+size: views cut from the fused `conv_w` and `conv_b`, tap tables and
+by-token gradients built one bank at a time.  The fused library forms do
+the same operations on the same values, so they must agree bit for bit.
+The skip-gram reference is the earlier ipv62vec embedder, which scatters
+its updates into the weight matrices row by row; the library scatters the
+same element updates, in the same order, into their flat views, so the
+vectors must match bit for bit.  The codec
 references are the earlier address parser, one character at a time, and
 formatter, one zero-group run scan per address.
 """
@@ -47,8 +53,10 @@ from sixgan.gan import (
     discriminator_step,
 )
 from sixgan.nn import (
+    BANK_TAPS,
     BOS,
     KERNEL_SIZES,
+    N_TOKENS,
     SEQ_LEN,
     CnnParams,
     LstmParams,
@@ -416,12 +424,27 @@ def where_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
+def bank_tensors(t: dict) -> dict:
+    """t, a CnnParams.tensors() or gradient dict, with conv_w and conv_b cut
+    into views of their 16 banks: conv_w_SS [s*E, F] and conv_b_SS [F] for
+    each kernel size s, the 39 tensors of the per-bank layout in its order."""
+    e, f = t["conv_w"].shape[1:]
+    out = {"emb": t["emb"]}
+    for idx, s in enumerate(KERNEL_SIZES):
+        out[f"conv_w_{s:02d}"] = t["conv_w"][BANK_TAPS[s]].reshape(s * e, f)
+        out[f"conv_b_{s:02d}"] = t["conv_b"][idx]
+    for name in ("hw_t_w", "hw_t_b", "hw_h_w", "hw_h_b", "out_w", "out_b"):
+        out[name] = t[name]
+    return out
+
+
 def tap_conv_bank(params, x: np.ndarray, s: int) -> np.ndarray:
     """Size-s convolution of x [B, T, E] as one [B, T-s+1, E] @ [E, F] per tap."""
-    e = params.embed_dim
+    e = params.emb.shape[1]
     n_pos = x.shape[1] - s + 1
-    w = params.conv_w[s]
-    out = np.broadcast_to(params.conv_b[s], (x.shape[0], n_pos, w.shape[1])).copy()
+    bank = bank_tensors(params.tensors())
+    w = bank[f"conv_w_{s:02d}"]
+    out = np.broadcast_to(bank[f"conv_b_{s:02d}"], (x.shape[0], n_pos, w.shape[1])).copy()
     for j in range(s):
         out += x[:, j:j + n_pos, :] @ w[j * e:(j + 1) * e, :]
     return out
@@ -452,9 +475,10 @@ def dense_cnn_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
     pooled, t_gate = cache["pooled"], cache["t_gate"]
     h_pre, h_act, y = cache["h_pre"], cache["h_act"], cache["y"]
     b = tokens.shape[0]
-    e = params.embed_dim
+    e = params.emb.shape[1]
     f = params.n_filters
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    bank, bank_grads = bank_tensors(params.tensors()), bank_tensors(grads)
 
     grads["out_w"] += y.T @ dlogits
     grads["out_b"] += dlogits.sum(axis=0)
@@ -479,14 +503,88 @@ def dense_cnn_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
         dp = dpooled[:, idx * f:(idx + 1) * f]  # [B, F]
         dconv = np.zeros((b, n_pos, f))
         np.add.at(dconv, (rows, arg, np.arange(f)[None, :]), dp)
-        w = params.conv_w[s]
-        gw = grads[f"conv_w_{s:02d}"]
+        w = bank[f"conv_w_{s:02d}"]
+        gw = bank_grads[f"conv_w_{s:02d}"]
         for j in range(s):
             xs = x[:, j:j + n_pos, :]
             gw[j * e:(j + 1) * e, :] += np.einsum("bpe,bpf->ef", xs, dconv)
             dx[:, j:j + n_pos, :] += dconv @ w[j * e:(j + 1) * e, :].T
-        grads[f"conv_b_{s:02d}"] += dconv.sum(axis=(0, 1))
+        bank_grads[f"conv_b_{s:02d}"] += dconv.sum(axis=(0, 1))
     np.add.at(grads["emb"], tokens, dx)
+    return grads
+
+
+def bank_conv_tables(params) -> dict:
+    """Per kernel size s, the [s, N_TOKENS, F] tap tables of one bank's
+    [s*E, F] weights, bias added into table 0: conv_tables one bank at a time."""
+    e = params.emb.shape[1]
+    bank = bank_tensors(params.tensors())
+    tables = {}
+    for s in KERNEL_SIZES:
+        tab = params.emb @ bank[f"conv_w_{s:02d}"].reshape(s, e, -1)
+        tab[0] += bank[f"conv_b_{s:02d}"]
+        tables[s] = tab
+    return tables
+
+
+def bank_pooled(params, tokens: np.ndarray) -> np.ndarray:
+    """cnn_forward's pooled features over bank_conv_tables: per bank, index
+    each tap's table by the position-major ids, add the taps in order, max."""
+    f = params.n_filters
+    by_pos = tokens.T
+    pooled = np.empty((tokens.shape[0], len(KERNEL_SIZES) * f))
+    for idx, (s, tab) in enumerate(bank_conv_tables(params).items()):
+        n_pos = by_pos.shape[0] - s + 1
+        conv = tab[0][by_pos[:n_pos]]
+        for j in range(1, s):
+            conv += tab[j][by_pos[j:j + n_pos]]
+        pooled[:, idx * f:(idx + 1) * f] = conv.max(axis=0)
+    return pooled
+
+
+def bank_cnn_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
+    """cnn_backward one bank at a time, with gradients in the per-bank
+    layout of bank_tensors: a by-token bincount per bank, then that bank's
+    weight gradient and its summed embedding gradient."""
+    tokens = cache["tokens"]
+    pooled, t_gate = cache["pooled"], cache["t_gate"]
+    h_pre, h_act, y = cache["h_pre"], cache["h_act"], cache["y"]
+    b = tokens.shape[0]
+    e = params.emb.shape[1]
+    f = params.n_filters
+    bank = bank_tensors(params.tensors())
+    grads = dict.fromkeys(bank)
+    grads["emb"] = np.zeros_like(params.emb)
+
+    grads["out_w"] = y.T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
+    dy = dlogits @ params.out_w.T
+
+    dt = dy * (h_act - pooled)
+    dh_act = dy * t_gate
+    dpooled = dy * (1.0 - t_gate)
+    dh_pre = dh_act * (h_pre > 0.0)
+    da_t = dt * t_gate * (1.0 - t_gate)
+    grads["hw_t_w"] = pooled.T @ da_t
+    grads["hw_t_b"] = da_t.sum(axis=0)
+    grads["hw_h_w"] = pooled.T @ dh_pre
+    grads["hw_h_b"] = dh_pre.sum(axis=0)
+    dpooled += da_t @ params.hw_t_w.T + dh_pre @ params.hw_h_w.T
+
+    rows = np.arange(b)[:, None, None]
+    cols = np.arange(f)[:, None]
+    for idx, s in enumerate(KERNEL_SIZES):
+        taps = np.arange(s)
+        win = tokens[rows, cache["argmaxes"][s][:, :, None] + taps]  # [B, F, s]
+        dp = dpooled[:, idx * f:(idx + 1) * f]  # [B, F]
+        slot = (taps * N_TOKENS + win) * f + cols
+        by_token = np.bincount(
+            slot.ravel(), weights=np.repeat(dp.ravel(), s), minlength=s * N_TOKENS * f
+        ).reshape(s, N_TOKENS, f)
+        w = bank[f"conv_w_{s:02d}"].reshape(s, e, f)
+        grads[f"conv_w_{s:02d}"] = (params.emb.T @ by_token).reshape(s * e, f)
+        grads["emb"] += (by_token @ w.transpose(0, 2, 1)).sum(axis=0)
+        grads[f"conv_b_{s:02d}"] = dp.sum(axis=0)
     return grads
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from _oracles import (
     ari,
+    bank_tensors,
     bf_diversity,
     bf_hit_and_generation,
     bf_novelty,
@@ -94,7 +95,9 @@ def test_01_gradient_correctness():
         return -np.log(probs[np.arange(3), labels]).mean()
 
     _, cnn_grads = cnn_nll_grads(cnn, tokens, labels)
-    cnn_rep = grad_check(cnn_loss, cnn.tensors(), cnn_grads, rng, n_samples=220)
+    # the 39 per-bank views, so the same coordinates are probed as in that layout
+    cnn_rep = grad_check(cnn_loss, bank_tensors(cnn.tensors()), bank_tensors(cnn_grads), rng,
+                         n_samples=220)
 
     elapsed = time.perf_counter() - t0
     worst = max(lstm_rep["rel_err"], cnn_rep["rel_err"])

@@ -436,6 +436,16 @@ class TestFiles:
         write_address_file(str(path), [], header="none")
         assert path.read_text() == "# none\n"
 
+    def test_write_failing_part_way_keeps_previous_file(self, tmp_path, disk_full_on):
+        path = tmp_path / "out.txt"
+        write_address_file(str(path), [parse_address("2001:db8::80")], header="before")
+        before = path.read_bytes()
+        disk_full_on("out.txt")
+        with pytest.raises(OSError, match="disk full"):
+            write_address_file(str(path), [parse_address("::1")] * 50, header="after")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_seed_file_parse_error_propagates(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2001:zz8::1\n")

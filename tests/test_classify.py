@@ -498,3 +498,14 @@ class TestLabelsFile:
         ]
         fields = lines[0].split("\t")
         assert fields == ["2001:db8::80", METHOD_RFC, "0", "Embedded-port"]
+
+    def test_write_failing_part_way_keeps_previous_file(self, tmp_path, disk_full_on):
+        seeds, _ = plant_entropy_corpus(12, seed=9)
+        path = tmp_path / "labels.tsv"
+        write_labels_file(str(path), classify_rfc_corpus(seeds[:3]))
+        before = path.read_bytes()
+        disk_full_on("labels.tsv")
+        with pytest.raises(OSError, match="disk full"):
+            write_labels_file(str(path), classify_rfc_corpus(seeds))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.tsv"]

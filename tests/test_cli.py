@@ -10,6 +10,7 @@ import shutil
 
 import numpy as np
 import pytest
+from _oracles import bank_tensors
 
 import sixgan
 import sixgan.cli as cli
@@ -198,6 +199,56 @@ class TestPipelineArtifacts:
         names += [f"generator_{i:02d}.ckpt" for i in range(3)]
         for name in names:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def refused_checkpoint(pipeline, tmp_path, capsys, name, tensors):
+    """Replace checkpoint name in a copy of the trained --out with tensors,
+    run the command that reads it, and return its stderr: one `invalid
+    input` line, with exit 2 and every file in --out unchanged."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for kept in ["labels.tsv", "discriminator.ckpt", "generator_00.ckpt", "generator_01.ckpt",
+                 "generator_02.ckpt"]:
+        shutil.copy(pipeline["out"] / kept, out / kept)
+    save_checkpoint(str(out / name), tensors)
+    before = snapshot(out)
+    if name == "discriminator.ckpt":
+        argv = ["discriminate", "--out", str(out), str(pipeline["out"] / "seeds.txt")]
+    else:
+        argv = ["generate", "--out", str(out), "--budget", "6"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1, err
+    assert snapshot(out) == before
+    return err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("command, failing", [("synth", "aliased_prefixes.txt"),
+                                                  ("discriminate", "scores.tsv"),
+                                                  ("discriminate", "confusion.json")])
+    def test_write_failing_part_way_keeps_previous_file(self, pipeline, tmp_path, disk_full_on,
+                                                        command, failing):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("discriminator.ckpt", "labels.tsv"):
+            shutil.copy(pipeline["out"] / name, out / name)
+        cfg = write_json(tmp_path / "c.json", {"gold_labels_file": str(out / "labels.tsv")})
+        argv = {"synth": ["synth", "--spec", pipeline["spec"]],
+                "discriminate": ["discriminate", str(pipeline["out"] / "seeds.txt")]}[command]
+        argv += ["--config", cfg, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        before = snapshot(out)
+        disk_full_on(failing)
+        with pytest.raises(OSError, match="disk full"):
+            main([*argv, "--seed", "1"])
+        assert (out / failing).read_bytes() == before[failing]
+        assert set(snapshot(out)) == set(before)
 
 
 class TestOverrides:
@@ -560,6 +611,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"invalid input: {path}: missing tensor w_gates, b_gates" in err
         assert not (tmp_path / "candidates.txt").exists()
+
+    def test_per_bank_discriminator_checkpoint(self, pipeline, tmp_path, capsys):
+        # the layout with one tensor per conv bank, which discriminate no longer reads
+        tensors = load_checkpoint(str(pipeline["out"] / "discriminator.ckpt"))
+        per_bank = {**bank_tensors(tensors), "meta_k": tensors["meta_k"]}
+        assert len(per_bank) == 40
+        err = refused_checkpoint(pipeline, tmp_path, capsys, "discriminator.ckpt", per_bank)
+        assert err.endswith("discriminator.ckpt: missing tensor conv_w, conv_b\n")
+
+    @pytest.mark.parametrize("name, tensor, shape, why", [
+        ("discriminator.ckpt", "emb", (3, 24), "tensor emb has shape (3, 24), expected (17, 24)"),
+        ("discriminator.ckpt", "conv_b", (1,), "tensor conv_b has shape (1,), expected (16, 6)"),
+        ("generator_01.ckpt", "b_out", (1,), "tensor b_out has shape (1,), expected (16,)"),
+        ("generator_01.ckpt", "emb", (3, 24), "tensor emb has shape (3, 24), expected (17, 24)"),
+    ])
+    def test_checkpoint_tensor_of_wrong_shape(self, pipeline, tmp_path, capsys, name, tensor,
+                                              shape, why):
+        tensors = load_checkpoint(str(pipeline["out"] / name))
+        tensors[tensor] = np.zeros(shape)
+        err = refused_checkpoint(pipeline, tmp_path, capsys, name, tensors)
+        assert err.endswith(f"{name}: {why}\n")
+
+    @pytest.mark.parametrize("name, meta", [("discriminator.ckpt", "meta_k"),
+                                            ("generator_01.ckpt", "meta_pattern_id")])
+    @pytest.mark.parametrize("value, got", [([], "0 values"), ([np.inf], "inf"),
+                                            ([np.nan], "nan"), ([1.5], "1.5"),
+                                            ([1.0, 1.0], "2 values")])
+    def test_checkpoint_meta_not_one_finite_integer(self, pipeline, tmp_path, capsys, name,
+                                                    meta, value, got):
+        tensors = load_checkpoint(str(pipeline["out"] / name))
+        tensors[meta] = np.array(value)
+        err = refused_checkpoint(pipeline, tmp_path, capsys, name, tensors)
+        assert err.endswith(f"{name}: tensor {meta} must hold one finite integer, got {got}\n")
 
     def test_three_field_labels_file(self, tmp_path, capsys):
         labels = tmp_path / "labels.tsv"

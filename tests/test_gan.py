@@ -39,7 +39,9 @@ from sixgan.gan import (
     train_6gan,
 )
 from sixgan.nn import (
+    BANK_TAPS,
     KERNEL_SIZES,
+    N_TAPS,
     N_TOKENS,
     CnnParams,
     DivergenceError,
@@ -307,7 +309,7 @@ def biased_discriminator(embed, filters, seed=0):
     """A k=3 discriminator with nonzero conv biases, so their order shows."""
     d = make_discriminator(seed=seed, k=3, embed=embed, filters=filters)
     rng = np.random.default_rng(seed + 7)
-    for bias in d.params.conv_b.values():
+    for bias in d.params.conv_b:
         bias[...] = rng.normal(size=filters)
     return d
 
@@ -388,7 +390,7 @@ class TestIncrementalRolloutScoring:
         rollouts = np.repeat(tokens, n, axis=0)
         tables = conv_tables(d.params)
         for s in KERNEL_SIZES:
-            conv = _conv_bank(tables[s], np.ascontiguousarray(tokens.T))
+            conv = _conv_bank(tables[BANK_TAPS[s]], np.ascontiguousarray(tokens.T))
             prefix, tail = conv[:t - s + 1].max(axis=0), conv[t - s + 1:].max(axis=0)
             assert np.array_equal(prefix, tail), s
         assert RolloutPool(d.params, tokens).pooled(t, rollouts).tobytes() == \
@@ -401,8 +403,7 @@ class TestIncrementalRolloutScoring:
         d = make_discriminator(seed=5, k=3, embed=6, filters=f)
         by_token = np.full(N_TOKENS, -1.0)
         by_token[:2] = [-0.0, 0.0]
-        tables = {s: np.broadcast_to(by_token[None, :, None], (s, N_TOKENS, f)).copy()
-                  for s in KERNEL_SIZES}
+        tables = np.broadcast_to(by_token[None, :, None], (N_TAPS, N_TOKENS, f)).copy()
         monkeypatch.setattr(nn, "conv_tables", lambda params: tables)
         ones, zeros, other = np.ones(16, int), np.zeros(16, int), np.full(16, 5)
         tokens = np.stack([np.r_[zeros[:8], other[:8], zeros],

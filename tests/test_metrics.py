@@ -363,6 +363,21 @@ class TestEvaluate:
         assert len(rows) == 2
         assert rows[1][0] == "2"
 
+    @pytest.mark.parametrize("failing", ["r.json", "r.csv"])
+    def test_report_write_failing_part_way_keeps_previous_file(self, tmp_path, disk_full_on,
+                                                               failing):
+        oracle = fixture_oracle()
+        jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
+        write_report_files(evaluate(CandidateSet([parse_address("2001:db8:a::1")]), [], oracle),
+                           str(jp), str(cp))
+        before = (tmp_path / failing).read_bytes()
+        disk_full_on(failing)
+        cands = CandidateSet([parse_address("2001:db8:a::1"), parse_address("2001:db8:a::2")])
+        with pytest.raises(OSError, match="disk full"):
+            write_report_files(evaluate(cands, [], oracle), str(jp), str(cp))
+        assert (tmp_path / failing).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
 
 class TestAllocateBudget:
     def test_even_split_remainder_to_front(self):

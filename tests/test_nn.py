@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    bank_cnn_backward,
+    bank_conv_tables,
+    bank_pooled,
+    bank_tensors,
     dense_cnn_backward,
     four_gate_lstm_cell,
     grad_check,
@@ -21,16 +25,22 @@ from _oracles import (
     where_sigmoid,
 )
 from sixgan.nn import (
+    BANK_TAPS,
     CHECKPOINT_MAGIC,
     KERNEL_SIZES,
+    N_TAPS,
     N_TOKENS,
+    SEQ_LEN,
     CnnParams,
     DivergenceError,
     LstmParams,
     RmsProp,
+    RolloutPool,
     cnn_backward,
     cnn_forward,
+    cnn_head,
     cnn_nll_grads,
+    conv_tables,
     ensure_finite,
     lstm_backward,
     lstm_forward,
@@ -170,7 +180,7 @@ class TestExactForms:
     def test_cnn_logits_match_tap_matmuls(self, e, f, b):
         p = CnnParams.init(np.random.default_rng(e), n_classes=4, embed_dim=e, n_filters=f)
         rng = np.random.default_rng(b)
-        for bias in p.conv_b.values():  # nonzero, so the order it is added in shows
+        for bias in p.conv_b:  # nonzero, so the order it is added in shows
             bias[...] = rng.normal(size=f)
         tokens = rng.integers(0, 17, size=(b, 32))
         want = tap_cnn_logits(p, tokens).tobytes()
@@ -405,8 +415,8 @@ class TestCnnForward:
         x = p.emb[tokens]
         n_filters = 2
         for idx, size in enumerate(KERNEL_SIZES):
-            w = p.conv_w[size]
-            b = p.conv_b[size]
+            w = p.conv_w[BANK_TAPS[size]].reshape(-1, n_filters)
+            b = p.conv_b[idx]
             n_pos = 32 - size + 1
             conv = np.zeros((2, n_pos, n_filters))
             for bi in range(2):
@@ -464,7 +474,8 @@ class TestCnnGradients:
             return -np.log(probs[np.arange(3), labels]).mean()
 
         _, grads = cnn_nll_grads(p, tokens, labels)
-        report = grad_check(loss_fn, p.tensors(), grads, rng, n_samples=250)
+        report = grad_check(loss_fn, bank_tensors(p.tensors()), bank_tensors(grads), rng,
+                            n_samples=250)
         assert report["rel_err"] < 1e-4
 
 
@@ -476,7 +487,7 @@ SCATTER_RTOL = 1e-12  # of the largest magnitude in each gradient tensor
 def cnn_with_biases(e, f, seed):
     p = CnnParams.init(np.random.default_rng(e), n_classes=4, embed_dim=e, n_filters=f)
     rng = np.random.default_rng(seed)
-    for bias in p.conv_b.values():
+    for bias in p.conv_b:
         bias[...] = rng.normal(size=f)
     return p, rng
 
@@ -527,7 +538,7 @@ class TestTokenScatterBackward:
         _, _, cache = cnn_forward(p, tokens, want_cache=True)
         assert "x" not in cache
         for arr in cache.values():
-            assert not isinstance(arr, np.ndarray) or arr.shape[-1] != p.embed_dim
+            assert not isinstance(arr, np.ndarray) or arr.shape[-1] != p.emb.shape[1]
 
     def test_working_memory_below_one_embedded_batch(self):
         e, f, b = 200, 8, 64
@@ -560,6 +571,67 @@ class TestTokenScatterBackward:
             tracemalloc.stop()
         assert list(grads) == list(p.tensors())
         assert peak - grad_bytes < 3.0e6
+
+
+# (embedding width, filters) of the fused-layout checks
+LAYOUT_WIDTHS = [(5, 1), (8, 2), (24, 8), (200, 32)]
+
+
+class TestFusedBankLayout:
+    """All 136 taps in one conv_w give the bytes of one tensor per bank."""
+
+    def test_bank_taps_tile_the_rows_in_order(self):
+        assert N_TAPS == 136
+        assert [BANK_TAPS[s] for s in KERNEL_SIZES] == [
+            slice(s * (s - 1) // 2, s * (s + 1) // 2) for s in KERNEL_SIZES]
+
+    def test_init_makes_the_per_bank_draws(self):
+        e, f = 5, 3
+        got = bank_tensors(tiny_cnn(seed=9, embed=e, filters=f).tensors())
+        rng = np.random.default_rng(9)
+        for s in KERNEL_SIZES:
+            bound = np.sqrt(6.0 / (s * e + f))
+            assert got[f"conv_w_{s:02d}"].tobytes() == \
+                rng.uniform(-bound, bound, size=(s * e, f)).tobytes(), s
+            assert not got[f"conv_b_{s:02d}"].any()
+        assert got["emb"].tobytes() == rng.normal(0.0, 0.1, size=(N_TOKENS, e)).tobytes()
+
+    @pytest.mark.parametrize("e,f", LAYOUT_WIDTHS)
+    def test_tables_equal_per_bank(self, e, f):
+        p, _ = cnn_with_biases(e, f, seed=1)
+        want = np.concatenate(list(bank_conv_tables(p).values()))
+        assert conv_tables(p).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e,f", LAYOUT_WIDTHS)
+    def test_logits_and_rollout_features_equal_per_bank(self, e, f):
+        p, rng = cnn_with_biases(e, f, seed=2)
+        tokens = rng.integers(0, 17, size=(6, SEQ_LEN))
+        want = cnn_head(p, bank_pooled(p, tokens))[0]
+        assert cnn_forward(p, tokens)[0].tobytes() == want.tobytes()
+        pool = RolloutPool(p, tokens)
+        for t in (1, 8, 16, 31):
+            tails = rng.integers(0, 17, size=(12, SEQ_LEN - t))
+            rollouts = np.concatenate([np.repeat(tokens[:, :t], 2, axis=0), tails], axis=1)
+            assert pool.pooled(t, rollouts).tobytes() == bank_pooled(p, rollouts).tobytes(), t
+        assert pool.pooled(SEQ_LEN, tokens).tobytes() == bank_pooled(p, tokens).tobytes()
+
+    @pytest.mark.parametrize("e,f", LAYOUT_WIDTHS)
+    def test_gradients_and_update_equal_per_bank(self, e, f):
+        p, rng = cnn_with_biases(e, f, seed=3)
+        tokens = rng.integers(0, 17, size=(16, SEQ_LEN))
+        _, probs, cache = cnn_forward(p, tokens, want_cache=True)
+        dlogits = probs - (np.arange(4) == rng.integers(0, 4, size=(16, 1)))
+        got = bank_tensors(cnn_backward(p, cache, dlogits / 16))
+        want = bank_cnn_backward(p, cache, dlogits / 16)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        # RMSProp over the fused tensors and over their bank views
+        q = CnnParams(**{name: arr.copy() for name, arr in p.tensors().items()})
+        RmsProp(lr=1e-2).update(p.tensors(), cnn_backward(p, cache, dlogits / 16))
+        RmsProp(lr=1e-2).update(bank_tensors(q.tensors()), want)
+        for name, arr in p.tensors().items():
+            assert arr.tobytes() == q.tensors()[name].tobytes(), name
 
 
 class TestRmsProp:
@@ -713,9 +785,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^missing tensor w_gates, b_gates$"):
             LstmParams.from_tensors(four_banks)
         cnn = tiny_cnn(seed=25).tensors()
-        del cnn["conv_b_07"], cnn["out_w"]
-        with pytest.raises(ValueError, match="^missing tensor out_w, conv_b_07$"):
+        del cnn["conv_b"], cnn["out_w"]
+        with pytest.raises(ValueError, match="^missing tensor conv_b, out_w$"):
             CnnParams.from_tensors(cnn)
+
+    def test_per_bank_discriminator_tensors_are_refused(self):
+        per_bank = bank_tensors(tiny_cnn(seed=27).tensors())  # the layout before fusion
+        with pytest.raises(ValueError, match="^missing tensor conv_w, conv_b$"):
+            CnnParams.from_tensors(per_bank)
+
+    @pytest.mark.parametrize("cls, name, shape, want", [
+        (CnnParams, "emb", (3, 5), "(17, 5)"),
+        (CnnParams, "conv_b", (1,), "(16, 3)"),
+        (CnnParams, "conv_w", (136, 4, 3), "(136, 5, 3)"),
+        (CnnParams, "conv_w", (408, 3), "(136, 5, 3)"),
+        (CnnParams, "hw_h_w", (48, 47), "(48, 48)"),
+        (CnnParams, "out_b", (3,), "(4,)"),
+        (LstmParams, "emb", (3, 6), "(17, 6)"),
+        (LstmParams, "b_out", (1,), "(16,)"),
+        (LstmParams, "w_gates", (13, 24), "(13, 28)"),
+        (LstmParams, "w_out", (7,), "(7, 16)"),
+        (LstmParams, "b_gates", (), "(28,)"),  # read as shape (1,)
+    ])
+    def test_shape_mismatches_are_named(self, cls, name, shape, want):
+        p = tiny_cnn(seed=28) if cls is CnnParams else tiny_lstm(seed=28)
+        tensors = {**p.tensors(), name: np.zeros(shape)}
+        have = shape or (1,)
+        with pytest.raises(ValueError) as err:
+            cls.from_tensors(tensors)
+        assert str(err.value) == f"tensor {name} has shape {have}, expected {want}"
 
 
 def generator_checkpoint(tmp_path):

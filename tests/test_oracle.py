@@ -82,6 +82,16 @@ class TestSpecSerialization:
         loaded = UniverseSpec.load(str(path))
         assert loaded == spec
 
+    def test_save_failing_part_way_keeps_previous_file(self, tmp_path, disk_full_on):
+        path = tmp_path / "universe.json"
+        one_family_spec(hash_key=1).save(str(path))
+        before = path.read_bytes()
+        disk_full_on("universe.json")
+        with pytest.raises(OSError, match="disk full"):
+            one_family_spec(aliased=("2001:db8:f::/48",), hash_key=2).save(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["universe.json"]
+
     def test_dict_round_trip_and_defaults(self):
         spec = one_family_spec(density=0.5)
         doc = spec.to_json_dict()
