@@ -26,7 +26,7 @@ from .classify import (
 )
 from .gan import (
     DiscriminatorModel,
-    GeneratorModel,
+    Generators,
     RewardConfig,
     TrainSchedule,
     generate_candidates,
@@ -59,7 +59,7 @@ __all__ = [
     "DiscriminatorModel",
     "DivergenceError",
     "EvaluationReport",
-    "GeneratorModel",
+    "Generators",
     "LabeledSeedCorpus",
     "NybblePrefix",
     "NybbleSeq",

@@ -24,13 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, nn
-from .addr import (
-    AliasTrie,
-    NybbleSeq,
-    load_alias_file,
-    load_seed_file,
-    write_address_file,
-)
+from .addr import AliasTrie, load_alias_file, load_seed_file, write_address_file
 from .alias import filter_aliased
 from .classify import (
     classify_entropy,
@@ -42,7 +36,7 @@ from .classify import (
 from .fileio import atomic_write
 from .gan import (
     DiscriminatorModel,
-    GeneratorModel,
+    Generators,
     RewardConfig,
     TrainSchedule,
     generate_candidates,
@@ -359,19 +353,17 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
 
     last_saved = None  # round of the checkpoints on disk; -1 is after pretraining
 
-    def save_all(rnd: int, gens: list[GeneratorModel], disc: DiscriminatorModel) -> None:
+    def save_all(rnd: int, gens: Generators, disc: DiscriminatorModel) -> None:
         nonlocal last_saved
-        for g in gens:
-            _save_checkpoint(
-                _generator_ckpt(out, g.pattern_id), g.params, "meta_pattern_id", g.pattern_id
-            )
+        for i in range(gens.k):
+            _save_checkpoint(_generator_ckpt(out, i), gens.params[i], "meta_pattern_id", i)
         _save_checkpoint(_disc_ckpt(out), disc.params, "meta_k", disc.k)
         last_saved = rnd
 
     log_path = os.path.join(out, "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as log_fh:  # streamed: kept on exit 3
         try:
-            generators, disc, records = train_6gan(
+            gens, disc, records = train_6gan(
                 corpus, trie, reward, schedule, seed=cfg["seed"], **cfg["nn"],
                 on_round=save_all,
                 on_record=lambda rec: print(
@@ -386,7 +378,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
                 kept = f"last finite checkpoint retained in {out}: after {when}"
             raise DivergenceError(f"{err} ({kept})") from err
     outputs = [log_path, _disc_ckpt(out)]
-    outputs += [_generator_ckpt(out, g.pattern_id) for g in generators]
+    outputs += [_generator_ckpt(out, i) for i in range(gens.k)]
     print(f"trained {corpus.k} generators for {schedule.adversarial_rounds} rounds")
     print(f"checkpoints and {len(records)} log records in {out}")
     return inputs, outputs
@@ -428,26 +420,25 @@ def cmd_generate(cfg: dict, args: argparse.Namespace) -> _Files:
     exclude, inputs = _load_exclude(cfg)
     inputs += paths
 
-    streams = np.random.SeedSequence([cfg["seed"], 1]).spawn(k)
-    generators = []  # every checkpoint is read before any file is written
-    for i, (path, stream) in enumerate(zip(paths, streams)):
+    read = []  # every checkpoint is read before any file is written
+    for i, path in enumerate(paths):
         params, pattern_id = _read_checkpoint(path, LstmParams, "meta_pattern_id")
         if pattern_id != i:
             raise ConfigError(f"{path} carries pattern id {pattern_id}, expected {i}")
-        generators.append(GeneratorModel(params, i, np.random.default_rng(stream)))
-    merged: list[NybbleSeq] = []
-    seen: set[tuple[int, ...]] = set()
+        if read and params.w_gates.shape != read[0].w_gates.shape:
+            raise ConfigError(f"{path} holds a generator of other widths than {paths[0]}")
+        read.append(params)
+    streams = np.random.SeedSequence([cfg["seed"], 1]).spawn(k)
+    gens = Generators(LstmParams.stack(read), [np.random.default_rng(s) for s in streams])
+    # every generator samples before any file is written
+    parts = [generate_candidates(gens, i, budget, exclude) for i, budget in enumerate(budgets)]
     outputs = []
-    for i, (g, budget) in enumerate(zip(generators, budgets)):
-        cands = generate_candidates(g, budget, exclude)
+    for i, (cands, budget) in enumerate(zip(parts, budgets)):
         part_path = os.path.join(out, f"candidates_pattern_{i:02d}.txt")
         write_address_file(part_path, cands, header=f"pattern: {i}")
         outputs.append(part_path)
-        for c in cands:
-            if c.nybbles not in seen:
-                seen.add(c.nybbles)
-                merged.append(c)
         print(f"pattern {i}: {len(cands)}/{budget} candidates")
+    merged = list(dict.fromkeys(c for cands in parts for c in cands))  # first occurrences
     merged_path = os.path.join(out, "candidates.txt")
     write_address_file(merged_path, merged, header="merged candidates")
     outputs.append(merged_path)
@@ -485,6 +476,17 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
     addrs = load_seed_file(addresses_path)
     if not addrs:
         raise ConfigError(f"addresses file {addresses_path} is empty")
+    inputs = [ckpt, addresses_path]
+    gold_map = None  # checked before any file is written
+    if cfg.get("gold_labels_file"):
+        gold_path = _require_file(cfg["gold_labels_file"], "gold labels file")
+        inputs.append(gold_path)
+        gold_corpus = read_labels_file(gold_path)
+        gold_map = {s.nybbles: lab.class_id for s, lab in
+                    zip(gold_corpus.seeds, gold_corpus.labels)}
+        missing = [a for a in addrs if a.nybbles not in gold_map]
+        if missing:
+            raise ConfigError(f"{len(missing)} addresses missing from gold labels")
     tokens = np.array([a.nybbles for a in addrs], dtype=np.int64)
     probs = disc.class_probs(tokens)
     pred = probs.argmax(axis=1)
@@ -495,17 +497,8 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
         for a, p, row in zip(addrs, pred, probs):
             cols = "\t".join(f"{v:.6f}" for v in row)
             fh.write(f"{a}\t{int(p)}\t{cols}\n")
-    inputs = [ckpt, addresses_path]
     outputs = [scores_path]
-    if cfg.get("gold_labels_file"):
-        gold_path = _require_file(cfg["gold_labels_file"], "gold labels file")
-        inputs.append(gold_path)
-        gold_corpus = read_labels_file(gold_path)
-        gold_map = {s.nybbles: lab.class_id for s, lab in
-                    zip(gold_corpus.seeds, gold_corpus.labels)}
-        missing = [a for a in addrs if a.nybbles not in gold_map]
-        if missing:
-            raise ConfigError(f"{len(missing)} addresses missing from gold labels")
+    if gold_map is not None:
         n_classes = disc.k + 1
         confusion = np.zeros((n_classes, n_classes), dtype=int)
         for a, p in zip(addrs, pred):

@@ -67,11 +67,27 @@ class TrainSchedule:
 
 
 @dataclass
-class GeneratorModel:
+class Generators:
+    """The k pattern generators: generator j, trained for pattern j, is
+    entry j of the [k, ...] params stack and draws from rngs[j].  One
+    RMSProp updates the whole stack; it is elementwise, so each entry gets
+    the bytes of its own update."""
+
     params: LstmParams
-    pattern_id: int
-    rng: np.random.Generator
+    rngs: list[np.random.Generator]
     opt: RmsProp = field(default_factory=lambda: RmsProp(lr=1e-3))
+
+    def __post_init__(self) -> None:
+        if self.params.emb.shape[:-2] != (self.k,):
+            raise ValueError(f"{self.k} rngs for a stack with emb of shape {self.params.emb.shape}")
+
+    @property
+    def k(self) -> int:
+        return len(self.rngs)
+
+    def sample(self, j: int, n: int) -> np.ndarray:
+        """[n, 32] tokens from generator j alone, as a one-entry stack."""
+        return _sample_tokens(self.params[j][None], [self.rngs[j]], n)[0][0]
 
 
 SCORE_BLOCK = 512  # rows per scoring pass in class_probs; bounds its working memory
@@ -199,8 +215,7 @@ def _alias_contrib(lengths: np.ndarray, t: int, lam: float) -> np.ndarray:
 
 
 def rollout_penalties(
-    params: LstmParams,
-    generators: list[GeneratorModel],
+    gens: Generators,
     d: DiscriminatorModel,
     trie: AliasTrie | None,
     cfg: RewardConfig,
@@ -209,7 +224,7 @@ def rollout_penalties(
     cs: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo penalties (Q_D, Q_A), each [k, B, SEQ_LEN], of the
-    sampled batches of the generators in the stack params.
+    generators' sampled batches.
 
     tokens, hs and cs come from _sample_tokens(keep_states=True).  At each
     position t < SEQ_LEN, cfg.rollouts completions continue every sequence
@@ -218,24 +233,23 @@ def rollout_penalties(
     order.  Then each generator's d.rollout_scorer scores its completions,
     and at t = SEQ_LEN its sequences themselves, one generator at a time,
     so one scorer's running maxima are live at once.  Q_D is the mean
-    discriminator penalty 1 - D^i over the completions.  Q_A is the mean
+    discriminator penalty 1 - D^j over generator j's completions.  Q_A is the mean
     alias penalty: a completion under an aliased prefix of length L
     contributes (t/L)*lambda when t <= L, and 0 otherwise.  Without a trie
     Q_A is 0.
     """
     k, b = tokens.shape[:2]
     n = cfg.rollouts
-    rngs = [g.rng for g in generators]
     tails = []  # [k, B*n, SEQ_LEN-t] per position t, as nybbles
     for t in range(1, SEQ_LEN):
         h_rep = np.repeat(hs[t - 1], n, axis=1)
         c_rep = np.repeat(cs[t - 1], n, axis=1)
         prev = np.repeat(tokens[:, :, t - 1], n, axis=1)
-        drawn, _, _ = _continue_tokens(params, rngs, h_rep, c_rep, prev, SEQ_LEN - t)
+        drawn, _, _ = _continue_tokens(gens.params, gens.rngs, h_rep, c_rep, prev, SEQ_LEN - t)
         tails.append(drawn.astype(np.uint8))
     q_d = np.empty((k, b, SEQ_LEN))
     q_a = np.zeros((k, b, SEQ_LEN))
-    for j, g in enumerate(generators):
+    for j in range(k):
         score = d.rollout_scorer(tokens[j])
         for t in range(1, SEQ_LEN + 1):
             if t < SEQ_LEN:
@@ -245,7 +259,7 @@ def rollout_penalties(
             else:
                 m, full = 1, tokens[j]
             probs = score(t, full)
-            q_d[j, :, t - 1] = (1.0 - probs[:, g.pattern_id]).reshape(b, m).mean(axis=1)
+            q_d[j, :, t - 1] = (1.0 - probs[:, j]).reshape(b, m).mean(axis=1)
             if trie is not None:
                 contrib = _alias_contrib(trie.match_batch(full), t, cfg.lam)
                 q_a[j, :, t - 1] = contrib.reshape(b, m).mean(axis=1)
@@ -277,33 +291,24 @@ def pg_logit_grad(probs: np.ndarray, actions: np.ndarray, q: np.ndarray) -> np.n
     return grad
 
 
-def _update(params: LstmParams, generators: list[GeneratorModel], grads: dict) -> None:
-    """One optimiser step per generator, in place on its entry of the stack."""
-    for j, g in enumerate(generators):
-        g.opt.update(params[j].tensors(), {name: grad[j] for name, grad in grads.items()})
-
-
 def generator_pg_step(
-    params: LstmParams,
-    generators: list[GeneratorModel],
+    gens: Generators,
     d: DiscriminatorModel,
     trie: AliasTrie | None,
     cfg: RewardConfig,
     batch_size: int,
 ) -> list[dict]:
-    """One REINFORCE update of every generator in the stack params, in
-    lockstep; returns one stats record per generator.
+    """One REINFORCE update of every generator, in lockstep; returns one
+    stats record per generator.
 
-    generators[j] draws from its own rng, is scored for its own pattern
-    and updates entry j of the stack with its own optimiser.  For every
+    Generator j draws from rngs[j] and is scored for pattern j.  For every
     position t of every sampled sequence, N rollouts complete the sequence
     from the generator's cached state; the discriminator and alias
-    penalties of the completions give Q_AD(x_t), and one RMSProp step
-    descends the penalty-weighted log-likelihood.
+    penalties of the completions give Q_AD(x_t), and one RMSProp step of
+    the stack descends the penalty-weighted log-likelihood.
     """
-    tokens, hs, cs = _sample_tokens(params, [g.rng for g in generators], batch_size,
-                                    keep_states=True)
-    q_d, q_a = rollout_penalties(params, generators, d, trie, cfg, tokens, hs, cs)
+    tokens, hs, cs = _sample_tokens(gens.params, gens.rngs, batch_size, keep_states=True)
+    q_d, q_a = rollout_penalties(gens, d, trie, cfg, tokens, hs, cs)
     del hs, cs  # the k-fold BPTT cache below is the step's peak; keep it alone
     aliased_rates = [float((trie.match_batch(toks) > 0).mean()) if trie is not None else 0.0
                      for toks in tokens]
@@ -314,23 +319,17 @@ def generator_pg_step(
     _check_range("Q_AD", q, 1.0 + cfg.alpha * cfg.lam)
 
     bos = np.full(tokens.shape[:-1] + (1,), BOS, dtype=tokens.dtype)
-    logits, cache = lstm_forward(params, np.concatenate([bos, tokens[..., :-1]], axis=-1))
+    logits, cache = lstm_forward(gens.params, np.concatenate([bos, tokens[..., :-1]], axis=-1))
     dlogits = pg_logit_grad(softmax(logits, out=logits), tokens, q)
     del logits
-    grads = lstm_backward(params, cache, dlogits)
+    grads = lstm_backward(gens.params, cache, dlogits)
     # the BPTT cache is most of what is live here; the update's temporaries
     # are each as large as w_gates, so free the cache before they exist
     del cache, dlogits
-    _update(params, generators, grads)
-    return [
-        {
-            "mean_q_d": float(q_d[j].mean()),
-            "mean_q_a": float(q_a[j].mean()),
-            "mean_q_ad": float(q[j].mean()),
-            "aliased_rate": aliased_rates[j],
-        }
-        for j in range(len(generators))
-    ]
+    gens.opt.update(gens.params.tensors(), grads)
+    return [{"mean_q_d": float(q_d[j].mean()), "mean_q_a": float(q_a[j].mean()),
+             "mean_q_ad": float(q[j].mean()), "aliased_rate": aliased_rates[j]}
+            for j in range(gens.k)]
 
 
 def discriminator_step(
@@ -352,26 +351,23 @@ def discriminator_step(
 
 
 def pretrain_generator(
-    params: LstmParams,
-    generators: list[GeneratorModel],
+    gens: Generators,
     seed_tokens: list[np.ndarray],
     steps: int,
     batch_size: int,
 ) -> list[list[float]]:
-    """Teacher-forced MLE pretraining of every generator in the stack
-    params, in lockstep, generators[j] on seed_tokens[j]; returns each
-    generator's per-step NLL curve."""
+    """Teacher-forced MLE pretraining of every generator, in lockstep,
+    generator j on seed_tokens[j]; returns each generator's per-step NLL
+    curve."""
     if any(len(toks) == 0 for toks in seed_tokens):
         raise ValueError("cannot pretrain on an empty seed class")
-    curves: list[list[float]] = [[] for _ in generators]
-    for _ in range(steps):
-        batch = np.stack([toks[g.rng.integers(len(toks), size=batch_size)]
-                          for g, toks in zip(generators, seed_tokens)])
-        nll, grads = lstm_nll_grads(params, batch)
-        _update(params, generators, grads)
-        for curve, value in zip(curves, nll):
-            curve.append(float(value))
-    return curves
+    nlls = np.empty((steps, gens.k))
+    for step in range(steps):
+        batch = np.stack([toks[rng.integers(len(toks), size=batch_size)]
+                          for rng, toks in zip(gens.rngs, seed_tokens)])
+        nlls[step], grads = lstm_nll_grads(gens.params, batch)
+        gens.opt.update(gens.params.tensors(), grads)
+    return nlls.T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +375,11 @@ def pretrain_generator(
 # ---------------------------------------------------------------------------
 
 
-def _fake_pool(generators: list[GeneratorModel], n: int) -> np.ndarray:
+def _fake_pool(gens: Generators, n: int) -> np.ndarray:
     """n generated sequences drawn as evenly as possible across generators."""
-    k = len(generators)
-    counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    parts = []
-    for g, c in zip(generators, counts):
-        if c > 0:
-            tokens, _, _ = _sample_tokens(g.params[None], [g.rng], c)
-            parts.append(tokens[0])
-    return np.concatenate(parts, axis=0)
+    k = gens.k
+    counts = [n // k + (1 if j < n % k else 0) for j in range(k)]
+    return np.concatenate([gens.sample(j, c) for j, c in enumerate(counts) if c > 0], axis=0)
 
 
 def train_6gan(
@@ -404,7 +395,7 @@ def train_6gan(
     lr_disc: float = 1e-4,
     on_round=None,
     on_record=None,
-) -> tuple[list[GeneratorModel], DiscriminatorModel, list[dict]]:
+) -> tuple[Generators, DiscriminatorModel, list[dict]]:
     """Pretrain k generators and the discriminator, then alternate
     g_steps policy-gradient updates per generator with d_steps
     discriminator updates for the scheduled number of rounds.  The k
@@ -425,33 +416,22 @@ def train_6gan(
     for cid in range(k):
         if not corpus.class_index[cid]:
             raise ValueError(f"seed class {cid} is empty")
-    class_tokens = [
-        np.array([s.nybbles for s in corpus.class_seeds(cid)], dtype=np.int64)
-        for cid in range(k)
-    ]
+    class_tokens = [np.array([s.nybbles for s in corpus.class_seeds(cid)], dtype=np.int64)
+                    for cid in range(k)]
 
     ss = np.random.SeedSequence(seed)
     streams = [s.spawn(2) for s in ss.spawn(k + 1)]  # (init, runtime) per model
-    # the generators train in lockstep on one stack; each one's params are
-    # views of its entry, so its optimiser and its checkpoint see its own
-    stack = LstmParams.stack([
-        LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim)
-        for i in range(k)
-    ])
-    generators = [
-        GeneratorModel(
-            params=stack[i],
-            pattern_id=i,
-            rng=np.random.default_rng(streams[i][1]),
-            opt=RmsProp(lr=lr_gen),
-        )
-        for i in range(k)
-    ]
+    gens = Generators(
+        params=LstmParams.stack([
+            LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim)
+            for i in range(k)
+        ]),
+        rngs=[np.random.default_rng(streams[i][1]) for i in range(k)],
+        opt=RmsProp(lr=lr_gen),
+    )
     d_rng = np.random.default_rng(streams[k][1])
     disc = DiscriminatorModel(
-        params=CnnParams.init(
-            np.random.default_rng(streams[k][0]), k + 1, embed_dim, n_filters
-        ),
+        params=CnnParams.init(np.random.default_rng(streams[k][0]), k + 1, embed_dim, n_filters),
         k=k,
         opt=RmsProp(lr=lr_disc),
     )
@@ -463,8 +443,7 @@ def train_6gan(
         if on_record is not None:
             on_record(rec)
 
-    curves = pretrain_generator(stack, generators, class_tokens, schedule.g_pretrain,
-                                schedule.batch_size)
+    curves = pretrain_generator(gens, class_tokens, schedule.g_pretrain, schedule.batch_size)
     for i, curve in enumerate(curves):
         for step, nll in enumerate(curve):
             emit({"kind": "g_pretrain", "generator": i, "step": step, "nll": nll})
@@ -472,36 +451,35 @@ def train_6gan(
     per_class = max(1, schedule.batch_size // (k + 1))
 
     def real_batches() -> list[np.ndarray]:
-        return [
-            toks[d_rng.integers(len(toks), size=per_class)] for toks in class_tokens
-        ]
+        return [toks[d_rng.integers(len(toks), size=per_class)] for toks in class_tokens]
 
     for step in range(schedule.d_pretrain):
-        loss = discriminator_step(disc, real_batches(), _fake_pool(generators, per_class))
+        loss = discriminator_step(disc, real_batches(), _fake_pool(gens, per_class))
         emit({"kind": "d_pretrain", "step": step, "loss": loss})
 
     if on_round is not None:
-        on_round(-1, generators, disc)
+        on_round(-1, gens, disc)
     for rnd in range(schedule.adversarial_rounds):
-        by_step = [generator_pg_step(stack, generators, disc, trie, cfg, schedule.batch_size)
+        by_step = [generator_pg_step(gens, disc, trie, cfg, schedule.batch_size)
                    for _ in range(schedule.g_steps)]
         for i in range(k):  # records by generator, then step
             for step, stats in enumerate(by_step):
                 emit({"kind": "g_step", "round": rnd, "generator": i, "step": step, **stats[i]})
         for step in range(schedule.d_steps):
-            loss = discriminator_step(disc, real_batches(), _fake_pool(generators, per_class))
+            loss = discriminator_step(disc, real_batches(), _fake_pool(gens, per_class))
             emit({"kind": "d_step", "round": rnd, "step": step, "loss": loss})
         if on_round is not None:
-            on_round(rnd, generators, disc)
-    return generators, disc, records
+            on_round(rnd, gens, disc)
+    return gens, disc, records
 
 
 def generate_candidates(
-    g: GeneratorModel,
+    gens: Generators,
+    j: int,
     budget: int,
     exclude: set[tuple[int, ...]] | None = None,
 ) -> list[NybbleSeq]:
-    """Up to budget unique addresses not present in exclude.
+    """Up to budget unique addresses from generator j not present in exclude.
 
     Sampling stops after 50x budget attempts; a shortfall is logged and
     the partial set returned.
@@ -514,9 +492,8 @@ def generate_candidates(
     attempts = 0
     while len(out) < budget and attempts < 50 * budget:
         chunk = min(max(budget - len(out), 1), 4096)
-        tokens, _, _ = _sample_tokens(g.params[None], [g.rng], chunk)
         attempts += chunk
-        for key in map(tuple, tokens[0].tolist()):
+        for key in map(tuple, gens.sample(j, chunk).tolist()):
             if key in seen or key in exclude:
                 continue
             seen.add(key)
@@ -524,8 +501,6 @@ def generate_candidates(
             if len(out) == budget:
                 break
     if len(out) < budget:
-        log.warning(
-            "generator %d produced %d/%d unique candidates before the attempt cap",
-            g.pattern_id, len(out), budget,
-        )
+        log.warning("generator %d produced %d/%d unique candidates before the attempt cap",
+                    j, len(out), budget)
     return out

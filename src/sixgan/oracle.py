@@ -31,6 +31,27 @@ _PORT_GROUPS = (
 _LOW_BYTE_EXCLUDED = {0x15, 0x16, 0x17, 0x19}
 
 
+_STRING = ("a string", lambda v: type(v) is str)
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
+# what each universe spec key holds, and a check of its JSON value
+_SPEC_KEYS = {
+    "hash_key": ("an integer in [0, 2^128)", lambda v: type(v) is int and 0 <= v < 2 ** 128),
+    "families": ("a list of objects", lambda v: type(v) is list and all(type(f) is dict for f in v)),
+    "name": _STRING, "pattern": _STRING, "prefixes": _STRINGS, "aliased_prefixes": _STRINGS,
+    "density": ("a number", lambda v: type(v) in (int, float)),
+}
+
+
+def _spec_value(doc: dict, key: str, where: str = ""):
+    """doc[key] checked against _SPEC_KEYS; an error names where + key."""
+    if key not in doc:
+        raise ValueError(f"universe spec lacks key {where}{key}")
+    what, ok = _SPEC_KEYS[key]
+    if not ok(doc[key]):
+        raise ValueError(f"universe spec key {where}{key} must be {what}, got {json.dumps(doc[key])}")
+    return doc[key]
+
+
 class ProbeStatus(Enum):
     ACTIVE = "active-nonaliased"
     ALIASED = "active-aliased"
@@ -75,20 +96,25 @@ class UniverseSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "UniverseSpec":
-        families = tuple(
-            PatternFamily(
-                name=f["name"],
-                pattern=f["pattern"],
-                prefixes=tuple(parse_prefix(p) for p in f["prefixes"]),
-                density=float(f["density"]),
-            )
-            for f in doc["families"]
-        )
+    def from_json_dict(cls, doc) -> "UniverseSpec":
+        """The spec of a JSON document; ValueError names a missing or wrong-typed key."""
+        if type(doc) is not dict:
+            raise ValueError(f"universe spec must be a JSON object, got {json.dumps(doc)}")
+        hash_key = _spec_value(doc, "hash_key")
+        families = []
+        for i, f in enumerate(_spec_value(doc, "families")):
+            where = f"families[{i}]."
+            families.append(PatternFamily(
+                name=_spec_value(f, "name", where),
+                pattern=_spec_value(f, "pattern", where),
+                prefixes=tuple(parse_prefix(p) for p in _spec_value(f, "prefixes", where)),
+                density=float(_spec_value(f, "density", where)),
+            ))
+        aliased = _spec_value(doc, "aliased_prefixes") if "aliased_prefixes" in doc else []
         return cls(
-            hash_key=int(doc["hash_key"]),
-            families=families,
-            aliased_prefixes=tuple(parse_prefix(p) for p in doc.get("aliased_prefixes", [])),
+            hash_key=hash_key,
+            families=tuple(families),
+            aliased_prefixes=tuple(parse_prefix(p) for p in aliased),
         )
 
     def save(self, path: str) -> None:

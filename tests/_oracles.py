@@ -37,19 +37,19 @@ references are the earlier address parser, one character at a time, and
 formatter, one zero-group run scan per address.
 """
 
+import copy
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from sixgan.addr import AddressParseError, NybbleSeq
 from sixgan.gan import (
     DiscriminatorModel,
-    GeneratorModel,
     _alias_contrib,
     _check_range,
-    _sample_tokens,
     discriminator_step,
 )
 from sixgan.nn import (
@@ -674,7 +674,31 @@ def per_gate_lstm_backward(params, cache: dict, dlogits: np.ndarray) -> dict:
 # and a training loop that finishes generator 0's steps before generator
 # 1's.  Each lockstep product is the same BLAS call on the same shape, per
 # generator and step, and every elementwise expression keeps its operand
-# order, so the two must agree bit for bit.
+# order, so the two must agree bit for bit.  The library keeps one RMSProp
+# for the whole stack; these keep one per generator, in SingleGenerator.
+
+
+@dataclass
+class SingleGenerator:
+    """One generator alone: its parameters, the pattern it is scored for,
+    its rng and its own optimiser."""
+
+    params: LstmParams
+    pattern_id: int
+    rng: np.random.Generator
+    opt: RmsProp
+
+
+def single_generators(gens) -> list:
+    """Copies of each generator of a library Generators, as SingleGenerator
+    records; generator j gets entry j of every RMSProp accumulator."""
+    refs = []
+    for j, rng in enumerate(gens.rngs):
+        opt = RmsProp(lr=gens.opt.lr, decay=gens.opt.decay, eps=gens.opt.eps)
+        opt.acc = {name: acc[j].copy() for name, acc in gens.opt.acc.items()}
+        params = LstmParams(**{name: t.copy() for name, t in gens.params[j].tensors().items()})
+        refs.append(SingleGenerator(params, j, copy.deepcopy(rng), opt))
+    return refs
 
 
 def single_lstm_cell(params, tokens, h_prev, c_prev):
@@ -864,7 +888,7 @@ def sequential_train_6gan(corpus, trie, cfg, schedule, seed, embed_dim=200, hidd
     class_tokens = [np.array([s.nybbles for s in corpus.class_seeds(cid)], dtype=np.int64)
                     for cid in range(k)]
     streams = [s.spawn(2) for s in np.random.SeedSequence(seed).spawn(k + 1)]
-    gens = [GeneratorModel(
+    gens = [SingleGenerator(
         params=LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim),
         pattern_id=i, rng=np.random.default_rng(streams[i][1]), opt=RmsProp(lr=lr_gen),
     ) for i in range(k)]
@@ -956,12 +980,11 @@ def grad_check(
     return worst
 
 
-def sample_sequences(g, n: int) -> list:
-    """n addresses sampled from the generator's current policy."""
+def sample_sequences(gens, n: int) -> list:
+    """n addresses sampled from the current policy of generator 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tokens, _, _ = _sample_tokens(g.params[None], [g.rng], n)
-    return [NybbleSeq(tuple(int(v) for v in row)) for row in tokens[0]]
+    return [NybbleSeq(tuple(int(v) for v in row)) for row in gens.sample(0, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1070,8 @@ _BOUND_EPS = 1e-9  # headroom for float rounding in mean-of-bounded-values asser
 
 
 def mc_rollout(g, partial: tuple, n: int) -> list:
-    """n completions of a partial sequence, sampled from g itself.
+    """n completions of a partial sequence, sampled from the SingleGenerator
+    g itself.
 
     The given nybbles are replayed through the network (so the rollout
     conditions on them exactly) and the remaining positions are sampled

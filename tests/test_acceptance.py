@@ -262,7 +262,7 @@ def test_07_alias_detection_ablation():
         gens, _, _ = train_6gan(corpus, arm_detector, cfg, schedule, seed=0,
                                 embed_dim=32, hidden_dim=48, n_filters=12,
                                 lr_gen=2e-3, lr_disc=1e-3)
-        cands = generate_candidates(gens[0], 5000, seen)
+        cands = generate_candidates(gens, 0, 5000, seen)
         fractions[arm] = sum(
             1 for c in cands if detector.match(c) is not None
         ) / len(cands)
@@ -292,10 +292,10 @@ def test_08_learning_effectiveness():
     exclude = {s.nybbles for s in seeds}
 
     def hit_rate(gens):
-        budgets = allocate_budget([1.0] * len(gens), 5000)
+        budgets = allocate_budget([1.0] * gens.k, 5000)
         seen, cands = set(), []
-        for g, b in zip(gens, budgets):
-            for c in generate_candidates(g, b, exclude):
+        for j, b in enumerate(budgets):
+            for c in generate_candidates(gens, j, b, exclude):
                 if c.nybbles not in seen:
                     seen.add(c.nybbles)
                     cands.append(c)
@@ -366,9 +366,9 @@ def test_10_determinism_and_persistence(tmp_path):
             corpus, None, RewardConfig(rollouts=2), schedule, seed=9,
             embed_dim=12, hidden_dim=14, n_filters=3,
         )
-        save_checkpoint(str(d / "generator.ckpt"), gens[0].params.tensors())
+        save_checkpoint(str(d / "generator.ckpt"), gens.params[0].tensors())
         save_checkpoint(str(d / "discriminator.ckpt"), disc.params.tensors())
-        cands = generate_candidates(gens[0], 200, {s.nybbles for s in seeds})
+        cands = generate_candidates(gens, 0, 200, {s.nybbles for s in seeds})
         report = evaluate(CandidateSet(cands), seeds, oracle)
         (d / "report.json").write_text(report.to_json())
         (d / "log.jsonl").write_text(

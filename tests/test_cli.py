@@ -18,7 +18,7 @@ from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
 from sixgan.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from sixgan.gan import train_6gan
-from sixgan.nn import DivergenceError, load_checkpoint, save_checkpoint
+from sixgan.nn import DivergenceError, LstmParams, load_checkpoint, save_checkpoint
 
 UNIVERSE = {
     "hash_key": 1234,
@@ -549,6 +549,21 @@ class TestExitCodes:
         assert "training diverged" not in err
         assert not (out / "candidates.txt").exists()
 
+    def test_non_finite_later_generator_writes_nothing(self, pipeline, tmp_path, capsys):
+        # every generator samples before the first candidates file is written
+        out = tmp_path / "out"
+        out.mkdir()
+        for i in range(3):
+            tensors = load_checkpoint(str(pipeline["out"] / f"generator_{i:02d}.ckpt"))
+            if i == 2:
+                tensors["w_out"][0, 0] = np.inf
+            save_checkpoint(str(out / f"generator_{i:02d}.ckpt"), tensors)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["generate", "--out", str(out), "--budget", "6"]) == EXIT_CONFIG
+        assert "malformed value in generate input" in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_generate_rejects_gap_in_generator_numbering(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -558,6 +573,21 @@ class TestExitCodes:
         assert main(["generate", "--out", str(out)]) == EXIT_CONFIG
         assert "missing generator_01.ckpt" in capsys.readouterr().err
         assert not (out / "candidates.txt").exists()
+
+    def test_generate_rejects_generators_of_other_widths(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline["out"] / "generator_00.ckpt", out / "generator_00.ckpt")
+        narrow = LstmParams.init(np.random.default_rng(0), embed_dim=8, hidden_dim=8)
+        save_checkpoint(str(out / "generator_01.ckpt"),
+                        {**narrow.tensors(), "meta_pattern_id": np.array([1.0])})
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["generate", "--out", str(out), "--budget", "4"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"config error: {out / 'generator_01.ckpt'} holds a generator of other "
+                       f"widths than {out / 'generator_00.ckpt'}\n")
+        assert snapshot(out) == before
 
     def test_generate_finds_generators_past_64(self, pipeline, tmp_path):
         out = tmp_path / "out"
@@ -644,6 +674,62 @@ class TestExitCodes:
         tensors[meta] = np.array(value)
         err = refused_checkpoint(pipeline, tmp_path, capsys, name, tensors)
         assert err.endswith(f"{name}: tensor {meta} must hold one finite integer, got {got}\n")
+
+    def test_gold_labels_lacking_addresses_write_nothing(self, pipeline, tmp_path, capsys):
+        # the gold labels are checked before scores.tsv is written
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline["out"] / "discriminator.ckpt", out / "discriminator.ckpt")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("".join((pipeline["out"] / "labels.tsv").read_text().splitlines(True)[:5]))
+        cfg = write_json(tmp_path / "c.json", {"gold_labels_file": str(gold)})
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["discriminate", "--config", cfg, "--out", str(out),
+                     str(pipeline["out"] / "seeds.txt")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: 235 addresses missing from gold labels\n"
+        assert snapshot(out) == before
+        assert not (out / "scores.tsv").exists()
+        assert not (out / "manifest_discriminate.json").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    @pytest.mark.parametrize("spec, why", [
+        pytest.param([1, 2], "universe spec must be a JSON object, got [1, 2]", id="list"),
+        pytest.param({}, "universe spec lacks key hash_key", id="empty"),
+        pytest.param({"hash_key": 1}, "universe spec lacks key families", id="no-families"),
+        pytest.param({**UNIVERSE, "hash_key": None},
+                     "universe spec key hash_key must be an integer in [0, 2^128), got null",
+                     id="null-hash-key"),
+        pytest.param({**UNIVERSE, "hash_key": -1},
+                     "universe spec key hash_key must be an integer in [0, 2^128), got -1",
+                     id="negative-hash-key"),
+        pytest.param({**UNIVERSE, "families": [{"name": "low", "pattern": "Low-byte",
+                                                "prefixes": ["2001:db8:1::/48"]}]},
+                     "universe spec lacks key families[0].density", id="no-density"),
+        pytest.param({**UNIVERSE, "families": [UNIVERSE["families"][0],
+                                               {**UNIVERSE["families"][1], "density": "0.6"}]},
+                     'universe spec key families[1].density must be a number, got "0.6"',
+                     id="string-density"),
+        pytest.param({**UNIVERSE, "families": {"low": 1}},
+                     'universe spec key families must be a list of objects, got {"low": 1}',
+                     id="families-object"),
+        pytest.param({**UNIVERSE, "aliased_prefixes": "2001:db8:ff::/48"},
+                     "universe spec key aliased_prefixes must be a list of strings, "
+                     'got "2001:db8:ff::/48"', id="aliased-string"),
+    ])
+    def test_malformed_universe_spec(self, tmp_path, capsys, command, spec, why):
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out"
+        argv = [command, "--spec", spec_path, "--out", str(out)]
+        if command == "evaluate":
+            seeds = tmp_path / "seeds.txt"
+            seeds.write_text("2001:db8:1::1\n")
+            argv += ["--config", write_json(tmp_path / "c.json", {"seeds_file": str(seeds)}),
+                     str(seeds)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"invalid input: {why}\n"
+        assert not out.exists()
 
     def test_three_field_labels_file(self, tmp_path, capsys):
         labels = tmp_path / "labels.tsv"

@@ -17,6 +17,7 @@ from _oracles import (
     sample_sequences,
     sequential_train_6gan,
     single_generator_pg_step,
+    single_generators,
     single_pretrain_generator,
     single_rollout_penalties,
     single_sample_tokens,
@@ -26,7 +27,7 @@ from sixgan.addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from sixgan.classify import classify_rfc_corpus
 from sixgan.gan import (
     DiscriminatorModel,
-    GeneratorModel,
+    Generators,
     RewardConfig,
     TrainSchedule,
     _sample_tokens,
@@ -58,24 +59,15 @@ from sixgan.nn import (
 PREFIX_A = (2, 0, 0, 1, 0, 0xD, 0xB, 8)
 
 
-def make_generator(seed=0, embed=10, hidden=12, pattern_id=0, lr=1e-3):
-    rng_init, rng_run = np.random.SeedSequence(seed).spawn(2)
-    return GeneratorModel(
-        params=LstmParams.init(np.random.default_rng(rng_init), embed, hidden),
-        pattern_id=pattern_id,
-        rng=np.random.default_rng(rng_run),
+def make_generators(k=1, seed=0, embed=10, hidden=12, lr=1e-3):
+    """k generators; generator j is initialised and draws from seed + j."""
+    streams = [np.random.SeedSequence(seed + j).spawn(2) for j in range(k)]
+    return Generators(
+        params=LstmParams.stack([LstmParams.init(np.random.default_rng(init), embed, hidden)
+                                 for init, _ in streams]),
+        rngs=[np.random.default_rng(run) for _, run in streams],
         opt=RmsProp(lr=lr),
     )
-
-
-def solo(g):
-    """g as a one-generator stack: (stack view of its params, [g])."""
-    return g.params[None], [g]
-
-
-def solo_rngs(g):
-    """g's stack view and its rng, as _sample_tokens takes them."""
-    return g.params[None], [g.rng]
 
 
 def make_discriminator(seed=0, k=1, embed=8, filters=2, lr=1e-4):
@@ -130,6 +122,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TrainSchedule(g_pretrain=-1)
 
+    def test_generators_need_one_rng_per_stack_entry(self):
+        params = make_generators(k=2).params
+        with pytest.raises(ValueError, match="1 rngs for a stack with emb of shape"):
+            Generators(params, [np.random.default_rng(0)])
+        with pytest.raises(ValueError):
+            Generators(params[0], [np.random.default_rng(0)] * 17)  # no stack axis
+
     def test_discriminator_class_count_enforced(self):
         params = CnnParams.init(np.random.default_rng(0), 3, 6, 2)
         with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ class TestConfigs:
 
 class TestSampling:
     def test_shapes_and_values(self):
-        g = make_generator(seed=1)
+        g = make_generators(seed=1)
         seqs = sample_sequences(g, 7)
         assert len(seqs) == 7
         for s in seqs:
@@ -147,12 +146,12 @@ class TestSampling:
             assert all(0 <= v <= 15 for v in s.nybbles)
 
     def test_deterministic_given_stream(self):
-        a = sample_sequences(make_generator(seed=2), 5)
-        b = sample_sequences(make_generator(seed=2), 5)
+        a = sample_sequences(make_generators(seed=2), 5)
+        b = sample_sequences(make_generators(seed=2), 5)
         assert a == b
 
     def test_zero_weights_sample_uniformly(self):
-        g = make_generator(seed=6)
+        g = make_generators(seed=6)
         for t in g.params.tensors().values():
             t[...] = 0.0
         n = 10_000
@@ -167,9 +166,9 @@ class TestSampling:
         assert worst < 3 * sigma, f"worst deviation {worst:.5f} vs 3σ {3*sigma:.5f}"
 
     def test_pretrained_constant_prefix_reproduced(self):
-        g = make_generator(seed=4, embed=16, hidden=24, lr=2e-2)
+        g = make_generators(seed=4, embed=16, hidden=24, lr=2e-2)
         tokens = constant_prefix_tokens(128, np.random.default_rng(5))
-        pretrain_generator(*solo(g), [tokens], steps=200, batch_size=32)
+        pretrain_generator(g, [tokens], steps=200, batch_size=32)
         seqs = sample_sequences(g, 200)
         hits = sum(1 for s in seqs if s.nybbles[:8] == PREFIX_A)
         assert hits >= 180
@@ -177,14 +176,14 @@ class TestSampling:
 
 class TestMcRollout:
     def test_full_length_returns_copies(self):
-        g = make_generator(seed=6)
+        (g,) = single_generators(make_generators(seed=6))
         full = tuple(np.random.default_rng(7).integers(0, 16, size=32).tolist())
         rollouts = mc_rollout(g, full, 5)
         assert len(rollouts) == 5
         assert all(r.nybbles == full for r in rollouts)
 
     def test_prefix_preserved(self):
-        g = make_generator(seed=8)
+        (g,) = single_generators(make_generators(seed=8))
         partial = (1, 2, 3, 4, 5)
         rollouts = mc_rollout(g, partial, 15)
         assert len(rollouts) == 15
@@ -196,19 +195,19 @@ class TestMcRollout:
 class TestRewards:
     def test_confident_discriminator_no_penalty(self):
         stub = StubScores([[1.0, 0.0]] * 4)
-        rollouts = sample_sequences(make_generator(seed=9), 4)
+        rollouts = sample_sequences(make_generators(seed=9), 4)
         q = reward_discriminator(stub, 0, (1, 2, 3), 4, rollouts)
         assert q == 0.0
 
     def test_dismissive_discriminator_full_penalty(self):
         stub = StubScores([[0.0, 1.0]] * 4)
-        rollouts = sample_sequences(make_generator(seed=10), 4)
+        rollouts = sample_sequences(make_generators(seed=10), 4)
         q = reward_discriminator(stub, 0, (1, 2, 3), 4, rollouts)
         assert q == 1.0
 
     def test_two_rollout_average(self):
         stub = StubScores([[0.25, 0.75], [0.75, 0.25]])
-        rollouts = sample_sequences(make_generator(seed=11), 2)
+        rollouts = sample_sequences(make_generators(seed=11), 2)
         q = reward_discriminator(stub, 0, (1, 2, 3), 4, rollouts)
         assert q == pytest.approx(0.5)
 
@@ -220,7 +219,7 @@ class TestRewards:
 
     def test_real_model_rewards_in_bounds(self):
         d = make_discriminator(seed=12, k=2)
-        rollouts = sample_sequences(make_generator(seed=13), 6)
+        rollouts = sample_sequences(make_generators(seed=13), 6)
         q = reward_discriminator(d, 1, (0, 1, 2), 3, rollouts)
         assert 0.0 <= q <= 1.0
 
@@ -265,23 +264,23 @@ class TestRewards:
 class TestRolloutPenalties:
     def test_batch_of_one_matches_scalar_reference(self):
         # pretrained toward PREFIX_A, so rollouts fall under the aliased prefix
-        g = make_generator(seed=40, embed=16, hidden=24, lr=2e-2)
-        pretrain_generator(*solo(g), [constant_prefix_tokens(128, np.random.default_rng(41))],
+        g = make_generators(seed=40, embed=16, hidden=24, lr=2e-2)
+        pretrain_generator(g, [constant_prefix_tokens(128, np.random.default_rng(41))],
                            steps=200, batch_size=32)
         d = make_discriminator(seed=42, k=1)
         trie = AliasTrie([NybblePrefix(PREFIX_A)])
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=5)
-        ref = copy.deepcopy(g)  # same weights, same RNG state
+        (ref,) = single_generators(g)  # same weights, same RNG state
 
-        tokens, hs, cs = _sample_tokens(*solo_rngs(g), 1, keep_states=True)
-        (q_d,), (q_a,) = rollout_penalties(*solo(g), d, trie, cfg, tokens, hs, cs)
+        tokens, hs, cs = _sample_tokens(g.params, g.rngs, 1, keep_states=True)
+        (q_d,), (q_a,) = rollout_penalties(g, d, trie, cfg, tokens, hs, cs)
 
-        seq = sample_sequences(ref, 1)[0].nybbles
+        seq = tuple(single_sample_tokens(ref.params, 1, ref.rng)[0][0].tolist())
         assert seq == tuple(tokens[0, 0].tolist())
         want_d, want_a = [], []
         for t in range(1, 33):
             rollouts = mc_rollout(ref, seq[:t], cfg.rollouts)
-            want_d.append(reward_discriminator(d, g.pattern_id, seq[:t - 1], seq[t - 1], rollouts))
+            want_d.append(reward_discriminator(d, ref.pattern_id, seq[:t - 1], seq[t - 1], rollouts))
             want_a.append(reward_alias(trie, cfg, t, rollouts))
         assert q_d.shape == q_a.shape == (1, 32)
         assert np.abs(q_d[0] - want_d).max() <= 1e-12
@@ -291,10 +290,10 @@ class TestRolloutPenalties:
         assert np.abs(q_d[0] + cfg.alpha * q_a[0] - want_q).max() <= 1e-12
 
     def test_no_trie_means_no_alias_penalty(self):
-        g = make_generator(seed=44)
+        g = make_generators(seed=44)
         d = make_discriminator(seed=45, k=1)
-        tokens, hs, cs = _sample_tokens(*solo_rngs(g), 3, keep_states=True)
-        (q_d,), (q_a,) = rollout_penalties(*solo(g), d, None, RewardConfig(rollouts=2),
+        tokens, hs, cs = _sample_tokens(g.params, g.rngs, 3, keep_states=True)
+        (q_d,), (q_a,) = rollout_penalties(g, d, None, RewardConfig(rollouts=2),
                                            tokens, hs, cs)
         assert q_d.shape == q_a.shape == (3, 32)
         assert not q_a.any()
@@ -332,26 +331,26 @@ class TestIncrementalRolloutScoring:
 
     @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
     def test_penalties_equal_full_pass(self, embed, filters):
-        g = make_generator(seed=embed)
+        g = make_generators(seed=embed)
         ref = copy.deepcopy(g)
         d = biased_discriminator(embed, filters)
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(rollouts=3)
-        got = rollout_penalties(*solo(g), d, trie, cfg,
-                                *_sample_tokens(*solo_rngs(g), 4, keep_states=True))
-        want = rollout_penalties(*solo(ref), FullPassScores(d), trie, cfg,
-                                 *_sample_tokens(*solo_rngs(ref), 4, keep_states=True))
+        got = rollout_penalties(g, d, trie, cfg,
+                                *_sample_tokens(g.params, g.rngs, 4, keep_states=True))
+        want = rollout_penalties(ref, FullPassScores(d), trie, cfg,
+                                 *_sample_tokens(ref.params, ref.rngs, 4, keep_states=True))
         assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
 
     @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
     def test_pg_step_equals_full_pass(self, embed, filters):
-        g = make_generator(seed=embed + 1)
+        g = make_generators(seed=embed + 1)
         ref = copy.deepcopy(g)
         d = biased_discriminator(embed, filters, seed=1)
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(rollouts=3)
-        stats = generator_pg_step(*solo(g), d, trie, cfg, batch_size=4)
-        assert stats == generator_pg_step(*solo(ref), FullPassScores(d), trie, cfg, batch_size=4)
+        stats = generator_pg_step(g, d, trie, cfg, batch_size=4)
+        assert stats == generator_pg_step(ref, FullPassScores(d), trie, cfg, batch_size=4)
         for name, t in g.params.tensors().items():
             assert t.tobytes() == ref.params.tensors()[name].tobytes(), name
             assert g.opt.acc[name].tobytes() == ref.opt.acc[name].tobytes(), name
@@ -435,17 +434,17 @@ class TestPenaltyBoundChecks:
     """The range checks are explicit raises, so they hold under python -O."""
 
     def test_probability_outside_unit_interval_raises(self):
-        g = make_generator(seed=46)
+        g = make_generators(seed=46)
         stub = StubScores([[1.5, -0.5]] * (4 * 3))
         with pytest.raises(RuntimeError, match="Q_D out of range") as info:
-            generator_pg_step(*solo(g), stub, None, RewardConfig(rollouts=3), batch_size=4)
+            generator_pg_step(g, stub, None, RewardConfig(rollouts=3), batch_size=4)
         assert not isinstance(info.value, DivergenceError)
 
     def test_non_finite_penalty_is_divergence(self):
-        g = make_generator(seed=47)
+        g = make_generators(seed=47)
         stub = StubScores([[np.nan, 0.5]] * (4 * 3))
         with pytest.raises(DivergenceError, match="Q_D"):
-            generator_pg_step(*solo(g), stub, None, RewardConfig(rollouts=3), batch_size=4)
+            generator_pg_step(g, stub, None, RewardConfig(rollouts=3), batch_size=4)
 
 
 class TestPolicyGradient:
@@ -461,24 +460,24 @@ class TestPolicyGradient:
         assert np.all(grad[2] == 0.0)
 
     def test_zero_penalty_leaves_parameters_unchanged(self):
-        g = make_generator(seed=14)
+        g = make_generators(seed=14)
         d = make_discriminator(seed=15, k=1)
         d.params.out_w[...] = 0.0
         d.params.out_b[...] = 0.0
         d.params.out_b[0] = 1000.0  # D^0 is exactly 1 on every input
         before = {k: v.copy() for k, v in g.params.tensors().items()}
-        (stats,) = generator_pg_step(*solo(g), d, None, RewardConfig(rollouts=2), batch_size=8)
+        (stats,) = generator_pg_step(g, d, None, RewardConfig(rollouts=2), batch_size=8)
         assert stats["mean_q_d"] == 0.0
         assert stats["mean_q_ad"] == 0.0
         for name, t in g.params.tensors().items():
             assert np.array_equal(t, before[name]), name
 
     def test_stats_keys_and_bounds(self):
-        g = make_generator(seed=16)
+        g = make_generators(seed=16)
         d = make_discriminator(seed=17, k=1)
         det = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=3)
-        (stats,) = generator_pg_step(*solo(g), d, det, cfg, batch_size=4)
+        (stats,) = generator_pg_step(g, d, det, cfg, batch_size=4)
         assert 0.0 <= stats["mean_q_d"] <= 1.0
         assert 0.0 <= stats["mean_q_a"] <= 10.0
         assert 0.0 <= stats["mean_q_ad"] <= 1.0 + 0.9 * 10.0
@@ -506,31 +505,31 @@ class TestPolicyGradient:
 
 class TestPretrain:
     def test_zero_steps_no_change(self):
-        g = make_generator(seed=19)
+        g = make_generators(seed=19)
         before = {k: v.copy() for k, v in g.params.tensors().items()}
-        (curve,) = pretrain_generator(*solo(g), [constant_prefix_tokens(8, np.random.default_rng(0))],
+        (curve,) = pretrain_generator(g, [constant_prefix_tokens(8, np.random.default_rng(0))],
                                       steps=0, batch_size=4)
         assert curve == []
         for name, t in g.params.tensors().items():
             assert np.array_equal(t, before[name])
 
     def test_nll_decreases(self):
-        g = make_generator(seed=20, embed=16, hidden=20)
+        g = make_generators(seed=20, embed=16, hidden=20)
         tokens = constant_prefix_tokens(64, np.random.default_rng(21))
-        (curve,) = pretrain_generator(*solo(g), [tokens], steps=60, batch_size=32)
+        (curve,) = pretrain_generator(g, [tokens], steps=60, batch_size=32)
         assert curve[-1] < curve[0]
 
     def test_constant_corpus_nll_collapses(self):
-        g = make_generator(seed=22, embed=16, hidden=20, lr=2e-2)
+        g = make_generators(seed=22, embed=16, hidden=20, lr=2e-2)
         one = np.tile(np.array(PREFIX_A * 4), (32, 1))
-        pretrain_generator(*solo(g), [one], steps=200, batch_size=16)
-        nll, _, _ = lstm_nll(g.params, one[:1])
+        pretrain_generator(g, [one], steps=200, batch_size=16)
+        nll, _, _ = lstm_nll(g.params[0], one[:1])
         assert nll < 0.01
 
     def test_empty_class_rejected(self):
-        g = make_generator(seed=23)
+        g = make_generators(seed=23)
         with pytest.raises(ValueError):
-            pretrain_generator(*solo(g), [np.zeros((0, 32), dtype=np.int64)], 5, 4)
+            pretrain_generator(g, [np.zeros((0, 32), dtype=np.int64)], 5, 4)
 
 
 class TestClassProbs:
@@ -610,7 +609,7 @@ class TestTrain6Gan:
             corpus, None, cfg, self.tiny_schedule(), seed=5, **self.tiny_kwargs()
         )
         k = corpus.k
-        assert len(gens) == k and disc.k == k
+        assert gens.k == k and disc.k == k
         kinds = [r["kind"] for r in records]
         assert kinds.count("g_pretrain") == 4 * k
         assert kinds.count("d_pretrain") == 2
@@ -628,9 +627,8 @@ class TestTrain6Gan:
                            **self.tiny_kwargs())
         out_b = train_6gan(corpus, None, cfg, self.tiny_schedule(), seed=7,
                            **self.tiny_kwargs())
-        for ga, gb in zip(out_a[0], out_b[0]):
-            for name, t in ga.params.tensors().items():
-                assert np.array_equal(t, gb.params.tensors()[name])
+        for name, t in out_a[0].params.tensors().items():
+            assert np.array_equal(t, out_b[0].params.tensors()[name])
         for name, t in out_a[1].params.tensors().items():
             assert np.array_equal(t, out_b[1].params.tensors()[name])
         assert out_a[2] == out_b[2]
@@ -644,9 +642,8 @@ class TestTrain6Gan:
                            **self.tiny_kwargs())
         out_b = train_6gan(corpus, empty, cfg, self.tiny_schedule(), seed=9,
                            **self.tiny_kwargs())
-        for ga, gb in zip(out_a[0], out_b[0]):
-            for name, t in ga.params.tensors().items():
-                assert np.array_equal(t, gb.params.tensors()[name])
+        for name, t in out_a[0].params.tensors().items():
+            assert np.array_equal(t, out_b[0].params.tensors()[name])
 
     def test_empty_class_listed_in_error(self):
         corpus = self.small_corpus(n=10)
@@ -667,33 +664,33 @@ class TestTrain6Gan:
 
 class TestGenerateCandidates:
     def test_budget_one(self):
-        g = make_generator(seed=30)
-        out = generate_candidates(g, 1)
+        g = make_generators(seed=30)
+        out = generate_candidates(g, 0, 1)
         assert len(out) == 1
 
     def test_unique_and_excludes_seeds(self):
-        g = make_generator(seed=31)
-        first = generate_candidates(g, 40)
+        g = make_generators(seed=31)
+        first = generate_candidates(g, 0, 40)
         exclude = {s.nybbles for s in first}
-        second = generate_candidates(g, 40, exclude)
+        second = generate_candidates(g, 0, 40, exclude)
         assert len({s.nybbles for s in second}) == len(second) == 40
         assert not exclude & {s.nybbles for s in second}
 
     def test_rows_in_sampling_order(self):
-        g = make_generator(seed=33)
-        rng = copy.deepcopy(g.rng)
-        tokens, _, _ = _sample_tokens(g.params[None], [rng], 40)
+        g = make_generators(seed=33)
+        rng = copy.deepcopy(g.rngs[0])
+        tokens, _, _ = _sample_tokens(g.params, [rng], 40)
         rows = [tuple(int(v) for v in row) for row in tokens[0]]
         assert len(set(rows)) == 40
-        assert [s.nybbles for s in generate_candidates(g, 40)] == rows
+        assert [s.nybbles for s in generate_candidates(g, 0, 40)] == rows
 
     def test_shortfall_warns(self, caplog):
-        g = make_generator(seed=32, embed=16, hidden=20, lr=2e-2)
+        g = make_generators(seed=32, embed=16, hidden=20, lr=2e-2)
         one = np.tile(np.array(PREFIX_A * 4), (32, 1))
-        pretrain_generator(*solo(g), [one], steps=200, batch_size=16)
-        only = generate_candidates(g, 1)[0]
+        pretrain_generator(g, [one], steps=200, batch_size=16)
+        only = generate_candidates(g, 0, 1)[0]
         with caplog.at_level(logging.WARNING, logger="sixgan.gan"):
-            out = generate_candidates(g, 3, exclude={only.nybbles})
+            out = generate_candidates(g, 0, 3, exclude={only.nybbles})
         assert len(out) < 3
         assert any("unique candidates" in r.message for r in caplog.records)
 
@@ -703,30 +700,28 @@ LOCKSTEP_SIZES = [(1, 4, 5, 7), (2, 1, 5, 7), (3, 1, 5, 7), (3, 4, 24, 24), (2, 
 
 
 def lockstep_generators(k, embed, hidden, seed=0):
-    """(stack, generators, references): k generators with nonzero biases
-    whose params are views of one stack, and deep copies of them made
-    before stacking, for the single-generator references."""
-    gens = [make_generator(seed=seed + j, embed=embed, hidden=hidden, pattern_id=j, lr=1e-2)
-            for j in range(k)]
-    for j, g in enumerate(gens):
-        rng = np.random.default_rng(seed + 50 + j)
-        g.params.b_gates[...] = rng.normal(size=g.params.b_gates.shape)
-        g.params.b_out[...] = rng.normal(size=g.params.b_out.shape)
-    refs = copy.deepcopy(gens)
-    stack = LstmParams.stack([g.params for g in gens])
-    for j, g in enumerate(gens):
-        g.params = stack[j]
-    return stack, gens, refs
+    """(generators, references): k generators with nonzero biases, and
+    copies of each as a SingleGenerator, for the single-generator
+    references."""
+    gens = make_generators(k, seed=seed, embed=embed, hidden=hidden, lr=1e-2)
+    for j in range(k):
+        p, rng = gens.params[j], np.random.default_rng(seed + 50 + j)
+        p.b_gates[...] = rng.normal(size=p.b_gates.shape)
+        p.b_out[...] = rng.normal(size=p.b_out.shape)
+    return gens, single_generators(gens)
 
 
 def assert_same_generators(gens, refs):
-    for g, ref in zip(gens, refs):
+    """Entry j of the library's generators, their RMSProp accumulators and
+    rngs[j] hold the bytes of the SingleGenerator refs[j]."""
+    assert gens.k == len(refs)
+    for j, ref in enumerate(refs):
         for name, t in ref.params.tensors().items():
-            assert g.params.tensors()[name].tobytes() == t.tobytes(), (g.pattern_id, name)
-        assert sorted(g.opt.acc) == sorted(ref.opt.acc)
+            assert gens.params[j].tensors()[name].tobytes() == t.tobytes(), (j, name)
+        assert sorted(gens.opt.acc) == sorted(ref.opt.acc)
         for name, acc in ref.opt.acc.items():
-            assert g.opt.acc[name].tobytes() == acc.tobytes(), (g.pattern_id, name)
-        assert g.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert gens.opt.acc[name][j].tobytes() == acc.tobytes(), (j, name)
+        assert gens.rngs[j].bit_generator.state == ref.rng.bit_generator.state
 
 
 class TestLockstep:
@@ -735,17 +730,17 @@ class TestLockstep:
 
     @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
     def test_pretraining_matches_sequential(self, k, b, e, h):
-        stack, gens, refs = lockstep_generators(k, e, h)
+        gens, refs = lockstep_generators(k, e, h)
         seeds = [constant_prefix_tokens(20 + j, np.random.default_rng(j)) for j in range(k)]
-        curves = pretrain_generator(stack, gens, seeds, steps=3, batch_size=b)
+        curves = pretrain_generator(gens, seeds, steps=3, batch_size=b)
         for j, ref in enumerate(refs):
             assert curves[j] == single_pretrain_generator(ref, seeds[j], 3, b)
         assert_same_generators(gens, refs)
 
     @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
     def test_sampling_matches_sequential(self, k, b, e, h):
-        stack, gens, refs = lockstep_generators(k, e, h, seed=10)
-        tokens, hs, cs = _sample_tokens(stack, [g.rng for g in gens], b, keep_states=True)
+        gens, refs = lockstep_generators(k, e, h, seed=10)
+        tokens, hs, cs = _sample_tokens(gens.params, gens.rngs, b, keep_states=True)
         for j, ref in enumerate(refs):
             want, want_hs, want_cs = single_sample_tokens(ref.params, b, ref.rng, keep_states=True)
             assert tokens[j].tobytes() == want.tobytes(), j
@@ -755,13 +750,12 @@ class TestLockstep:
 
     @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
     def test_rollout_penalties_match_sequential(self, k, b, e, h):
-        stack, gens, refs = lockstep_generators(k, e, h, seed=20)
+        gens, refs = lockstep_generators(k, e, h, seed=20)
         d = biased_discriminator(8, 3)
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(rollouts=3)
-        q_d, q_a = rollout_penalties(stack, gens, d, trie, cfg,
-                                     *_sample_tokens(stack, [g.rng for g in gens], b,
-                                                     keep_states=True))
+        q_d, q_a = rollout_penalties(gens, d, trie, cfg,
+                                     *_sample_tokens(gens.params, gens.rngs, b, keep_states=True))
         for j, ref in enumerate(refs):
             sampled = single_sample_tokens(ref.params, b, ref.rng, keep_states=True)
             want_d, want_a = single_rollout_penalties(ref, d, trie, cfg, *sampled)
@@ -771,12 +765,12 @@ class TestLockstep:
 
     @pytest.mark.parametrize("k,b,e,h", LOCKSTEP_SIZES)
     def test_pg_step_matches_sequential(self, k, b, e, h):
-        stack, gens, refs = lockstep_generators(k, e, h, seed=30)
+        gens, refs = lockstep_generators(k, e, h, seed=30)
         d = biased_discriminator(8, 3, seed=1)
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         cfg = RewardConfig(rollouts=3)
         for _ in range(2):
-            stats = generator_pg_step(stack, gens, d, trie, cfg, batch_size=b)
+            stats = generator_pg_step(gens, d, trie, cfg, batch_size=b)
             assert stats == [single_generator_pg_step(ref, d, trie, cfg, b) for ref in refs]
         assert_same_generators(gens, refs)
 
@@ -801,17 +795,15 @@ class TestLockstep:
             assert disc.params.tensors()[name].tobytes() == t.tobytes(), name
         for name, acc in want_disc.opt.acc.items():
             assert disc.opt.acc[name].tobytes() == acc.tobytes(), name
-        base = gens[0].params.emb.base
-        assert all(g.params.emb.base is base for g in gens)  # one stack
 
     def test_divergence_in_one_generator_raises(self):
-        stack, gens, _ = lockstep_generators(3, 5, 7, seed=40)
-        stack.w_out[2, 0, 0] = np.nan
+        gens, _ = lockstep_generators(3, 5, 7, seed=40)
+        gens.params.w_out[2, 0, 0] = np.nan
         seeds = [constant_prefix_tokens(8, np.random.default_rng(j)) for j in range(3)]
         with pytest.raises(DivergenceError):
-            pretrain_generator(stack, gens, seeds, steps=1, batch_size=4)
+            pretrain_generator(gens, seeds, steps=1, batch_size=4)
         with pytest.raises(DivergenceError):
-            generator_pg_step(stack, gens, make_discriminator(seed=41, k=3), None,
+            generator_pg_step(gens, make_discriminator(seed=41, k=3), None,
                               RewardConfig(rollouts=2), batch_size=4)
 
 

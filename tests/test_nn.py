@@ -664,6 +664,24 @@ class TestRmsProp:
         with pytest.raises(ValueError):
             opt.update({"w": np.zeros(3)}, {"w": np.zeros(4)})
 
+    @pytest.mark.parametrize("k,e,h", [(3, 5, 7), (3, 200, 200)])
+    def test_stack_update_equals_entry_updates(self, k, e, h):
+        # RMSProp is elementwise, so one update of a [k, ...] stack gives
+        # each entry the bytes of its own optimiser's update
+        gens, stack = lstm_stack(k, e, h, seed=e)
+        stack_opt, opts = RmsProp(lr=1e-2), [RmsProp(lr=1e-2) for _ in gens]
+        rng = np.random.default_rng(h)
+        for _ in range(3):
+            grads = {name: rng.normal(size=t.shape) * np.exp(rng.uniform(-12, 4, size=t.shape))
+                     for name, t in stack.tensors().items()}
+            stack_opt.update(stack.tensors(), grads)
+            for j, (p, opt) in enumerate(zip(gens, opts)):
+                opt.update(p.tensors(), {name: g[j] for name, g in grads.items()})
+        for j, (p, opt) in enumerate(zip(gens, opts)):
+            for name, t in p.tensors().items():
+                assert stack.tensors()[name][j].tobytes() == t.tobytes(), (j, name)
+                assert stack_opt.acc[name][j].tobytes() == opt.acc[name].tobytes(), (j, name)
+
 
 class TestGradCheck:
     def test_quadratic_loss_nearly_exact(self):

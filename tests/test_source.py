@@ -38,3 +38,14 @@ def test_no_unused_imports_in_package():
         found += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                   if name not in used]
     assert found == [], f"unused imports in the package: {found}"
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a name dropped from the imports must leave __all__ too, so a removed
+    # class cannot linger as an export
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(sixgan.__all__) == sorted(imported | {"__version__"})
+    missing = [name for name in sixgan.__all__ if not hasattr(sixgan, name)]
+    assert missing == [], f"__all__ names that do not resolve: {missing}"
