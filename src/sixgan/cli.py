@@ -289,9 +289,9 @@ def cmd_synth(cfg: dict, args: argparse.Namespace) -> _Files:
     spec_path = _require_file(_require(cfg, "spec_file", "for synth"), "universe spec")
     spec = UniverseSpec.load(spec_path)
     oracle = UniverseOracle(spec)
-    out = _ensure_out(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
     seeds = sample_seeds(oracle, cfg["n_seeds"], rng)
+    out = _ensure_out(cfg)
 
     seeds_path = os.path.join(out, "seeds.txt")
     alias_path = os.path.join(out, "aliased_prefixes.txt")

@@ -80,41 +80,69 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 256  # rows per block of the pairwise similarity kernels
+# Tile shape of the pairwise similarity kernels: each multiplies _ROWS
+# addresses of one list by _COLS of the other at a time.  _COLS is a
+# multiple of _ROWS, so a row tile never straddles a column-tile edge.
+_ROWS = 256
+_COLS = 1024
 
 
-def _matrix(seqs: list[NybbleSeq]) -> np.ndarray:
-    return np.array([s.nybbles for s in seqs], dtype=np.float64)
+def _tokens(seqs: list[NybbleSeq]) -> np.ndarray:
+    """[n, 32] uint8 nybbles of each address, read-only."""
+    return np.frombuffer(b"".join(bytes(s.nybbles) for s in seqs), np.uint8).reshape(-1, 32)
 
 
-def _onehot(seqs: list[NybbleSeq]) -> np.ndarray:
-    """[n, 512] float32 one-hot of the (position, value) pairs of each address."""
-    tokens = np.array([s.nybbles for s in seqs], dtype=np.intp)
-    return np.eye(16, dtype=np.float32)[tokens].reshape(len(seqs), 512)
+def _onehot_into(buf: np.ndarray, tokens: np.ndarray, value0: np.ndarray) -> np.ndarray:
+    """Fill buf's first len(tokens) rows with the [., 512] float32 one-hot of
+    each address's (position, value) pairs and return them; value0[i, p] is
+    the flat index of value 0 at row i and nybble position p."""
+    out = buf[:len(tokens)]
+    out.fill(0.0)
+    out.reshape(-1)[value0[:len(tokens)] + tokens] = 1.0
+    return out
 
 
-def _nearest_jaccard(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Per row of ca, the largest Jaccard to a row of cb (other than itself if ca is cb).
+def _nearest_jaccard(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Per row of ta, the largest Jaccard to a row of tb (other than itself if ta is tb).
 
     m agreeing positions, an exact one-hot dot product, give m/(64-m); that
-    grows with m, so it is applied to each row's largest count.  Blocks of
-    _BLOCK rows bound the working memory to _BLOCK x len(cb).  Against
-    itself, a block is multiplied only by its own and the later rows: each
-    product's row maxima go to the block's rows and its column maxima to
-    the later rows, so two rows in different blocks are multiplied once,
-    not twice.  The counts are integers of at most 32, exact in float32, so
-    every maximum is the same as the whole matrix's.
+    grows with m, so it is applied to each row's largest count.  Counts come
+    in tiles of _ROWS rows of ta by _COLS rows of tb, from one-hot tiles
+    filled into reused buffers (each tb tile once), so the working memory
+    does not grow with either list; each product is the [_COLS, _ROWS]
+    transpose of its tile, the faster orientation for BLAS.  Against
+    itself, only the tiles on or right of the diagonal are multiplied, with
+    the diagonal square's lower triangle, diagonal included, set to -1; a
+    tile's row maxima go to its rows and its column maxima, kept
+    elementwise over a column tile's row tiles, to its columns, so every
+    pair is multiplied once.  The counts are integers of at most 32, exact
+    in float32, so every maximum is the same as the whole matrix's.
     """
-    best = np.full(len(ca), -1.0)
-    for lo in range(0, len(ca), _BLOCK):
-        hi = lo + _BLOCK
-        if ca is cb:
-            counts = ca[lo:hi] @ ca[lo:].T
-            np.fill_diagonal(counts, -1.0)
-            np.maximum(best[hi:], counts[:, hi - lo:].max(axis=0, initial=-1.0), out=best[hi:])
-        else:
-            counts = ca[lo:hi] @ cb.T
-        np.maximum(best[lo:hi], counts.max(axis=1), out=best[lo:hi])
+    same = ta is tb
+    rows = np.empty((_ROWS, 512), np.float32)
+    cols = np.empty((_COLS, 512), np.float32)
+    value0 = np.arange(_COLS)[:, None] * 512 + np.arange(32) * 16
+    if same:
+        col_best = np.empty((_COLS, _ROWS), np.float32)
+        upper = np.tri(_ROWS, dtype=bool).T  # column <= row, in a product's [col, row] layout
+    best = np.full(len(ta), -1.0)
+    for clo in range(0, len(tb), _COLS):
+        chi = min(clo + _COLS, len(tb))
+        b = _onehot_into(cols, tb[clo:chi], value0)
+        if same:
+            col_best.fill(-1.0)
+        for lo in range(0, chi if same else len(ta), _ROWS):
+            hi = min(lo + _ROWS, len(ta))
+            start = max(lo, clo) if same else clo
+            counts = b[start - clo:] @ _onehot_into(rows, ta[lo:hi], value0).T
+            if same:
+                if lo >= clo:
+                    np.copyto(counts[:hi - lo], -1.0, where=upper[:hi - lo, :hi - lo])
+                tile_best = col_best[start - clo:chi - clo, :hi - lo]
+                np.maximum(tile_best, counts, out=tile_best)
+            np.maximum(best[lo:hi], counts.max(axis=0), out=best[lo:hi])
+        if same:
+            np.maximum(best[clo:chi], col_best[:chi - clo].max(axis=1), out=best[clo:chi])
     return best / (64.0 - best)
 
 
@@ -123,29 +151,34 @@ def _seed_cosine_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per candidate, the (min, max) cosine to any seed: both pattern qualities.
 
-    Nybbles are integers, so every dot product is an exact integer and a
-    block of _BLOCK rows holds the same cosines as the whole matrix would;
-    reducing each block at once bounds the working memory to _BLOCK x len(seeds).
+    Nybbles are integers, so every dot product and squared norm is an exact
+    integer and a [_ROWS, _COLS] tile, cast to float64 from the token
+    matrices, holds the same cosines as the whole matrix would; reducing
+    each tile at once bounds the working memory whatever the list lengths.
     """
     if not candidates or not seeds:
         raise ValueError("pattern_quality requires non-empty candidates and seeds")
-    ca, cb = _matrix(candidates), _matrix(seeds)
-    na = np.sqrt((ca * ca).sum(axis=1))
-    nb = np.sqrt((cb * cb).sum(axis=1))
-    b_zero = nb == 0.0
-    lows, highs = np.empty(len(ca)), np.empty(len(ca))
-    for lo in range(0, len(ca), _BLOCK):
-        hi = lo + _BLOCK
-        sims = ca[lo:hi] @ cb.T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims /= np.outer(na[lo:hi], nb)
-        a_zero = na[lo:hi] == 0.0
-        if a_zero.any() or b_zero.any():
-            sims[a_zero, :] = 0.0
-            sims[:, b_zero] = 0.0
-            sims[np.ix_(a_zero, b_zero)] = 1.0
-        sims.min(axis=1, out=lows[lo:hi])
-        sims.max(axis=1, out=highs[lo:hi])
+    ta, tb = _tokens(candidates), _tokens(seeds)
+    lows, highs = np.full(len(ta), np.inf), np.full(len(ta), -np.inf)
+    for lo in range(0, len(ta), _ROWS):
+        hi = min(lo + _ROWS, len(ta))
+        a = ta[lo:hi].astype(np.float64)
+        na = np.sqrt((a * a).sum(axis=1))
+        a_zero = na == 0.0
+        for clo in range(0, len(tb), _COLS):
+            chi = min(clo + _COLS, len(tb))
+            b = tb[clo:chi].astype(np.float64)
+            nb = np.sqrt((b * b).sum(axis=1))
+            b_zero = nb == 0.0
+            sims = a @ b.T
+            with np.errstate(invalid="ignore", divide="ignore"):
+                sims /= np.outer(na, nb)
+            if a_zero.any() or b_zero.any():
+                sims[a_zero, :] = 0.0
+                sims[:, b_zero] = 0.0
+                sims[np.ix_(a_zero, b_zero)] = 1.0
+            np.minimum(lows[lo:hi], sims.min(axis=1), out=lows[lo:hi])
+            np.maximum(highs[lo:hi], sims.max(axis=1), out=highs[lo:hi])
     return lows, highs
 
 
@@ -168,7 +201,7 @@ def novelty(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
     """100 x mean distance-from-closest-seed under the nybble-set Jaccard."""
     if not candidates or not seeds:
         raise ValueError("novelty requires non-empty candidates and seeds")
-    sims = _nearest_jaccard(_onehot(candidates), _onehot(seeds))
+    sims = _nearest_jaccard(_tokens(candidates), _tokens(seeds))
     return float(100.0 / len(candidates) * (1.0 - sims).sum())
 
 
@@ -176,8 +209,8 @@ def diversity(candidates: list[NybbleSeq]) -> float:
     """100 x mean distance from each candidate to its nearest other candidate."""
     if len(candidates) < 2:
         raise ValueError("diversity requires at least 2 candidates")
-    onehot = _onehot(candidates)
-    sims = _nearest_jaccard(onehot, onehot)
+    tokens = _tokens(candidates)
+    sims = _nearest_jaccard(tokens, tokens)
     return float(100.0 / len(candidates) * (1.0 - sims).sum())
 
 

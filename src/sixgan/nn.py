@@ -595,6 +595,8 @@ class RmsProp:
         self.acc: dict[str, np.ndarray] = {}
 
     def update(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One step for every tensor, in place.  Each step is computed in two
+        scratch arrays freed with it, in the order of the formula above."""
         for name, p in tensors.items():
             g = grads[name]
             ensure_finite(f"grad {name}", g)
@@ -602,9 +604,16 @@ class RmsProp:
             if acc is None:
                 acc = np.zeros_like(p)
                 self.acc[name] = acc
+            sq, step = np.empty_like(p), np.empty_like(p)
             acc *= self.decay
-            acc += (1.0 - self.decay) * g * g
-            p -= self.lr * g / np.sqrt(acc + self.eps)
+            np.multiply(1.0 - self.decay, g, out=sq)
+            sq *= g
+            acc += sq
+            np.add(acc, self.eps, out=sq)
+            np.sqrt(sq, out=sq)
+            np.multiply(self.lr, g, out=step)
+            step /= sq
+            p -= step
             ensure_finite(f"param {name}", p)
 
 

@@ -124,8 +124,12 @@ class UniverseSpec:
 
     @classmethod
     def load(cls, path: str) -> "UniverseSpec":
+        """The spec in a JSON file; every ValueError starts with the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
 
 
 def _is_prefix_of(a: NybblePrefix, b: NybblePrefix) -> bool:
@@ -270,9 +274,11 @@ def sample_seeds(
     rng: np.random.Generator,
 ) -> list[NybbleSeq]:
     """n distinct active non-aliased addresses by rejection sampling."""
+    families = oracle.spec.families
+    if not families:
+        raise ValueError("universe spec families is empty: no family to sample seeds from")
     seeds: list[NybbleSeq] = []
     seen: set[tuple[int, ...]] = set()
-    families = oracle.spec.families
     attempts = 0
     while len(seeds) < n:
         if attempts >= SAMPLE_ATTEMPT_LIMIT:

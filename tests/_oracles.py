@@ -9,13 +9,14 @@ batched training path, and draw from the generator's RNG in the same
 order, so the two can be compared value for value.  The broadcast
 pairwise kernels are the library's earlier whole-matrix forms of the
 similarity metrics, the pattern-quality cosines and the ipv62vec
-distances; the row-blocked library kernels do the same arithmetic, so
-they must agree with them bit for bit.
+distances; the tiled library kernels get the same exact counts and
+cosines, so they must agree with them bit for bit.
 The network references are the earlier forms of the forward and backward
-passes: the discriminator convolution as one matmul per tap over the
-embedded input, the boolean-mask and select forms of the sigmoid, rollout
-scoring as class_probs over every whole rollout, and the LSTM with four
-separate gate products.  The LSTM references copy the four gate banks out of the
+passes and of the optimiser step: the discriminator convolution as one
+matmul per tap over the embedded input, the boolean-mask and select forms
+of the sigmoid, rollout scoring as class_probs over every whole rollout,
+the LSTM with four separate gate products, and RMSProp with a new array
+per operation.  The LSTM references copy the four gate banks out of the
 column blocks of the library's fused `w_gates` and `b_gates`, and the BPTT
 reference returns one gradient per bank (`w_i..w_g`, `b_i..b_g`); the
 tests concatenate those in gate order to compare them with the fused
@@ -170,9 +171,11 @@ def _nybble_matrix(seqs) -> np.ndarray:
 
 
 def jaccard_matrix(cands, seeds) -> np.ndarray:
-    """[n, m] Jaccard from an [n, m, 32] agreement array: m agree -> m/(64-m)."""
+    """[n, m] Jaccard from [64, m, 32] agreement arrays: m agree -> m/(64-m)."""
     ca, cb = _nybble_matrix(cands), _nybble_matrix(seeds)
-    m = (ca[:, None, :] == cb[None, :, :]).sum(axis=2).astype(np.float64)
+    m = np.empty((len(ca), len(cb)))
+    for lo in range(0, len(ca), 64):
+        m[lo:lo + 64] = (ca[lo:lo + 64, None, :] == cb[None, :, :]).sum(axis=2)
     return m / (64.0 - m)
 
 
@@ -407,6 +410,23 @@ def runscan_format_address(seq: NybbleSeq) -> str:
 # ---------------------------------------------------------------------------
 # Earlier network forms
 # ---------------------------------------------------------------------------
+
+
+class AllocatingRmsProp(RmsProp):
+    """The earlier RMSProp step, one whole-tensor temporary per operation."""
+
+    def update(self, tensors: dict, grads: dict) -> None:
+        for name, p in tensors.items():
+            g = grads[name]
+            ensure_finite(f"grad {name}", g)
+            acc = self.acc.get(name)
+            if acc is None:
+                acc = np.zeros_like(p)
+                self.acc[name] = acc
+            acc *= self.decay
+            acc += (1.0 - self.decay) * g * g
+            p -= self.lr * g / np.sqrt(acc + self.eps)
+            ensure_finite(f"param {name}", p)
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -728,7 +728,16 @@ class TestExitCodes:
                      str(seeds)]
         capsys.readouterr()
         assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"invalid input: {why}\n"
+        assert capsys.readouterr().err == f"invalid input: {spec_path}: {why}\n"
+        assert not out.exists()
+
+    def test_synth_empty_families(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path / "spec.json", {**UNIVERSE, "families": []})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synth", "--spec", spec_path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "invalid input: universe spec families is empty: no family to sample seeds from\n")
         assert not out.exists()
 
     def test_three_field_labels_file(self, tmp_path, capsys):

@@ -169,8 +169,8 @@ class TestSetMetrics:
                 bf_diversity(cands), abs=1e-12)
 
 
-BLOCK = metrics._BLOCK
-BLOCK_SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+ROWS, COLS = metrics._ROWS, metrics._COLS
+BLOCK_SIZES = [2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, COLS - 1, COLS, COLS + 1, 2 * COLS + 1]
 
 
 def shared_prefix_seqs(rng, prefix, n):
@@ -190,8 +190,8 @@ def assert_pattern_qualities_dense(cands, seeds):
 def assert_self_nearest_dense(cands):
     sims = jaccard_matrix(cands, cands)
     np.fill_diagonal(sims, -np.inf)
-    onehot = metrics._onehot(cands)
-    nearest = metrics._nearest_jaccard(onehot, onehot)
+    tokens = metrics._tokens(cands)
+    nearest = metrics._nearest_jaccard(tokens, tokens)
     assert nearest.tobytes() == sims.max(axis=1).tobytes()
     return nearest
 
@@ -206,7 +206,7 @@ def traced_peak(fn, *args):
 
 
 class TestBlockedKernels:
-    """The row-blocked kernels against the broadcast forms they replace, exactly."""
+    """The tiled kernels against the broadcast forms they replace, exactly."""
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_pattern_quality_random_sets(self, n):
@@ -219,7 +219,7 @@ class TestBlockedKernels:
         rng = np.random.default_rng(3000 + n)
         zero = NybbleSeq((0,) * 32)
         cands = random_seqs(rng, n)
-        for i in (0, n // 2, n - 1):  # n // 2 is in a middle block once there are three
+        for i in (0, n // 2, n - 1):  # n // 2 is in a middle row tile once there are three
             cands[i] = zero
         seeds = random_seqs(rng, 8) + [zero] * zero_seed
         assert_pattern_qualities_dense(cands, seeds)
@@ -260,13 +260,64 @@ class TestBlockedKernels:
 
     def test_copies_across_block_edges(self):
         rng = np.random.default_rng(4000)
-        cands = random_seqs(rng, 2 * BLOCK + 1)
-        cands[BLOCK] = cands[BLOCK - 1]  # either side of the first block edge
-        cands[2 * BLOCK] = cands[0]  # the first row and the last block's only row
+        cands = random_seqs(rng, 2 * ROWS + 1)
+        cands[ROWS] = cands[ROWS - 1]  # either side of the first row-tile edge
+        cands[2 * ROWS] = cands[0]  # the first row and the last row tile's only row
         nearest = assert_self_nearest_dense(cands)
-        assert nearest[[0, BLOCK - 1, BLOCK, 2 * BLOCK]].tolist() == [1.0] * 4
-        assert (nearest[1:BLOCK - 1] < 1.0).all()
+        assert nearest[[0, ROWS - 1, ROWS, 2 * ROWS]].tolist() == [1.0] * 4
+        assert (nearest[1:ROWS - 1] < 1.0).all()
         assert diversity(cands) == broadcast_diversity(cands)
+
+    def test_copies_across_column_tile_edges(self):
+        # the first row tile meets column tiles [0, COLS), [COLS, 2 COLS), [2 COLS, ...)
+        rng = np.random.default_rng(4100)
+        cands = random_seqs(rng, 2 * COLS + 1)
+        pairs = [(COLS - 1, COLS), (ROWS // 2, COLS + ROWS // 2), (0, 2 * COLS),
+                 (ROWS + 3, 2 * COLS - 1)]
+        for i, j in pairs:
+            cands[j] = cands[i]
+        nearest = assert_self_nearest_dense(cands)
+        copies = sorted(k for pair in pairs for k in pair)
+        assert nearest[copies].tolist() == [1.0] * len(copies)
+        assert (np.delete(nearest, copies) < 1.0).all()
+        assert diversity(cands) == broadcast_diversity(cands)
+
+    @pytest.mark.parametrize("n", [ROWS + 1, 2 * COLS + 1])
+    def test_novelty_more_seeds_than_a_column_tile(self, n):
+        rng = np.random.default_rng(4200 + n)
+        cands = random_seqs(rng, n)
+        seeds = random_seqs(rng, 2 * COLS + 1)
+        for i, j in [(0, COLS - 1), (ROWS - 1, COLS), (ROWS, 2 * COLS), (n // 2, 0)]:
+            cands[i] = seeds[j]  # a seed on either side of each column-tile edge
+        sims = jaccard_matrix(cands, seeds).max(axis=1)
+        nearest = metrics._nearest_jaccard(metrics._tokens(cands), metrics._tokens(seeds))
+        assert nearest.tobytes() == sims.tobytes()
+        assert novelty(cands, seeds) == broadcast_novelty(cands, seeds)
+
+    @pytest.mark.parametrize("n", [ROWS + 1, 2 * COLS + 1])
+    def test_pattern_quality_more_seeds_than_a_column_tile(self, n):
+        rng = np.random.default_rng(4300 + n)
+        zero = NybbleSeq((0,) * 32)
+        cands = random_seqs(rng, n)
+        cands[n // 2] = zero
+        seeds = random_seqs(rng, 2 * COLS + 1)
+        seeds[COLS + 1] = zero  # in the middle column tile
+        assert_pattern_qualities_dense(cands, seeds)
+
+    def test_working_memory_does_not_grow_with_candidates(self):
+        rng = np.random.default_rng(0)
+        seeds = random_seqs(rng, COLS + 500)
+        large = random_seqs(rng, 16_000)
+        small = large[:2000]
+        for name, fn, args in [("diversity", diversity, ()),
+                               ("novelty", novelty, (seeds,)),
+                               ("pattern_quality", pattern_quality, (seeds,))]:
+            peak_small = traced_peak(fn, small, *args)
+            peak_large = traced_peak(fn, large, *args)
+            # the [n, 32] token matrix and the per-candidate results grow by
+            # about 0.7 MB from 2k to 16k; no working array may
+            assert peak_large < 10e6, name
+            assert peak_large - peak_small < 1e6, (name, peak_small, peak_large)
 
     def test_diversity_working_memory_bounded(self):
         cands = random_seqs(np.random.default_rng(0), 2000)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    AllocatingRmsProp,
     bank_cnn_backward,
     bank_conv_tables,
     bank_pooled,
@@ -663,6 +664,23 @@ class TestRmsProp:
         opt = RmsProp(lr=1e-3)
         with pytest.raises(ValueError):
             opt.update({"w": np.zeros(3)}, {"w": np.zeros(4)})
+
+    @pytest.mark.parametrize("e,f", [(24, 8), (200, 32)])
+    def test_in_place_step_matches_allocating_form(self, e, f):
+        # the same operations in the same order, written into two scratch
+        # arrays, so parameters and accumulators keep every byte
+        rng = np.random.default_rng(e)
+        p = CnnParams.init(rng, n_classes=4, embed_dim=e, n_filters=f)
+        q = CnnParams(**{name: arr.copy() for name, arr in p.tensors().items()})
+        opt, ref = RmsProp(lr=1e-2), AllocatingRmsProp(lr=1e-2)
+        for _ in range(3):
+            grads = {name: rng.normal(size=t.shape) * np.exp(rng.uniform(-12, 4, size=t.shape))
+                     for name, t in p.tensors().items()}
+            opt.update(p.tensors(), grads)
+            ref.update(q.tensors(), grads)
+        for name, arr in p.tensors().items():
+            assert arr.tobytes() == q.tensors()[name].tobytes(), name
+            assert opt.acc[name].tobytes() == ref.acc[name].tobytes(), name
 
     @pytest.mark.parametrize("k,e,h", [(3, 5, 7), (3, 200, 200)])
     def test_stack_update_equals_entry_updates(self, k, e, h):

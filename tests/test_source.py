@@ -1,11 +1,14 @@
 """Source-level rules that hold for every module of the package."""
 
 import ast
+import importlib
+import json
 import pathlib
 
 import sixgan
 
 SRC = pathlib.Path(sixgan.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -49,3 +52,32 @@ def test_package_exports_exactly_what_it_imports():
     assert sorted(sixgan.__all__) == sorted(imported | {"__version__"})
     missing = [name for name in sixgan.__all__ if not hasattr(sixgan, name)]
     assert missing == [], f"__all__ names that do not resolve: {missing}"
+
+
+def test_benchmark_layers_resolve_in_package():
+    # the benchmark wraps each per-layer metric's function by name, the way
+    # bench/tracing.py finds it; a refactor that drops or renames one fails
+    # here, before any benchmark runs
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    paths = next(ast.literal_eval(node.value) for node in tracing.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "PATHS" for t in node.targets))
+    missing = []
+    for metric in bench["per_layer"]:
+        layer = metric["name"].rpartition(".")[0]
+        if layer == "trace":  # the tracer's own overhead, not a program layer
+            continue
+        module, _, path = paths.get(layer, layer).partition(".")
+        try:
+            owner = importlib.import_module(f"sixgan.{module}")
+        except ImportError:
+            owner = None
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        fn = vars(owner).get(attr) if owner is not None else None
+        if not callable(fn):
+            missing.append(metric["name"])
+    assert bench["per_layer"], "BENCHMARK.json lists no per-layer metrics"
+    assert missing == [], f"per-layer metrics naming no function in sixgan: {missing}"
