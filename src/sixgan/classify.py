@@ -17,7 +17,8 @@ seed (empty classes are dropped and class ids renumbered).
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict
+import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,17 +95,11 @@ class EntropyFingerprint:
 # ---------------------------------------------------------------------------
 
 
-def _iid_bytes(seq: NybbleSeq) -> list[int]:
-    iid = seq.iid
-    return [iid[2 * i] * 16 + iid[2 * i + 1] for i in range(8)]
-
-
-def _iid_groups(seq: NybbleSeq) -> list[int]:
-    iid = seq.iid
-    return [
-        iid[4 * i] * 4096 + iid[4 * i + 1] * 256 + iid[4 * i + 2] * 16 + iid[4 * i + 3]
-        for i in range(4)
-    ]
+# one shared label per rule; PatternLabel is frozen
+(_EMBEDDED_IPV4, _EMBEDDED_PORT, _IEEE_DERIVED, _LOW_BYTE, _PATTERN_BYTES, _RANDOMIZED) = (
+    PatternLabel(METHOD_RFC, i, name) for i, name in enumerate(RFC_CLASS_NAMES))
+_EUI64_MARKER = (0xF, 0xF, 0xF, 0xE)
+_GROUPS = struct.Struct(">4H")
 
 
 def classify_rfc(seq: NybbleSeq, port_list: frozenset[int] = DEFAULT_PORTS) -> PatternLabel:
@@ -115,41 +110,37 @@ def classify_rfc(seq: NybbleSeq, port_list: frozenset[int] = DEFAULT_PORTS) -> P
     tested first so overlaps resolve deterministically.
     """
     iid = seq.iid
-    ibytes = _iid_bytes(seq)
-    groups = _iid_groups(seq)
-
-    def label(name: str) -> PatternLabel:
-        return PatternLabel(METHOD_RFC, RFC_CLASS_NAMES.index(name), name)
-
     # (1) EUI-64 marker: nybbles 6..9 of the IID spell fffe
-    if iid[6:10] == (0xF, 0xF, 0xF, 0xE):
-        return label("IEEE-derived")
+    if iid[6:10] == _EUI64_MARKER:
+        return _IEEE_DERIVED
+
+    # the IID's 8 bytes: the low hex digit of each nybble byte, read as hex
+    ib = bytes.fromhex(bytes(iid).hex()[1::2])
+    g0, g1, g2, g3 = _GROUPS.unpack(ib)
 
     # (2) service port in the last group, rest of the IID zero
-    if all(b == 0 for b in ibytes[:7]):
-        group_hex = f"{groups[3]:x}"
-        as_decimal = int(group_hex) if group_hex.isdigit() else None
-        if groups[3] in port_list or as_decimal in port_list:
-            return label("Embedded-port")
+    if not any(ib[:7]):
+        group_hex = f"{g3:x}"
+        if g3 in port_list or (group_hex.isdigit() and int(group_hex) in port_list):
+            return _EMBEDDED_PORT
 
-    # (3a) IPv4 in the low 32 bits as raw hex
-    low4 = ibytes[4:8]
-    if all(b == 0 for b in ibytes[:4]) and any(b != 0 for b in low4) and max(low4) >= 0x20:
-        return label("Embedded-IPv4")
-    # (3b) one IPv4 byte per 16-bit group
-    if all(g <= 0xFF for g in groups) and sum(1 for g in groups if g != 0) >= 2:
-        return label("Embedded-IPv4")
+    # (3a) IPv4 in the low 32 bits as raw hex (a byte >= 0x20 is nonzero)
+    if g0 == g1 == 0 and max(ib[4:]) >= 0x20:
+        return _EMBEDDED_IPV4
+    # (3b) one IPv4 byte per 16-bit group: high bytes zero, two low bytes not
+    if not any(ib[::2]) and ib[1::2].count(0) <= 2:
+        return _EMBEDDED_IPV4
 
     # (4) small values confined to the two lowest groups
-    if groups[0] == 0 and groups[1] == 0 and groups[2] <= 0xFF and groups[3] <= 0xFF \
-            and any(g != 0 for g in groups):
-        return label("Low-byte")
+    if g0 == g1 == 0 and g2 <= 0xFF and g3 <= 0xFF and (g2 or g3):
+        return _LOW_BYTE
 
-    # (5) a repeated byte value dominates the IID
-    if any(n >= 3 for n in Counter(ibytes).values()) and any(b != 0 for b in ibytes):
-        return label("Pattern-bytes")
+    # (5) a repeated byte value dominates the IID; a value seen 3 times
+    # is seen once in the first 6 bytes
+    if any(ib) and any(ib.count(b) >= 3 for b in ib[:6]):
+        return _PATTERN_BYTES
 
-    return label("Randomized")
+    return _RANDOMIZED
 
 
 def classify_rfc_corpus(seeds: list[NybbleSeq],
@@ -394,7 +385,10 @@ def ipv62vec_embed(
             _subtract_rows_at(w_in, flat_index[centers], np.einsum("pn,pnd->pd", gscore, u))
             # u is spent once w_in is updated; it now takes w_out's update values
             np.take(flat_index, targets, axis=0, out=flat_targets, mode="clip")
-            np.multiply(gscore[:, :, None], v[:, None, :], out=u)
+            # one product per value, as with np.multiply but faster; since
+            # w_out never holds -0.0, every finite result has the same bits
+            # (a diverged run has NaNs in the same places, signs may differ)
+            np.einsum("pn,pd->pnd", gscore, v, out=u)
             _subtract_rows_at(w_out, flat_targets, u)
     vectors = np.empty((n_sent, dim))
     for lo in range(0, n_sent, _MEAN_BLOCK):

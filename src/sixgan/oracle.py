@@ -29,6 +29,7 @@ _PORT_GROUPS = (
 )
 # low-byte values that would collide with the port rule when in the last group
 _LOW_BYTE_EXCLUDED = {0x15, 0x16, 0x17, 0x19}
+_LOW_BYTE_LAST = tuple(v for v in range(1, 0x20) if v not in _LOW_BYTE_EXCLUDED)
 
 
 _STRING = ("a string", lambda v: type(v) is str)
@@ -74,11 +75,27 @@ class PatternFamily:
             raise ValueError(f"family {self.name!r} has no prefixes")
 
 
+def _is_prefix_of(a: NybblePrefix, b: NybblePrefix) -> bool:
+    return len(a) <= len(b) and b.nybbles[: len(a)] == a.nybbles
+
+
 @dataclass(frozen=True)
 class UniverseSpec:
     hash_key: int
     families: tuple[PatternFamily, ...]
     aliased_prefixes: tuple[NybblePrefix, ...] = ()
+
+    def __post_init__(self) -> None:
+        fams = self.families
+        for i in range(len(fams)):
+            for j in range(i + 1, len(fams)):
+                for p in fams[i].prefixes:
+                    for q in fams[j].prefixes:
+                        if _is_prefix_of(p, q) or _is_prefix_of(q, p):
+                            raise ValueError(
+                                f"family prefixes overlap: {p} ({fams[i].name}) "
+                                f"and {q} ({fams[j].name})"
+                            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,10 +149,6 @@ class UniverseSpec:
                 raise ValueError(f"{path}: {err}") from None
 
 
-def _is_prefix_of(a: NybblePrefix, b: NybblePrefix) -> bool:
-    return len(a) <= len(b) and b.nybbles[: len(a)] == a.nybbles
-
-
 @dataclass
 class UniverseOracle:
     spec: UniverseSpec
@@ -143,16 +156,6 @@ class UniverseOracle:
     _aliases: AliasTrie = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        fams = self.spec.families
-        for i in range(len(fams)):
-            for j in range(i + 1, len(fams)):
-                for p in fams[i].prefixes:
-                    for q in fams[j].prefixes:
-                        if _is_prefix_of(p, q) or _is_prefix_of(q, p):
-                            raise ValueError(
-                                f"family prefixes overlap: {p} ({fams[i].name}) "
-                                f"and {q} ({fams[j].name})"
-                            )
         self._key = self.spec.hash_key.to_bytes(16, "little", signed=False)
         self._aliases = AliasTrie(self.spec.aliased_prefixes)
 
@@ -180,63 +183,55 @@ class UniverseOracle:
 # ---------------------------------------------------------------------------
 
 
-def _sample_iid(pattern: str, nyb: list[int], rng: np.random.Generator) -> None:
-    """Overwrite nybbles 16..31 in place with the requested shape."""
+def _byte_nybbles(values) -> list[int]:
+    """The nybbles of byte values, high nybble first."""
+    return [x for v in values for x in (v >> 4, v & 0xF)]
+
+
+def _sample_iid(pattern: str, rng: np.random.Generator) -> list[int]:
+    """The 16 nybbles of an interface identifier of the requested shape.
+
+    Each fixed-length run of draws is one rng.integers(bound, size=n) call.
+    Below 2**32 a bound costs one 32-bit draw per value (plus rejections)
+    either way, so the values and the generator state afterwards equal
+    those of n scalar calls.  Draws whose count depends on earlier values
+    stay scalar.
+    """
     if pattern == "IEEE-derived":
-        for p in range(16, 32):
-            nyb[p] = int(rng.integers(16))
-        nyb[22:26] = [0xF, 0xF, 0xF, 0xE]
-    elif pattern == "Embedded-port":
-        for p in range(16, 32):
-            nyb[p] = 0
-        group = int(rng.choice(_PORT_GROUPS))
-        nyb[30] = group >> 4
-        nyb[31] = group & 0xF
-    elif pattern == "Embedded-IPv4":
+        iid = rng.integers(16, size=16).tolist()
+        iid[6:10] = [0xF, 0xF, 0xF, 0xE]
+        return iid
+    if pattern == "Embedded-port":
+        return _byte_nybbles((0,) * 7 + (int(rng.choice(_PORT_GROUPS)),))
+    if pattern == "Embedded-IPv4":
         if rng.integers(2) == 0:
             # IPv4 in the low 32 bits
-            for p in range(16, 24):
-                nyb[p] = 0
-            ip = [int(rng.integers(256)) for _ in range(4)]
+            ip = rng.integers(256, size=4).tolist()
             hot = int(rng.integers(4))
             ip[hot] = int(rng.integers(0x20, 256))
-            for b, v in enumerate(ip):
-                nyb[24 + 2 * b] = v >> 4
-                nyb[24 + 2 * b + 1] = v & 0xF
-        else:
-            # one IPv4 byte per 16-bit group
-            ip = [int(rng.integers(256)) for _ in range(4)]
-            while sum(1 for v in ip if v) < 2:
-                ip[int(rng.integers(4))] = int(rng.integers(1, 256))
-            for g, v in enumerate(ip):
-                nyb[16 + 4 * g] = 0
-                nyb[16 + 4 * g + 1] = 0
-                nyb[16 + 4 * g + 2] = v >> 4
-                nyb[16 + 4 * g + 3] = v & 0xF
-    elif pattern == "Low-byte":
-        for p in range(16, 32):
-            nyb[p] = 0
-        slot = int(rng.integers(2))  # group 2 or group 3
-        if slot == 1:
-            choices = [v for v in range(1, 0x20) if v not in _LOW_BYTE_EXCLUDED]
-            v = int(rng.choice(choices))
-            nyb[30], nyb[31] = v >> 4, v & 0xF
-        else:
-            v = int(rng.integers(1, 0x20))
-            nyb[26], nyb[27] = v >> 4, v & 0xF
-    elif pattern == "Pattern-bytes":
+            return _byte_nybbles([0, 0, 0, 0] + ip)
+        # one IPv4 byte per 16-bit group
+        ip = rng.integers(256, size=4).tolist()
+        while sum(1 for v in ip if v) < 2:
+            # the value is drawn before the index
+            ip[int(rng.integers(4))] = int(rng.integers(1, 256))
+        return _byte_nybbles([b for v in ip for b in (0, v)])
+    if pattern == "Low-byte":
+        iid = [0] * 8
+        if int(rng.integers(2)) == 1:  # the low byte of group 3
+            iid[7] = int(rng.choice(_LOW_BYTE_LAST))
+        else:  # the low byte of group 2
+            iid[5] = int(rng.integers(1, 0x20))
+        return _byte_nybbles(iid)
+    if pattern == "Pattern-bytes":
         rep = int(rng.integers(0x20, 256))
         count = int(rng.integers(3, 9))
-        spots = rng.choice(8, size=count, replace=False)
-        for b in range(8):
-            v = rep if b in spots else int(rng.integers(256))
-            nyb[16 + 2 * b] = v >> 4
-            nyb[16 + 2 * b + 1] = v & 0xF
-    elif pattern == "Randomized":
-        for p in range(16, 32):
-            nyb[p] = int(rng.integers(16))
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
+        spots = set(rng.choice(8, size=count, replace=False).tolist())
+        others = iter(rng.integers(256, size=8 - count).tolist())  # in byte order
+        return _byte_nybbles([rep if b in spots else next(others) for b in range(8)])
+    if pattern == "Randomized":
+        return rng.integers(16, size=16).tolist()
+    raise ValueError(f"unknown pattern {pattern!r}")
 
 
 def sample_shape(
@@ -254,10 +249,12 @@ def sample_shape(
     base = list(prefix.nybbles)
     if len(base) > 16:
         raise ValueError("family prefixes must leave the interface identifier free")
+    n_subnet = 16 - len(base)
     for _ in range(max_tries):
-        nyb = base + [int(rng.integers(16)) for _ in range(32 - len(base))]
-        _sample_iid(pattern, nyb, rng)
-        seq = NybbleSeq(tuple(nyb))
+        # the 16 IID nybbles drawn here are dropped for the shaped IID; the
+        # draws keep the generator stream, and so the seeds, as they were
+        drawn = rng.integers(16, size=n_subnet + 16).tolist()
+        seq = NybbleSeq(tuple(base + drawn[:n_subnet] + _sample_iid(pattern, rng)))
         if classify_rfc(seq).class_name == pattern:
             return seq
     raise RuntimeError(f"could not realize pattern {pattern!r} under {prefix}")

@@ -35,7 +35,11 @@ its updates into the weight matrices row by row; the library scatters the
 same element updates, in the same order, into their flat views, so the
 vectors must match bit for bit.  The codec
 references are the earlier address parser, one character at a time, and
-formatter, one zero-group run scan per address.
+formatter, one zero-group run scan per address.  The seed-side references
+are the earlier rule classifier, on byte and group lists with a Counter,
+and the earlier seed sampler, one scalar draw per nybble or byte; the
+byte-level classifier must give the same labels and the batched sampler
+the same seeds and generator state.
 """
 
 import copy
@@ -47,6 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from sixgan.addr import AddressParseError, NybbleSeq
+from sixgan.classify import (
+    DEFAULT_PORTS,
+    METHOD_RFC,
+    RFC_CLASS_NAMES,
+    PatternLabel,
+)
 from sixgan.gan import (
     DiscriminatorModel,
     _alias_contrib,
@@ -66,6 +76,7 @@ from sixgan.nn import (
     sigmoid,
     softmax,
 )
+from sixgan.oracle import _LOW_BYTE_EXCLUDED, _PORT_GROUPS
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +416,152 @@ def runscan_format_address(seq: NybbleSeq) -> str:
         tail = ":".join(texts[best_start + best_len :])
         return f"{head}::{tail}"
     return ":".join(texts)
+
+
+# ---------------------------------------------------------------------------
+# Earlier seed-side forms
+# ---------------------------------------------------------------------------
+
+# The library's earlier rule classifier, on lists of byte and group values
+# with a Counter, and its earlier seed sampler, one scalar rng.integers
+# call per nybble or byte.  The byte-level classifier must return the same
+# label for every address, and the batched sampler the same seeds and the
+# same generator state afterwards.
+
+
+def _list_iid_bytes(seq: NybbleSeq) -> list[int]:
+    iid = seq.iid
+    return [iid[2 * i] * 16 + iid[2 * i + 1] for i in range(8)]
+
+
+def _list_iid_groups(seq: NybbleSeq) -> list[int]:
+    iid = seq.iid
+    return [
+        iid[4 * i] * 4096 + iid[4 * i + 1] * 256 + iid[4 * i + 2] * 16 + iid[4 * i + 3]
+        for i in range(4)
+    ]
+
+
+def list_classify_rfc(seq: NybbleSeq, port_list=DEFAULT_PORTS) -> PatternLabel:
+    iid = seq.iid
+    ibytes = _list_iid_bytes(seq)
+    groups = _list_iid_groups(seq)
+
+    def label(name: str) -> PatternLabel:
+        return PatternLabel(METHOD_RFC, RFC_CLASS_NAMES.index(name), name)
+
+    if iid[6:10] == (0xF, 0xF, 0xF, 0xE):
+        return label("IEEE-derived")
+    if all(b == 0 for b in ibytes[:7]):
+        group_hex = f"{groups[3]:x}"
+        as_decimal = int(group_hex) if group_hex.isdigit() else None
+        if groups[3] in port_list or as_decimal in port_list:
+            return label("Embedded-port")
+    low4 = ibytes[4:8]
+    if all(b == 0 for b in ibytes[:4]) and any(b != 0 for b in low4) and max(low4) >= 0x20:
+        return label("Embedded-IPv4")
+    if all(g <= 0xFF for g in groups) and sum(1 for g in groups if g != 0) >= 2:
+        return label("Embedded-IPv4")
+    if groups[0] == 0 and groups[1] == 0 and groups[2] <= 0xFF and groups[3] <= 0xFF \
+            and any(g != 0 for g in groups):
+        return label("Low-byte")
+    if any(n >= 3 for n in Counter(ibytes).values()) and any(b != 0 for b in ibytes):
+        return label("Pattern-bytes")
+    return label("Randomized")
+
+
+def _scalar_sample_iid(pattern: str, nyb: list, rng) -> None:
+    if pattern == "IEEE-derived":
+        for p in range(16, 32):
+            nyb[p] = int(rng.integers(16))
+        nyb[22:26] = [0xF, 0xF, 0xF, 0xE]
+    elif pattern == "Embedded-port":
+        for p in range(16, 32):
+            nyb[p] = 0
+        group = int(rng.choice(_PORT_GROUPS))
+        nyb[30] = group >> 4
+        nyb[31] = group & 0xF
+    elif pattern == "Embedded-IPv4":
+        if rng.integers(2) == 0:
+            for p in range(16, 24):
+                nyb[p] = 0
+            ip = [int(rng.integers(256)) for _ in range(4)]
+            hot = int(rng.integers(4))
+            ip[hot] = int(rng.integers(0x20, 256))
+            for b, v in enumerate(ip):
+                nyb[24 + 2 * b] = v >> 4
+                nyb[24 + 2 * b + 1] = v & 0xF
+        else:
+            ip = [int(rng.integers(256)) for _ in range(4)]
+            while sum(1 for v in ip if v) < 2:
+                ip[int(rng.integers(4))] = int(rng.integers(1, 256))
+            for g, v in enumerate(ip):
+                nyb[16 + 4 * g] = 0
+                nyb[16 + 4 * g + 1] = 0
+                nyb[16 + 4 * g + 2] = v >> 4
+                nyb[16 + 4 * g + 3] = v & 0xF
+    elif pattern == "Low-byte":
+        for p in range(16, 32):
+            nyb[p] = 0
+        slot = int(rng.integers(2))
+        if slot == 1:
+            choices = [v for v in range(1, 0x20) if v not in _LOW_BYTE_EXCLUDED]
+            v = int(rng.choice(choices))
+            nyb[30], nyb[31] = v >> 4, v & 0xF
+        else:
+            v = int(rng.integers(1, 0x20))
+            nyb[26], nyb[27] = v >> 4, v & 0xF
+    elif pattern == "Pattern-bytes":
+        rep = int(rng.integers(0x20, 256))
+        count = int(rng.integers(3, 9))
+        spots = rng.choice(8, size=count, replace=False)
+        for b in range(8):
+            v = rep if b in spots else int(rng.integers(256))
+            nyb[16 + 2 * b] = v >> 4
+            nyb[16 + 2 * b + 1] = v & 0xF
+    elif pattern == "Randomized":
+        for p in range(16, 32):
+            nyb[p] = int(rng.integers(16))
+    else:
+        raise ValueError(f"unknown pattern {pattern!r}")
+
+
+def _scalar_sample_shape(pattern: str, prefix, rng, max_tries: int = 100) -> NybbleSeq:
+    base = list(prefix.nybbles)
+    for _ in range(max_tries):
+        nyb = base + [int(rng.integers(16)) for _ in range(32 - len(base))]
+        _scalar_sample_iid(pattern, nyb, rng)
+        seq = NybbleSeq(tuple(nyb))
+        if list_classify_rfc(seq).class_name == pattern:
+            return seq
+    raise RuntimeError(f"could not realize pattern {pattern!r} under {prefix}")
+
+
+def _scalar_probe_active(oracle, seq: NybbleSeq) -> bool:
+    """oracle.probe(seq) is ACTIVE, with the list classifier."""
+    if oracle._aliases.match(seq) is not None:
+        return False
+    label = list_classify_rfc(seq).class_name
+    for fam in oracle.spec.families:
+        if label == fam.pattern and any(p.matches(seq) for p in fam.prefixes):
+            return oracle._hash_unit(seq) < fam.density
+    return False
+
+
+def scalar_sample_seeds(oracle, n: int, rng) -> list:
+    """The earlier sample_seeds: n distinct active non-aliased addresses."""
+    families = oracle.spec.families
+    seeds, seen = [], set()
+    while len(seeds) < n:
+        fam = families[int(rng.integers(len(families)))]
+        prefix = fam.prefixes[int(rng.integers(len(fam.prefixes)))]
+        seq = _scalar_sample_shape(fam.pattern, prefix, rng)
+        if seq.nybbles in seen:
+            continue
+        if _scalar_probe_active(oracle, seq):
+            seen.add(seq.nybbles)
+            seeds.append(seq)
+    return seeds
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _oracles import (
     ari,
+    list_classify_rfc,
     plant_entropy_corpus,
     plant_value_band_corpus,
     row_scatter_ipv62vec_embed,
+    seq_from_hex,
     sq_dists,
 )
 
@@ -19,6 +23,7 @@ from sixgan.classify import (
     METHOD_ENTROPY,
     METHOD_IPV62VEC,
     METHOD_RFC,
+    RFC_CLASS_NAMES,
     LabeledSeedCorpus,
     classify_entropy,
     classify_ipv62vec,
@@ -135,6 +140,91 @@ class TestClassifyRfc:
         corpus = classify_rfc_corpus(seeds)
         assert corpus.k == 2
         assert sorted(lab.class_id for lab in corpus.labels) == [0, 0, 1]
+
+
+# byte values at the rules' edges: zero, the port hex and decimal readings,
+# both sides of the IPv4 >= 0x20 test, and the EUI-64 marker bytes
+_EDGE_BYTES = (0x00, 0x00, 0x00, 0x01, 0x15, 0x1F, 0x20, 0x23, 0x50, 0x80, 0x8F, 0xFE, 0xFF)
+
+
+@st.composite
+def structured_iids(draw):
+    """16 IID hex digits built mostly from edge-case bytes, sometimes with
+    the fffe marker written somewhere in the IID."""
+    byte = st.one_of(st.sampled_from(_EDGE_BYTES), st.integers(0, 255))
+    digits = "".join(f"{b:02x}" for b in draw(st.lists(byte, min_size=8, max_size=8)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 12))
+        digits = digits[:at] + "fffe" + digits[at + 4:]
+    return digits
+
+
+class TestClassifyRfcMatchesListForm:
+    """The byte-level classifier against the earlier list-and-Counter form."""
+
+    @given(prefix=st.integers(0, 2 ** 64 - 1), iid=structured_iids(),
+           ports=st.one_of(st.just(None), st.frozensets(st.integers(0, 300), max_size=6)))
+    @settings(max_examples=1000, deadline=None)
+    def test_structured_iids(self, prefix, iid, ports):
+        seq = seq_from_hex(f"{prefix:016x}{iid}")
+        kwargs = {} if ports is None else {"port_list": ports}
+        assert classify_rfc(seq, **kwargs) == list_classify_rfc(seq, **kwargs)
+
+    def test_random_and_sampled_addresses(self):
+        rng = np.random.default_rng(12)
+        seqs = [NybbleSeq(tuple(row)) for row in rng.integers(0, 16, size=(2000, 32)).tolist()]
+        for seq in seqs:
+            assert classify_rfc(seq) == list_classify_rfc(seq)
+
+    @pytest.mark.parametrize("address, name", [
+        # a port by hex value and by its hex digits read as decimal
+        ("2001:db8::50", "Embedded-port"),
+        ("2001:db8::80", "Embedded-port"),
+        ("2001:db8::35", "Embedded-port"),
+        ("2001:db8::53", "Embedded-port"),
+        ("2001:db8::15", "Embedded-port"),
+        ("2001:db8::14", "Low-byte"),
+        ("2001:db8::99", "Embedded-IPv4"),
+        ("2001:db8::1bb", "Embedded-IPv4"),
+        # IPv4 bytes on both sides of 0x20
+        ("2001:db8::1f", "Low-byte"),
+        ("2001:db8::20", "Embedded-IPv4"),
+        ("2001:db8::1f1f:1f1f", "Pattern-bytes"),
+        ("2001:db8::1f1f:1f20", "Embedded-IPv4"),
+        ("2001:db8::1f:0", "Low-byte"),
+        ("2001:db8::20:0", "Embedded-IPv4"),
+        ("2001:db8::1f:1f", "Embedded-IPv4"),
+        # groups of 0xff and 0x100
+        ("2001:db8::ff:0:0:ff", "Embedded-IPv4"),
+        ("2001:db8::100:0:0:ff", "Pattern-bytes"),
+        ("2001:db8::ff:1", "Embedded-IPv4"),
+        ("2001:db8::1:100", "Pattern-bytes"),
+        ("2001:db8::100", "Pattern-bytes"),
+        # three equal bytes with the rest of the IID zero, and a byte
+        # value seen three times against twice
+        ("2001:db8::1:101", "Pattern-bytes"),
+        ("2001:db8::abab:ab00:0:0", "Pattern-bytes"),
+        ("2001:db8:0:0:abab:ab12:3456:789a", "Pattern-bytes"),
+        ("2001:db8:0:0:abab:1234:5678:9abc", "Randomized"),
+        ("2001:db8:0:0:1234:5678:9aab:abab", "Pattern-bytes"),
+        # fffe at nybbles 6..9 of the IID only
+        ("2001:db8:0:0:1234:56ff:fe78:9abc", "IEEE-derived"),
+        ("2001:db8:0:0:1234:5fff:e678:9abc", "Randomized"),
+        ("2001:db8:0:0:1234:56f:ffe7:89ab", "Randomized"),
+        ("2001:db8::ff:fe00:0", "IEEE-derived"),
+        ("2001:db8::fffe:0:0", "Pattern-bytes"),
+        ("2001:db8:0:0:fffe:1234:5678:9abc", "Randomized"),
+    ])
+    def test_boundary_cases(self, address, name):
+        seq = parse_address(address)
+        assert classify_rfc(seq).class_name == name
+        assert classify_rfc(seq) == list_classify_rfc(seq)
+
+    def test_labels_are_shared(self):
+        a = classify_rfc(parse_address("2001:db8::1"))
+        b = classify_rfc(parse_address("2001:db8::2"))
+        assert a is b
+        assert a == classify.PatternLabel(METHOD_RFC, RFC_CLASS_NAMES.index("Low-byte"), "Low-byte")
 
 
 class TestEntropyFingerprints:
@@ -364,6 +454,27 @@ class TestEmbedMatchesRowForm:
         kw = dict(dim=12, window=3, negatives=7, epochs=2, seed=5, lr=0.1)
         got = ipv62vec_embed(corpus, **kw)
         assert got.tobytes() == row_scatter_ipv62vec_embed(corpus, **kw).tobytes()
+
+    def test_large_steps_bit_identical(self):
+        # the output-vector update is one product per value, as in the row
+        # form, so a run with large but finite steps keeps every bit
+        seeds, _ = plant_value_band_corpus(20, seed=8, n_patterns=3)
+        kw = dict(dim=16, epochs=2, seed=2, lr=1.0)
+        with np.errstate(over="ignore"):
+            got = ipv62vec_embed(seeds, **kw)
+            want = row_scatter_ipv62vec_embed(seeds, **kw)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
+
+    def test_diverged_run_has_nans_in_the_same_places(self):
+        # at lr=50 the embedding diverges; NaN sign bits may differ
+        seeds, _ = plant_value_band_corpus(20, seed=8, n_patterns=3)
+        kw = dict(dim=16, epochs=3, seed=2, lr=50.0)
+        with np.errstate(all="ignore"):
+            got = ipv62vec_embed(seeds, **kw)
+            want = row_scatter_ipv62vec_embed(seeds, **kw)
+        assert np.isnan(got).any()
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("n", [MEAN_BLOCK, MEAN_BLOCK + 1, 2 * MEAN_BLOCK + 3])
     def test_vectors_bit_identical_across_mean_blocks(self, n):

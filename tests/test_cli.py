@@ -201,6 +201,50 @@ class TestPipelineArtifacts:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+# one family per pattern under /32, /48 and /64 prefixes, one aliased /52
+PINNED_UNIVERSE = {
+    "hash_key": 1234,
+    "families": [
+        {"name": "v4", "pattern": "Embedded-IPv4",
+         "prefixes": ["2001:db8:1::/48", "2001:db8:7::/64"], "density": 0.6},
+        {"name": "port", "pattern": "Embedded-port",
+         "prefixes": ["2001:db8:2::/48"], "density": 0.9},
+        {"name": "ieee", "pattern": "IEEE-derived",
+         "prefixes": ["2001:db8:3::/48"], "density": 0.6},
+        {"name": "low", "pattern": "Low-byte",
+         "prefixes": ["2001:db8:4::/48"], "density": 0.6},
+        {"name": "pat", "pattern": "Pattern-bytes",
+         "prefixes": ["2001:db8:5::/48"], "density": 0.6},
+        {"name": "rand", "pattern": "Randomized",
+         "prefixes": ["2001:db9::/32"], "density": 0.6},
+    ],
+    "aliased_prefixes": ["2001:db8:1:f000::/52"],
+}
+
+
+class TestPinnedSeedBytes:
+    """`synth` and `classify --method rfc` write the same bytes from one
+    version to the next.  Both are integer and hash code only, so the
+    digests do not depend on the CPU or the BLAS build."""
+
+    SEEDS_SHA256 = "ab7125f98d58f8106cc5236145848e127547f50cdd298741743cd8a1c8b05850"
+    LABELS_SHA256 = "2fc8159958d0664642d313d23e3511472270f541a423a9f1c47106e74ec547e5"
+
+    def test_seeds_and_rfc_labels_digests(self, tmp_path):
+        out = tmp_path / "out"
+        spec = write_json(tmp_path / "spec.json", PINNED_UNIVERSE)
+        cfg = write_json(tmp_path / "config.json",
+                         {"seed": 3, "n_seeds": 300, "seeds_file": str(out / "seeds.txt")})
+        base = ["--config", cfg, "--out", str(out)]
+        assert main(["synth", *base, "--spec", spec]) == EXIT_OK
+        assert main(["classify", *base, "--method", "rfc"]) == EXIT_OK
+        names = {line.split("\t")[3] for line in (out / "labels.tsv").read_text().splitlines()}
+        assert len(names) == 6
+        digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                  for name in ("seeds.txt", "labels.tsv")}
+        assert digest == {"seeds.txt": self.SEEDS_SHA256, "labels.tsv": self.LABELS_SHA256}
+
+
 def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -716,6 +760,11 @@ class TestExitCodes:
         pytest.param({**UNIVERSE, "aliased_prefixes": "2001:db8:ff::/48"},
                      "universe spec key aliased_prefixes must be a list of strings, "
                      'got "2001:db8:ff::/48"', id="aliased-string"),
+        pytest.param({**UNIVERSE, "families": [UNIVERSE["families"][0],
+                                               {**UNIVERSE["families"][1],
+                                                "prefixes": ["2001:db8:1::/64"]}]},
+                     "family prefixes overlap: 2001:db8:1::/48 (low) and 2001:db8:1::/64 (ieee)",
+                     id="overlapping-prefixes"),
     ])
     def test_malformed_universe_spec(self, tmp_path, capsys, command, spec, why):
         spec_path = write_json(tmp_path / "spec.json", spec)

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import scalar_sample_seeds
 
-from sixgan.addr import NybbleSeq, parse_address, parse_prefix
+from sixgan.addr import NybblePrefix, NybbleSeq, parse_address, parse_prefix
 from sixgan.classify import RFC_CLASS_NAMES, classify_rfc
 from sixgan.oracle import (
     PatternFamily,
@@ -53,15 +54,15 @@ class TestSpecValidation:
             PatternFamily(name="x", pattern="Low-byte", prefixes=(), density=0.5)
 
     def test_overlapping_family_prefixes_rejected(self):
-        spec = UniverseSpec(
-            hash_key=1,
-            families=(
-                family(prefix="2001:db8::/32", name="outer"),
-                family(prefix="2001:db8:1::/48", name="inner", pattern="IEEE-derived"),
-            ),
-        )
+        # the spec itself refuses them, so a spec built directly is checked too
         with pytest.raises(ValueError, match="overlap"):
-            UniverseOracle(spec)
+            UniverseSpec(
+                hash_key=1,
+                families=(
+                    family(prefix="2001:db8::/32", name="outer"),
+                    family(prefix="2001:db8:1::/48", name="inner", pattern="IEEE-derived"),
+                ),
+            )
 
     def test_disjoint_families_accepted(self):
         spec = UniverseSpec(
@@ -222,3 +223,49 @@ class TestSamplers:
         seeds = sample_seeds(oracle, 60, np.random.default_rng(9))
         for s in seeds:
             assert oracle.probe(s) is ProbeStatus.ACTIVE
+
+
+# one family per pattern, all under prefixes of one length
+_PREFIXES_BY_LENGTH = {
+    32: "2001:db{}::/32",
+    48: "2001:db8:{}::/48",
+    64: "2001:db8:0:{}::/64",
+}
+
+
+def six_pattern_spec(prefix_len: int, hash_key: int) -> UniverseSpec:
+    fams = tuple(
+        family(pattern=pattern, prefix=_PREFIXES_BY_LENGTH[prefix_len].format(i),
+               density=0.6, name=f"f{i}")
+        for i, pattern in enumerate(RFC_CLASS_NAMES)
+    )
+    # one nybble longer than the Randomized family's prefix: a sixteenth of
+    # its samples are aliased
+    aliased = (NybblePrefix(fams[-1].prefixes[0].nybbles + (0,)),)
+    return UniverseSpec(hash_key=hash_key, families=fams, aliased_prefixes=aliased)
+
+
+class TestSamplerMatchesScalarForm:
+    """Batched draws against the earlier one-call-per-value sampler."""
+
+    @pytest.mark.parametrize("prefix_len", [32, 48, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_seeds_and_generator_state(self, prefix_len, seed):
+        oracle = UniverseOracle(six_pattern_spec(prefix_len, hash_key=100 + seed))
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        seeds = sample_seeds(oracle, 300, rng_a)
+        assert seeds == scalar_sample_seeds(oracle, 300, rng_b)
+        assert {classify_rfc(s).class_name for s in seeds} == set(RFC_CLASS_NAMES)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("bound", [2, 4, 16, 256])
+    @pytest.mark.parametrize("n", [0, 1, 8, 20])
+    def test_numpy_batched_integers_match_scalar_calls(self, bound, n):
+        # the property the sampler relies on: below 2**32 one size=n call
+        # draws the same values as n scalar calls and leaves the same state
+        a = np.random.default_rng(bound * 100 + n)
+        b = np.random.default_rng(bound * 100 + n)
+        assert [int(a.integers(bound)) for _ in range(n)] == b.integers(bound, size=n).tolist()
+        # random() reads 64 bits; integers(16) reads a 32-bit half a draw may have kept
+        assert (a.random(), int(a.integers(16))) == (b.random(), int(b.integers(16)))
