@@ -301,18 +301,23 @@ def classify_entropy(
 # ---------------------------------------------------------------------------
 
 
-def _subtract_rows_at(w: np.ndarray, flat_rows: np.ndarray, vals: np.ndarray) -> None:
-    """np.subtract.at(w, rows, vals), applied to the flat view of w.
+_GUIDE = 2 ** 16  # guide-table buckets of the negative-sampling CDF
 
-    flat_rows holds rows[i] * dim + d for each w[rows[i], d].  Every element
-    gets the same subtractions in the same order as in the row form, so the
-    result is bit-identical, and NumPy's ufunc.at is far faster on a 1-D
-    operand.  reshape(-1) of a non-contiguous array is a copy that the
-    updates would miss, so w must be C-contiguous.
-    """
-    if not w.flags.c_contiguous:
-        raise ValueError("w must be C-contiguous so its flat view aliases it")
-    np.subtract.at(w.reshape(-1), flat_rows.reshape(-1), vals.reshape(-1))
+
+def _guided_searchsorted(cdf: np.ndarray):
+    """x -> np.searchsorted(cdf, x) for draws x in [0, 1), by a guide table:
+    the search is monotone in x and x * _GUIDE is exact, so a draw in bucket
+    b is answered by table[b] unless table[b + 1] differs."""
+    table = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE)
+
+    def lookup(x: np.ndarray) -> np.ndarray:
+        bucket = (x * _GUIDE).astype(np.intp)
+        idx = table[bucket]
+        split = idx != table[bucket + 1]
+        idx[split] = np.searchsorted(cdf, x[split])
+        return idx
+
+    return lookup
 
 
 _MEAN_BLOCK = 64  # sentences per gather of the final average, so it is never [n, 32, dim]
@@ -333,6 +338,11 @@ def ipv62vec_embed(
     position) pairs, a vocabulary of at most 512 words.  A skip-gram model
     with negative sampling trains over all sentences; the address vector
     is the mean of its word vectors.  Deterministic given seed.
+
+    Each address is one block update from the pre-update vectors: its 32
+    input rows v against w_out, the A rows a context or a negative can
+    name, with the pairs' gradients summed into g [32, A].  Only the order
+    of each row's summation differs from updating pair by pair.
     """
     if not seeds:
         raise ValueError("seed list is empty")
@@ -345,21 +355,23 @@ def ipv62vec_embed(
     noise /= noise.sum()
 
     w_in = (rng.random((vocab, dim)) - 0.5) / dim
-    w_out = np.zeros((vocab, dim))
     noise_cdf = np.cumsum(noise)
     noise_cdf[-1] = 1.0
-    # flat_index[word] holds the indices of that word's row in a flat view
-    flat_index = np.arange(vocab * dim).reshape(vocab, dim)
+    # w_out's rows: every context word and every word a draw can return (word
+    # 0 for 0.0, or a positive CDF step); the block CDF's search gives its row
+    in_block = (counts > 0) | (np.diff(noise_cdf, prepend=-1.0) > 0)
+    block_row = np.cumsum(in_block) - 1  # a block word's row of w_out
+    w_out = np.zeros((block_row[-1] + 1, dim))
+    negative_rows = _guided_searchsorted(noise_cdf[in_block])
 
     # all (center position, context position) pairs; reused for every sentence
     pairs = [(p, c) for p in range(32)
              for c in range(max(0, p - window), min(32, p + window + 1)) if c != p]
     center_pos, context_pos = np.array(pairs).T
     n_pairs = len(pairs)
-    # [P, neg+1, dim] work arrays, reused every step: the allocator hands a
-    # freed array this size back to the OS, so a fresh one page-faults again
-    u = np.empty((n_pairs, negatives + 1, dim))
-    flat_targets = np.empty(u.shape, dtype=flat_index.dtype)
+    # flat[p, n] = center * A + the target's w_out row: the pair's entry in g [32, A]
+    flat = np.empty((n_pairs, negatives + 1), dtype=np.intp)
+    center_base = center_pos[:, None] * len(w_out)
 
     n_sent = len(sentences)
     total_steps = epochs * n_sent
@@ -370,26 +382,17 @@ def ipv62vec_embed(
             sent = sentences[si]
             cur_lr = max(lr * (1.0 - step / max(total_steps, 1)), lr * 1e-2)
             step += 1
-            centers = sent[center_pos]  # [P]
-            targets = np.empty((n_pairs, negatives + 1), dtype=int)
-            targets[:, 0] = sent[context_pos]
-            targets[:, 1:] = np.searchsorted(noise_cdf, rng.random((n_pairs, negatives)))
-            v = w_in[centers]  # [P, dim]
-            # ids are always in range; mode="raise" would copy through a buffer
-            np.take(w_out, targets, axis=0, out=u, mode="clip")
-            scores = 1.0 / (1.0 + np.exp(-np.einsum("pd,pnd->pn", v, u)))
+            flat[:, 0] = block_row[sent[context_pos]]
+            flat[:, 1:] = negative_rows(rng.random((n_pairs, negatives)))
+            flat += center_base
+            v = w_in[sent]  # [32, dim]
+            scores = 1.0 / (1.0 + np.exp(-(v @ w_out.T).take(flat)))
             # label 1 for the context word, 0 for the negatives (x - 0.0 == x)
             scores[:, 0] -= 1.0
-            gscore = scores * cur_lr  # [P, neg+1]
-            # one batched update per sentence; duplicate rows accumulate
-            _subtract_rows_at(w_in, flat_index[centers], np.einsum("pn,pnd->pd", gscore, u))
-            # u is spent once w_in is updated; it now takes w_out's update values
-            np.take(flat_index, targets, axis=0, out=flat_targets, mode="clip")
-            # one product per value, as with np.multiply but faster; since
-            # w_out never holds -0.0, every finite result has the same bits
-            # (a diverged run has NaNs in the same places, signs may differ)
-            np.einsum("pn,pd->pnd", gscore, v, out=u)
-            _subtract_rows_at(w_out, flat_targets, u)
+            scores *= cur_lr
+            g = np.bincount(flat.reshape(-1), scores.reshape(-1), 32 * len(w_out)).reshape(32, -1)
+            w_in[sent] = v - g @ w_out
+            w_out -= g.T @ v
     vectors = np.empty((n_sent, dim))
     for lo in range(0, n_sent, _MEAN_BLOCK):
         w_in[sentences[lo:lo + _MEAN_BLOCK]].mean(axis=1, out=vectors[lo:lo + _MEAN_BLOCK])

@@ -27,6 +27,7 @@ from .nn import (
     cnn_forward,
     cnn_head,
     cnn_nll_grads,
+    conv_tables,
     ensure_finite,
     lstm_backward,
     lstm_forward,
@@ -127,21 +128,21 @@ class DiscriminatorModel:
         """
         return _in_blocks(tokens, lambda rows: cnn_forward(self.params, rows)[1])
 
-    def rollout_scorer(self, tokens: np.ndarray):
-        """score(t, rollouts): class_probs(rollouts) for rollouts of tokens.
+    def rollout_scorers(self, tokens: np.ndarray):
+        """score_j(t, rollouts): class_probs(rollouts) for rollouts of batch
+        j of the sampled stack tokens [k, B, SEQ_LEN], made one at a time.
 
-        tokens is the sampled batch [B, SEQ_LEN]; row b*N + n of rollouts
-        continues row b after its first t tokens, and at t = SEQ_LEN the
-        rollouts are tokens.  The scores equal class_probs' bit for bit:
-        the pooled features are exact (see RolloutPool) and the head runs
-        on the same row blocks.
+        Row b*N + n of rollouts continues row b after its first t tokens,
+        and at t = SEQ_LEN the rollouts are the batch.  The scores equal
+        class_probs' bit for bit: the pooled features are exact (see
+        RolloutPool) and the head runs on the same row blocks.  The tap
+        tables are built once: the discriminator is fixed while they score.
         """
-        pool = RolloutPool(self.params, tokens)
-
-        def score(t: int, rollouts: np.ndarray) -> np.ndarray:
-            return _in_blocks(pool.pooled(t, rollouts), lambda rows: cnn_head(self.params, rows)[1])
-
-        return score
+        tables = conv_tables(self.params)
+        for batch in tokens:
+            pool = RolloutPool(self.params, batch, tables)
+            yield lambda t, rollouts, pool=pool: _in_blocks(
+                pool.pooled(t, rollouts), lambda rows: cnn_head(self.params, rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +231,11 @@ def rollout_penalties(
     position t < SEQ_LEN, cfg.rollouts completions continue every sequence
     from its cached state, sampled from its own generator; all k
     generators' completions are drawn first, in lockstep and in position
-    order.  Then each generator's d.rollout_scorer scores its completions,
-    and at t = SEQ_LEN its sequences themselves, one generator at a time,
-    so one scorer's running maxima are live at once.  Q_D is the mean
-    discriminator penalty 1 - D^j over generator j's completions.  Q_A is the mean
-    alias penalty: a completion under an aliased prefix of length L
+    order.  Then each generator's scorer from d.rollout_scorers scores its
+    completions, and at t = SEQ_LEN its sequences themselves, one
+    generator at a time, so one scorer's running maxima are live at once.
+    Q_D is the mean discriminator penalty 1 - D^j over generator j's
+    completions.  Q_A is the mean alias penalty: a completion under an aliased prefix of length L
     contributes (t/L)*lambda when t <= L, and 0 otherwise.  Without a trie
     Q_A is 0.
     """
@@ -249,8 +250,7 @@ def rollout_penalties(
         tails.append(drawn.astype(np.uint8))
     q_d = np.empty((k, b, SEQ_LEN))
     q_a = np.zeros((k, b, SEQ_LEN))
-    for j in range(k):
-        score = d.rollout_scorer(tokens[j])
+    for j, score in enumerate(d.rollout_scorers(tokens)):
         for t in range(1, SEQ_LEN + 1):
             if t < SEQ_LEN:
                 m = n

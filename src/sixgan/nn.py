@@ -470,15 +470,15 @@ class RolloutPool:
     tail, and only the latter are convolved per rollout.  np.maximum and the
     position-major max folds keep the later of two equal values (+0.0 over
     -0.0 when it comes later), so with the prefix first the features equal
-    a full pass over the rollouts bit for bit.  The tap tables are built
-    once.
+    a full pass over the rollouts bit for bit.  tables is conv_tables(params),
+    which the caller builds once for every batch it scores.
     """
 
-    def __init__(self, params: CnnParams, tokens: np.ndarray):
+    def __init__(self, params: CnnParams, tokens: np.ndarray, tables: np.ndarray):
         check_tokens(tokens)
         self.params = params
         self.rows = tokens.shape[0]
-        self.tables = conv_tables(params)
+        self.tables = tables
         by_pos = np.ascontiguousarray(tokens.T)
         # [SEQ_LEN-s+1, B, F]: entry p is the max over the row's windows 0..p
         self.running = {

@@ -772,8 +772,13 @@ class FullPassScores:
     def __init__(self, d):
         self.d = d
 
-    def rollout_scorer(self, tokens):
-        return lambda t, rollouts: self.d.class_probs(rollouts)
+    def rollout_scorers(self, tokens):
+        return (lambda t, rollouts: self.d.class_probs(rollouts) for _ in tokens)
+
+
+def rollout_scorer(d, tokens):
+    """d's rollout scorer of one sampled batch [B, SEQ_LEN]."""
+    return next(d.rollout_scorers(tokens[None]))
 
 
 def _gate_banks(params):
@@ -1004,7 +1009,7 @@ def single_rollout_penalties(g, d, trie, cfg, tokens, hs, cs):
     b, n_roll = tokens.shape[0], cfg.rollouts
     q_d = np.empty((b, SEQ_LEN))
     q_a = np.zeros((b, SEQ_LEN))
-    score = d.rollout_scorer(tokens)
+    score = rollout_scorer(d, tokens)
     for t in range(1, SEQ_LEN + 1):
         if t < SEQ_LEN:
             n = n_roll

@@ -10,9 +10,10 @@ import shutil
 
 import numpy as np
 import pytest
-from _oracles import bank_tensors
+from _oracles import bank_tensors, row_scatter_ipv62vec_embed
 
 import sixgan
+import sixgan.classify as classify
 import sixgan.cli as cli
 from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
@@ -243,6 +244,42 @@ class TestPinnedSeedBytes:
         digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                   for name in ("seeds.txt", "labels.tsv")}
         assert digest == {"seeds.txt": self.SEEDS_SHA256, "labels.tsv": self.LABELS_SHA256}
+
+
+class TestIpv62vecAtWorkloadScale:
+    """`classify --method ipv62vec` on the pinned universe's 250 seeds at the
+    default dim 100, the size of the benchmark's classify workload."""
+
+    K = 6
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ipv62vec")
+        spec = write_json(root / "spec.json", PINNED_UNIVERSE)
+        cfg = write_json(root / "config.json",
+                         {"seed": 3, "n_seeds": 250, "seeds_file": str(root / "seeds.txt")})
+        assert main(["synth", "--config", cfg, "--out", str(root), "--spec", spec]) == EXIT_OK
+        return root, cfg
+
+    def test_labels_match_row_form(self, config, monkeypatch):
+        seeds = load_seed_file(str(config[0] / "seeds.txt"))
+        assert len(seeds) == 250
+        got = classify.classify_ipv62vec(seeds, target_k=self.K, seed=3)
+        monkeypatch.setattr(classify, "ipv62vec_embed", row_scatter_ipv62vec_embed)
+        want = classify.classify_ipv62vec(seeds, target_k=self.K, seed=3)
+        assert got.labels == want.labels
+        assert len({lab.class_id for lab in got.labels}) > 1
+
+    def test_rerun_writes_same_labels(self, config):
+        root, cfg = config
+        labels = []
+        for name in ("first", "second"):
+            argv = ["classify", "--config", cfg, "--out", str(root / name),
+                    "--method", "ipv62vec", "--k", str(self.K)]
+            assert main(argv) == EXIT_OK
+            labels.append((root / name / "labels.tsv").read_bytes())
+        assert labels[0] == labels[1]
+        assert len(labels[0].splitlines()) == 250
 
 
 def snapshot(directory):

@@ -14,6 +14,7 @@ from _oracles import (
     mc_rollout,
     reward_alias,
     reward_discriminator,
+    rollout_scorer,
     sample_sequences,
     sequential_train_6gan,
     single_generator_pg_step,
@@ -22,7 +23,7 @@ from _oracles import (
     single_rollout_penalties,
     single_sample_tokens,
 )
-from sixgan import nn
+from sixgan import gan, nn
 from sixgan.addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from sixgan.classify import classify_rfc_corpus
 from sixgan.gan import (
@@ -94,8 +95,8 @@ class StubScores:
     def class_probs(self, tokens):
         return self.rows[: len(tokens)]
 
-    def rollout_scorer(self, tokens):
-        return lambda t, rollouts: self.class_probs(rollouts)
+    def rollout_scorers(self, tokens):
+        return (lambda t, rollouts: self.class_probs(rollouts) for _ in tokens)
 
 
 class TestConfigs:
@@ -342,6 +343,23 @@ class TestIncrementalRolloutScoring:
                                  *_sample_tokens(ref.params, ref.rngs, 4, keep_states=True))
         assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
 
+    def test_tap_tables_built_once_per_call(self, monkeypatch):
+        # the discriminator is fixed while the k generators' rollouts are scored
+        g = make_generators(k=3, seed=4)
+        d = biased_discriminator(24, 8)
+        built = []
+
+        def counted(params):
+            built.append(params)
+            return conv_tables(params)
+
+        monkeypatch.setattr(gan, "conv_tables", counted)
+        monkeypatch.setattr(nn, "conv_tables", counted)
+        q_d, _ = rollout_penalties(g, d, None, RewardConfig(rollouts=2),
+                                   *_sample_tokens(g.params, g.rngs, 4, keep_states=True))
+        assert q_d.shape == (3, 4, 32)
+        assert len(built) == 1 and built[0] is d.params
+
     @pytest.mark.parametrize("embed,filters", ROLLOUT_WIDTHS)
     def test_pg_step_equals_full_pass(self, embed, filters):
         g = make_generators(seed=embed + 1)
@@ -361,8 +379,8 @@ class TestIncrementalRolloutScoring:
         d = biased_discriminator(embed, filters, seed=2)
         rng = np.random.default_rng(embed)
         tokens = rng.integers(0, 16, size=(3, 32))
-        pool = RolloutPool(d.params, tokens)
-        score = d.rollout_scorer(tokens)
+        pool = RolloutPool(d.params, tokens, conv_tables(d.params))
+        score = rollout_scorer(d, tokens)
         for t in range(1, 33):
             rollouts = materialised_rollouts(tokens, t, 2, rng)
             assert pool.pooled(t, rollouts).tobytes() == full_pass_pooled(d.params, rollouts).tobytes(), t
@@ -376,7 +394,7 @@ class TestIncrementalRolloutScoring:
         tokens = rng.integers(0, 16, size=(70, 32))
         rollouts = materialised_rollouts(tokens, t, 15, rng)
         assert len(rollouts) > 2 * 512
-        got = d.rollout_scorer(tokens)(t, rollouts)
+        got = rollout_scorer(d, tokens)(t, rollouts)
         assert got.tobytes() == d.class_probs(rollouts).tobytes()
 
     def test_tie_between_prefix_and_tail_window(self):
@@ -392,7 +410,7 @@ class TestIncrementalRolloutScoring:
             conv = _conv_bank(tables[BANK_TAPS[s]], np.ascontiguousarray(tokens.T))
             prefix, tail = conv[:t - s + 1].max(axis=0), conv[t - s + 1:].max(axis=0)
             assert np.array_equal(prefix, tail), s
-        assert RolloutPool(d.params, tokens).pooled(t, rollouts).tobytes() == \
+        assert RolloutPool(d.params, tokens, tables).pooled(t, rollouts).tobytes() == \
             full_pass_pooled(d.params, rollouts).tobytes()
 
     def test_signed_zero_tie(self, monkeypatch):
@@ -409,7 +427,7 @@ class TestIncrementalRolloutScoring:
                            np.r_[ones[:8], other[:8], ones]])
         tails = np.stack([ones, other, zeros, other])  # two rollouts per row
         rollouts = np.concatenate([np.repeat(tokens[:, :t], 2, axis=0), tails], axis=1)
-        got = RolloutPool(d.params, tokens).pooled(t, rollouts)
+        got = RolloutPool(d.params, tokens, tables).pooled(t, rollouts)
         assert got.tobytes() == full_pass_pooled(d.params, rollouts).tobytes()
         small = got[:, :8 * f]  # kernel sizes 1..8 all see a zero-valued window
         assert (small == 0.0).all()
@@ -424,10 +442,10 @@ class TestIncrementalRolloutScoring:
         with pytest.raises(ValueError, match="token ids"):
             d.class_probs(rollouts)
         with pytest.raises(ValueError, match="token ids"):
-            d.rollout_scorer(tokens)(4, rollouts)
+            rollout_scorer(d, tokens)(4, rollouts)
         tokens[0, 0] = bad
         with pytest.raises(ValueError, match="token ids"):
-            d.rollout_scorer(tokens)
+            rollout_scorer(d, tokens)
 
 
 class TestPenaltyBoundChecks:

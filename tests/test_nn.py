@@ -609,7 +609,7 @@ class TestFusedBankLayout:
         tokens = rng.integers(0, 17, size=(6, SEQ_LEN))
         want = cnn_head(p, bank_pooled(p, tokens))[0]
         assert cnn_forward(p, tokens)[0].tobytes() == want.tobytes()
-        pool = RolloutPool(p, tokens)
+        pool = RolloutPool(p, tokens, conv_tables(p))
         for t in (1, 8, 16, 31):
             tails = rng.integers(0, 17, size=(12, SEQ_LEN - t))
             rollouts = np.concatenate([np.repeat(tokens[:, :t], 2, axis=0), tails], axis=1)
