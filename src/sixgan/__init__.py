@@ -6,6 +6,16 @@ discriminator with alias-aware policy-gradient rewards, and candidate
 targets are sampled under an allocated probe budget.
 """
 
+import os
+
+# One BLAS thread unless the caller sets another count.  A threaded matrix
+# product can sum in another order and so change output bytes; BLAS reads
+# these variables once, when NumPy loads, so they are set before that.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .addr import (
     AddressParseError,
     AliasTrie,
@@ -27,6 +37,7 @@ from .classify import (
 from .gan import (
     DiscriminatorModel,
     Generators,
+    NetConfig,
     RewardConfig,
     TrainSchedule,
     generate_candidates,
@@ -61,6 +72,7 @@ __all__ = [
     "EvaluationReport",
     "Generators",
     "LabeledSeedCorpus",
+    "NetConfig",
     "NybblePrefix",
     "NybbleSeq",
     "PatternFamily",

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, nn
+from . import BLAS_THREAD_VARS, __version__, nn
 from .addr import AliasTrie, load_alias_file, load_seed_file, write_address_file
 from .alias import filter_aliased
 from .classify import (
@@ -37,6 +37,7 @@ from .fileio import atomic_write
 from .gan import (
     DiscriminatorModel,
     Generators,
+    NetConfig,
     RewardConfig,
     TrainSchedule,
     generate_candidates,
@@ -71,7 +72,7 @@ DEFAULTS: dict = {
     "rates": None,
     "reward": dataclasses.asdict(RewardConfig()),
     "schedule": dataclasses.asdict(TrainSchedule()),
-    "nn": {"embed_dim": 200, "hidden_dim": 200, "n_filters": 32, "lr_gen": 1e-3, "lr_disc": 1e-4},
+    "nn": dataclasses.asdict(NetConfig()),
 }
 
 _SECTIONS = ("reward", "schedule", "nn")
@@ -221,13 +222,21 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _versions() -> dict:
+    """What output bytes depend on: the package, NumPy, the BLAS build and its thread settings."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"sixgan": __version__, "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def _write_manifest(cfg: dict, command: str, inputs: list[str], outputs: list[str]) -> str:
     doc = {
         "command": command,
         "config": cfg,
         "inputs": {os.path.basename(p): _sha256(p) for p in sorted(set(inputs))},
         "outputs": {os.path.basename(p): _sha256(p) for p in sorted(set(outputs))},
-        "versions": {"sixgan": __version__, "numpy": np.__version__},
+        "versions": _versions(),
     }
     path = os.path.join(cfg["out_dir"], f"manifest_{command}.json")
     with atomic_write(path, "w", encoding="utf-8") as fh:
@@ -349,6 +358,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
         inputs.append(alias_path)
     reward = RewardConfig(**cfg["reward"])
     schedule = TrainSchedule(**cfg["schedule"])
+    net = NetConfig(**cfg["nn"])
     out = _ensure_out(cfg)
 
     last_saved = None  # round of the checkpoints on disk; -1 is after pretraining
@@ -364,7 +374,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
     with open(log_path, "w", encoding="utf-8") as log_fh:  # streamed: kept on exit 3
         try:
             gens, disc, records = train_6gan(
-                corpus, trie, reward, schedule, seed=cfg["seed"], **cfg["nn"],
+                corpus, trie, reward, schedule, net, seed=cfg["seed"],
                 on_round=save_all,
                 on_record=lambda rec: print(
                     json.dumps(rec, sort_keys=True), file=log_fh, flush=True
@@ -397,7 +407,7 @@ def _load_exclude(cfg: dict) -> tuple[set[tuple[int, ...]], list[str]]:
 
 
 def cmd_generate(cfg: dict, args: argparse.Namespace) -> _Files:
-    out = _ensure_out(cfg)
+    out = cfg["out_dir"]  # holds the checkpoints, so it exists if they do
     pattern = os.path.join(glob.escape(out), "generator_[0-9][0-9]*.ckpt")
     found = {os.path.basename(p) for p in glob.glob(pattern)}
     if not found:
@@ -468,7 +478,7 @@ def cmd_evaluate(cfg: dict, args: argparse.Namespace) -> _Files:
 
 
 def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
-    out = _ensure_out(cfg)
+    out = cfg["out_dir"]  # holds the checkpoint, so it exists if that does
     ckpt = _require_file(_disc_ckpt(out), "discriminator checkpoint")
     addresses_path = _require_file(args.addresses, "addresses file")
     params, k = _read_checkpoint(ckpt, CnnParams, "meta_k")

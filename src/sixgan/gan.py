@@ -11,6 +11,7 @@ rollouts of the unfinished sequence.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,26 @@ class TrainSchedule:
 
 
 @dataclass
+class NetConfig:
+    """Network widths and RMSProp learning rates (the config's nn section)."""
+
+    embed_dim: int = 200
+    hidden_dim: int = 200
+    n_filters: int = 32
+    lr_gen: float = 1e-3
+    lr_disc: float = 1e-4
+
+    def __post_init__(self) -> None:
+        for key in ("embed_dim", "hidden_dim", "n_filters"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"nn.{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("lr_gen", "lr_disc"):
+            lr = getattr(self, key)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"nn.{key} must be a finite number > 0, got {lr}")
+
+
+@dataclass
 class Generators:
     """The k pattern generators: generator j, trained for pattern j, is
     entry j of the [k, ...] params stack and draws from rngs[j].  One
@@ -76,7 +97,7 @@ class Generators:
 
     params: LstmParams
     rngs: list[np.random.Generator]
-    opt: RmsProp = field(default_factory=lambda: RmsProp(lr=1e-3))
+    opt: RmsProp = field(default_factory=lambda: RmsProp(lr=NetConfig.lr_gen))
 
     def __post_init__(self) -> None:
         if self.params.emb.shape[:-2] != (self.k,):
@@ -109,7 +130,7 @@ def _in_blocks(rows: np.ndarray, score) -> np.ndarray:
 class DiscriminatorModel:
     params: CnnParams
     k: int
-    opt: RmsProp = field(default_factory=lambda: RmsProp(lr=1e-4))
+    opt: RmsProp = field(default_factory=lambda: RmsProp(lr=NetConfig.lr_disc))
 
     def __post_init__(self) -> None:
         if self.params.n_classes != self.k + 1:
@@ -387,12 +408,8 @@ def train_6gan(
     trie: AliasTrie | None,
     cfg: RewardConfig,
     schedule: TrainSchedule,
+    net: NetConfig,
     seed: int,
-    embed_dim: int = 200,
-    hidden_dim: int = 200,
-    n_filters: int = 32,
-    lr_gen: float = 1e-3,
-    lr_disc: float = 1e-4,
     on_round=None,
     on_record=None,
 ) -> tuple[Generators, DiscriminatorModel, list[dict]]:
@@ -400,7 +417,8 @@ def train_6gan(
     g_steps policy-gradient updates per generator with d_steps
     discriminator updates for the scheduled number of rounds.  The k
     generators take their pretraining and policy-gradient steps in
-    lockstep, with the values each would reach alone.
+    lockstep, with the values each would reach alone.  net gives both
+    networks' widths and learning rates.
 
     on_round, when given, is called as on_round(round_index, generators,
     discriminator) after pretraining (index -1) and after every
@@ -423,17 +441,18 @@ def train_6gan(
     streams = [s.spawn(2) for s in ss.spawn(k + 1)]  # (init, runtime) per model
     gens = Generators(
         params=LstmParams.stack([
-            LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim)
+            LstmParams.init(np.random.default_rng(streams[i][0]), net.embed_dim, net.hidden_dim)
             for i in range(k)
         ]),
         rngs=[np.random.default_rng(streams[i][1]) for i in range(k)],
-        opt=RmsProp(lr=lr_gen),
+        opt=RmsProp(lr=net.lr_gen),
     )
     d_rng = np.random.default_rng(streams[k][1])
     disc = DiscriminatorModel(
-        params=CnnParams.init(np.random.default_rng(streams[k][0]), k + 1, embed_dim, n_filters),
+        params=CnnParams.init(np.random.default_rng(streams[k][0]), k + 1, net.embed_dim,
+                              net.n_filters),
         k=k,
-        opt=RmsProp(lr=lr_disc),
+        opt=RmsProp(lr=net.lr_disc),
     )
 
     records: list[dict] = []

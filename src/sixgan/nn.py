@@ -118,7 +118,7 @@ class LstmParams(_Tensors):
         return self.w_out.shape[-2]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, embed_dim: int = 200, hidden_dim: int = 200) -> "LstmParams":
+    def init(cls, rng: np.random.Generator, embed_dim: int, hidden_dim: int) -> "LstmParams":
         e, h = embed_dim, hidden_dim
         gate = 1.0 / np.sqrt(e + h)
         out = 1.0 / np.sqrt(h)
@@ -347,8 +347,8 @@ class CnnParams(_Tensors):
         cls,
         rng: np.random.Generator,
         n_classes: int,
-        embed_dim: int = 200,
-        n_filters: int = 32,
+        embed_dim: int,
+        n_filters: int,
     ) -> "CnnParams":
         e, f = embed_dim, n_filters
         p = len(KERNEL_SIZES) * f

@@ -163,18 +163,20 @@ class UniverseOracle:
         h = hashlib.blake2b(bytes(seq.nybbles), key=self._key, digest_size=8)
         return int.from_bytes(h.digest(), "little") / 2.0 ** 64
 
-    def probe(self, seq: NybbleSeq) -> ProbeStatus:
-        """Deterministic activity answer for one address."""
+    def probe(self, seq: NybbleSeq, family: PatternFamily | None = None) -> ProbeStatus:
+        """Deterministic activity answer for one address.  A family given
+        has seq's label and a prefix holding seq, as for a sampled seed; as
+        prefixes do not overlap, it is the one the search below would find."""
         if self._aliases.match(seq) is not None:
             return ProbeStatus.ALIASED
-        label = classify_rfc(seq).class_name
-        for fam in self.spec.families:
-            if label != fam.pattern:
-                continue
-            if any(p.matches(seq) for p in fam.prefixes):
-                if self._hash_unit(seq) < fam.density:
-                    return ProbeStatus.ACTIVE
+        if family is None:
+            label = classify_rfc(seq).class_name
+            family = next((fam for fam in self.spec.families if fam.pattern == label
+                           and any(p.matches(seq) for p in fam.prefixes)), None)
+            if family is None:
                 return ProbeStatus.INACTIVE
+        if self._hash_unit(seq) < family.density:
+            return ProbeStatus.ACTIVE
         return ProbeStatus.INACTIVE
 
 
@@ -288,7 +290,7 @@ def sample_seeds(
         seq = sample_conforming(fam, rng)
         if seq.nybbles in seen:
             continue
-        if oracle.probe(seq) is ProbeStatus.ACTIVE:
+        if oracle.probe(seq, fam) is ProbeStatus.ACTIVE:  # sample_shape checked the label
             seen.add(seq.nybbles)
             seeds.append(seq)
     return seeds

@@ -1061,8 +1061,7 @@ def single_pretrain_generator(g, seed_tokens, steps: int, batch_size: int) -> li
     return curve
 
 
-def sequential_train_6gan(corpus, trie, cfg, schedule, seed, embed_dim=200, hidden_dim=200,
-                          n_filters=32, lr_gen=1e-3, lr_disc=1e-4):
+def sequential_train_6gan(corpus, trie, cfg, schedule, net, seed):
     """(generators, discriminator, records) of train_6gan, with every
     generator trained alone: all of generator 0's pretraining steps, then
     generator 1's, and likewise for each round's policy-gradient steps."""
@@ -1071,13 +1070,15 @@ def sequential_train_6gan(corpus, trie, cfg, schedule, seed, embed_dim=200, hidd
                     for cid in range(k)]
     streams = [s.spawn(2) for s in np.random.SeedSequence(seed).spawn(k + 1)]
     gens = [SingleGenerator(
-        params=LstmParams.init(np.random.default_rng(streams[i][0]), embed_dim, hidden_dim),
-        pattern_id=i, rng=np.random.default_rng(streams[i][1]), opt=RmsProp(lr=lr_gen),
+        params=LstmParams.init(np.random.default_rng(streams[i][0]), net.embed_dim,
+                               net.hidden_dim),
+        pattern_id=i, rng=np.random.default_rng(streams[i][1]), opt=RmsProp(lr=net.lr_gen),
     ) for i in range(k)]
     d_rng = np.random.default_rng(streams[k][1])
     disc = DiscriminatorModel(
-        params=CnnParams.init(np.random.default_rng(streams[k][0]), k + 1, embed_dim, n_filters),
-        k=k, opt=RmsProp(lr=lr_disc),
+        params=CnnParams.init(np.random.default_rng(streams[k][0]), k + 1, net.embed_dim,
+                              net.n_filters),
+        k=k, opt=RmsProp(lr=net.lr_disc),
     )
     records = []
     for i, g in enumerate(gens):

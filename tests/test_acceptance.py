@@ -27,6 +27,7 @@ from sixgan.classify import (
     classify_rfc_corpus,
 )
 from sixgan.gan import (
+    NetConfig,
     RewardConfig,
     TrainSchedule,
     generate_candidates,
@@ -222,9 +223,8 @@ def test_06_discriminator_pattern_discrimination():
 
     schedule = TrainSchedule(g_pretrain=40, d_pretrain=50, g_steps=2, d_steps=1,
                              adversarial_rounds=20, batch_size=32)
-    _, disc, _ = train_6gan(corpus, None, RewardConfig(rollouts=4), schedule,
-                            seed=0, embed_dim=32, hidden_dim=48, n_filters=12,
-                            lr_disc=1e-3)
+    net = NetConfig(embed_dim=32, hidden_dim=48, n_filters=12, lr_disc=1e-3)
+    _, disc, _ = train_6gan(corpus, None, RewardConfig(rollouts=4), schedule, net, seed=0)
     tokens = np.array([s.nybbles for s in held])
     acc = float((disc.class_probs(tokens).argmax(axis=1) == gold).mean())
     elapsed = time.perf_counter() - t0
@@ -259,9 +259,8 @@ def test_07_alias_detection_ablation():
     fractions = {}
     for arm, arm_detector in (("without", None), ("with", detector)):
         cfg = RewardConfig(alpha=0.9, lam=10.0, rollouts=4)
-        gens, _, _ = train_6gan(corpus, arm_detector, cfg, schedule, seed=0,
-                                embed_dim=32, hidden_dim=48, n_filters=12,
-                                lr_gen=2e-3, lr_disc=1e-3)
+        net = NetConfig(embed_dim=32, hidden_dim=48, n_filters=12, lr_gen=2e-3, lr_disc=1e-3)
+        gens, _, _ = train_6gan(corpus, arm_detector, cfg, schedule, net, seed=0)
         cands = generate_candidates(gens, 0, 5000, seen)
         fractions[arm] = sum(
             1 for c in cands if detector.match(c) is not None
@@ -303,12 +302,11 @@ def test_08_learning_effectiveness():
         return hits / len(cands)
 
     cfg = RewardConfig(rollouts=4)
-    kwargs = dict(embed_dim=32, hidden_dim=48, n_filters=12,
-                  lr_gen=2e-3, lr_disc=1e-3)
+    net = NetConfig(embed_dim=32, hidden_dim=48, n_filters=12, lr_gen=2e-3, lr_disc=1e-3)
     untrained, _, _ = train_6gan(corpus, None, cfg,
-                                 TrainSchedule(0, 0, 1, 1, 0, 32), seed=2, **kwargs)
+                                 TrainSchedule(0, 0, 1, 1, 0, 32), net, seed=2)
     trained, _, _ = train_6gan(corpus, None, cfg,
-                               TrainSchedule(1200, 30, 1, 1, 3, 32), seed=2, **kwargs)
+                               TrainSchedule(1200, 30, 1, 1, 3, 32), net, seed=2)
     hr_untrained = hit_rate(untrained)
     hr_trained = hit_rate(trained)
 
@@ -363,8 +361,8 @@ def test_10_determinism_and_persistence(tmp_path):
         d = tmp_path / run
         d.mkdir()
         gens, disc, records = train_6gan(
-            corpus, None, RewardConfig(rollouts=2), schedule, seed=9,
-            embed_dim=12, hidden_dim=14, n_filters=3,
+            corpus, None, RewardConfig(rollouts=2), schedule,
+            NetConfig(embed_dim=12, hidden_dim=14, n_filters=3), seed=9,
         )
         save_checkpoint(str(d / "generator.ckpt"), gens.params[0].tensors())
         save_checkpoint(str(d / "discriminator.ckpt"), disc.params.tensors())

@@ -1,5 +1,6 @@
 """Command-line pipeline: artifacts, manifests, overrides, exit codes."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -7,6 +8,8 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ import sixgan.cli as cli
 from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
 from sixgan.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from sixgan.gan import train_6gan
+from sixgan.gan import DiscriminatorModel, Generators, NetConfig, train_6gan
 from sixgan.nn import DivergenceError, LstmParams, load_checkpoint, save_checkpoint
 
 UNIVERSE = {
@@ -178,12 +181,16 @@ class TestPipelineArtifacts:
 
     def test_manifests(self, pipeline):
         out, spec = pipeline["out"], pipeline["spec"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        versions = {"sixgan": sixgan.__version__, "numpy": np.__version__,
+                    "blas": blas["name"], "blas_version": blas["version"],
+                    **{var: os.environ[var] for var in sixgan.BLAS_THREAD_VARS}}
         for cmd in ("synth", "classify", "train", "generate",
                     "evaluate", "discriminate", "alias-check"):
             doc = json.loads((out / f"manifest_{cmd}.json").read_text())
             assert doc["command"] == cmd
             assert set(doc) == {"command", "config", "inputs", "outputs", "versions"}
-            assert doc["versions"] == {"sixgan": sixgan.__version__, "numpy": np.__version__}
+            assert doc["versions"] == versions
             for digest in {**doc["inputs"], **doc["outputs"]}.values():
                 assert len(digest) == 64 and int(digest, 16) >= 0
         synth = json.loads((out / "manifest_synth.json").read_text())
@@ -284,6 +291,35 @@ class TestIpv62vecAtWorkloadScale:
 
 def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_train_bytes_do_not_depend_on_blas_thread_variables(pipeline, tmp_path):
+    # a threaded BLAS can sum a product in another order; unless the caller
+    # sets a thread count, sixgan sets one thread before NumPy loads, so
+    # `train` at the default widths writes the same files with the
+    # variables unset as with them at 1
+    src = pathlib.Path(sixgan.__file__).resolve().parent.parent
+    schedule = {"g_pretrain": 2, "d_pretrain": 1, "g_steps": 1, "d_steps": 1,
+                "adversarial_rounds": 1, "batch_size": 16}
+    trees = []
+    for name, threads in (("unset", None), ("one", "1")):
+        out = tmp_path / name / "out"
+        out.mkdir(parents=True)
+        for kept in ("labels.tsv", "aliased_prefixes.txt"):
+            shutil.copy(pipeline["out"] / kept, out / kept)
+        write_json(tmp_path / name / "config.json", {
+            "alias_file": "out/aliased_prefixes.txt", "reward": {"rollouts": 2},
+            "schedule": schedule})
+        env = {k: v for k, v in os.environ.items() if k not in sixgan.BLAS_THREAD_VARS}
+        if threads is not None:
+            env.update(dict.fromkeys(sixgan.BLAS_THREAD_VARS, threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "sixgan.cli", "train", "--config", "config.json",
+                        "--out", "out"], cwd=tmp_path / name, env=env, check=True,
+                       capture_output=True)
+        trees.append(snapshot(out))
+    assert trees[0].keys() == trees[1].keys()
+    assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 
 
 def refused_checkpoint(pipeline, tmp_path, capsys, name, tensors):
@@ -471,12 +507,15 @@ class TestOverrides:
 
 
 class TestDefaults:
-    def test_nn_defaults_are_train_6gan_defaults(self):
-        params = inspect.signature(train_6gan).parameters
-        assert cli.DEFAULTS["nn"] == {key: params[key].default for key in cli.DEFAULTS["nn"]}
-        assert set(cli.DEFAULTS["nn"]) == {
-            key for key, p in params.items() if p.default not in (p.empty, None)
-        }
+    def test_nn_defaults_are_net_config_defaults(self):
+        assert cli.DEFAULTS["nn"] == dataclasses.asdict(NetConfig())
+        # train_6gan takes the whole section, and the optimisers' default
+        # rates are NetConfig's
+        net = inspect.signature(train_6gan).parameters["net"]
+        assert net.annotation in (NetConfig, "NetConfig") and net.default is net.empty
+        assert Generators.__dataclass_fields__["opt"].default_factory().lr == NetConfig.lr_gen
+        assert (DiscriminatorModel.__dataclass_fields__["opt"].default_factory().lr
+                == NetConfig.lr_disc)
 
     def test_readme_lists_every_key_with_its_default(self):
         readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -852,3 +891,228 @@ class TestExitCodes:
         assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "invalid input: alpha, lambda must be >= 0 and rollouts >= 1" in capsys.readouterr().err
         assert not (tmp_path / "generator_00.ckpt").exists()
+
+
+# ---------------------------------------------------------------------------
+# Exit 2 leaves --out as it was: every exit-2 case of README "Exit codes",
+# run through each command it applies to.
+# ---------------------------------------------------------------------------
+
+# the arguments each command takes after --config and --out; {p} is the
+# trained walkthrough's out, {t} the case's own directory
+_ARGS = {"synth": ["--spec", "{spec}"], "classify": [], "train": [], "generate": [],
+         "evaluate": ["--spec", "{spec}", "{p}/candidates.txt"],
+         "discriminate": ["{p}/seeds.txt"], "alias-check": ["{p}/candidates.txt"]}
+
+
+def _ckpt(name, change):
+    """An edit of checkpoint name in --out: change(tensors) alters its tensors."""
+    def edit(out):
+        tensors = load_checkpoint(str(out / name))
+        change(tensors)
+        save_checkpoint(str(out / name), tensors)
+    return edit
+
+
+def _narrow_generator(out):
+    narrow = LstmParams.init(np.random.default_rng(0), embed_dim=8, hidden_dim=8)
+    save_checkpoint(str(out / "generator_01.ckpt"),
+                    {**narrow.tensors(), "meta_pattern_id": np.array([1.0])})
+
+
+def _case(command, name, says, config=None, env=None, args=None, out="copy", files=None,
+          edit=None):
+    """One exit-2 case.  --out is a copy of the trained out ("copy"), an
+    empty directory ("empty") or no directory ("absent").  The config is
+    tiny_config with config's keys over it (a section's key by key); files
+    are written under the case's directory (text, or JSON for anything
+    else) after the config, and edit(out) changes the copy before the run.
+    The one line printed must contain says."""
+    return pytest.param(command, says, config or {}, env or {},
+                        _ARGS[command] if args is None else args, out, files or {}, edit,
+                        id=f"{command}-{name}")
+
+
+_BAD_ADDRESS = "2001:db8::1\nnot-an-address\n"
+_NO_FAMILIES = {**UNIVERSE, "families": []}
+_OVERLAP = {**UNIVERSE, "families": [UNIVERSE["families"][0],
+                                     {**UNIVERSE["families"][1], "prefixes": ["2001:db8:1::/64"]}]}
+_INPUTS_IN_P = {"labels_file": "{p}/labels.tsv", "alias_file": "{p}/aliased_prefixes.txt"}
+_NN_CASES = [("embed_dim", 0), ("hidden_dim", 0), ("n_filters", 0), ("lr_gen", 0), ("lr_gen", -1),
+             ("lr_disc", 0), ("lr_disc", -1)]
+
+EXIT_2_CASES = [
+    # the config, the same for every command
+    *(case for command in _ARGS for case in (
+        _case(command, "unknown-key", "unknown config key: n_seedz", config={"n_seedz": 10}),
+        _case(command, "wrong-type", "config key schedule.batch_size must be an integer",
+              env={"SIXGAN_SCHEDULE_BATCH_SIZE": "2.5"}),
+        _case(command, "out-of-range", "config key budget must be >= 0, got -1",
+              env={"SIXGAN_BUDGET": "-1"}, out="absent"),
+        _case(command, "unknown-method", "unknown method 'x'", env={"SIXGAN_METHOD": "x"}),
+        _case(command, "config-not-object", "must hold a JSON object", files={"c.json": [1, 2]}),
+        _case(command, "config-not-json", "config file is not valid JSON",
+              files={"c.json": "{"}, out="absent"),
+    )),
+    # synth: the universe spec
+    _case("synth", "no-spec", "config key 'spec_file' is required", args=[]),
+    _case("synth", "spec-not-found", "universe spec not found", args=["--spec", "{t}/no.json"],
+          out="absent"),
+    _case("synth", "spec-not-object", "universe spec must be a JSON object",
+          args=["--spec", "{t}/u.json"], files={"u.json": [1, 2]}),
+    _case("synth", "spec-lacks-key", "universe spec lacks key families",
+          args=["--spec", "{t}/u.json"], files={"u.json": {"hash_key": 1}}, out="absent"),
+    _case("synth", "spec-density-string", "families[0].density must be a number",
+          args=["--spec", "{t}/u.json"],
+          files={"u.json": {**UNIVERSE, "families": [{**UNIVERSE["families"][0],
+                                                      "density": "0.6"}]}}),
+    _case("synth", "spec-no-families", "universe spec families is empty",
+          args=["--spec", "{t}/u.json"], files={"u.json": _NO_FAMILIES}, out="absent"),
+    _case("synth", "spec-overlap", "family prefixes overlap", args=["--spec", "{t}/u.json"],
+          files={"u.json": _OVERLAP}),
+    _case("synth", "n-seeds-0", "config key n_seeds must be >= 1, got 0",
+          env={"SIXGAN_N_SEEDS": "0"}),
+    # classify: the seeds file
+    _case("classify", "no-seeds-file", "config key 'seeds_file' is required",
+          config={"seeds_file": None}),
+    _case("classify", "seeds-not-found", "seeds file not found",
+          config={"seeds_file": "{t}/no.txt"}, out="absent"),
+    _case("classify", "seeds-empty", "is empty", config={"seeds_file": "{t}/s.txt"},
+          files={"s.txt": "# none\n"}),
+    _case("classify", "bad-seed-line", "s.txt:2: ", config={"seeds_file": "{t}/s.txt"},
+          files={"s.txt": _BAD_ADDRESS}, out="absent"),
+    _case("classify", "entropy-without-k", "entropy classification requires --k",
+          args=["--method", "entropy"]),
+    _case("classify", "fp-prefix-len-33", "config key fp_prefix_len must be in [1, 32]",
+          env={"SIXGAN_FP_PREFIX_LEN": "33"}),
+    # train: the labels, the alias file and the reward, schedule and nn sections
+    _case("train", "labels-not-found", "labels file not found",
+          config={"labels_file": "{t}/no.tsv"}, out="absent"),
+    _case("train", "labels-three-fields", "l.tsv:1: expected 4 tab-separated fields",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": "2001:db8::1\trfc\t0\n"}),
+    _case("train", "labels-bad-address", "l.tsv:1: '2001:zz8::1'",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": "2001:zz8::1\trfc\t0\tlow\n"}),
+    _case("train", "labels-bad-class-id", "l.tsv:1: invalid literal",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": "2001:db8::1\trfc\tx\tlow\n"}),
+    _case("train", "alias-not-found", "alias prefix file not found",
+          config={"alias_file": "{t}/no.txt"}),
+    _case("train", "alias-bad-prefix", "a.txt:1: ", config={"alias_file": "{t}/a.txt"},
+          files={"a.txt": "2001:db8::/129\n"}),
+    _case("train", "rollouts-0", "rollouts >= 1", config={"reward": {"rollouts": 0}}),
+    _case("train", "batch-size-0", "batch_size >= 1", config={"schedule": {"batch_size": 0}}),
+    # from the file into a copy of out, and from the environment with the
+    # inputs elsewhere and no out at all
+    *(_case("train", f"nn-{key}-{value}-file", f"nn.{key} must be ",
+            config={"nn": {key: value}}) for key, value in _NN_CASES),
+    *(_case("train", f"nn-{key}-{value}-env", f"nn.{key} must be ", config=_INPUTS_IN_P,
+            env={f"SIXGAN_NN_{key.upper()}": str(value)}, out="absent")
+      for key, value in _NN_CASES),
+    *(_case("train", f"nn-lr_gen-{raw}-env", f"nn.lr_gen must be a finite number > 0, got {got}",
+            env={"SIXGAN_NN_LR_GEN": raw}) for raw, got in (("NaN", "nan"), ("1e999", "inf"))),
+    # generate: the checkpoints in --out, the rates and the budget
+    _case("generate", "no-checkpoints", "no generator checkpoints", out="absent"),
+    _case("generate", "no-checkpoints-empty-out", "no generator checkpoints", out="empty"),
+    _case("generate", "numbering-gap", "missing generator_01.ckpt",
+          edit=lambda out: (out / "generator_01.ckpt").unlink()),
+    _case("generate", "garbage-checkpoint", "bad checkpoint magic",
+          edit=lambda out: (out / "generator_00.ckpt").write_bytes(b"not a checkpoint")),
+    _case("generate", "truncated-checkpoint", "generator_00.ckpt: truncated ",
+          edit=lambda out: (out / "generator_00.ckpt").write_bytes(
+              (out / "generator_00.ckpt").read_bytes()[:30])),
+    _case("generate", "non-finite-checkpoint", "malformed value in generate input",
+          edit=_ckpt("generator_02.ckpt", lambda ts: ts["w_out"].fill(np.inf))),
+    _case("generate", "missing-tensor", "missing tensor w_gates",
+          edit=_ckpt("generator_01.ckpt", lambda ts: ts.pop("w_gates"))),
+    _case("generate", "tensor-shape", "tensor b_out has shape (1,)",
+          edit=_ckpt("generator_01.ckpt", lambda ts: ts.update(b_out=np.zeros(1)))),
+    _case("generate", "meta-not-integer", "tensor meta_pattern_id must hold one finite integer",
+          edit=_ckpt("generator_01.ckpt", lambda ts: ts.update(meta_pattern_id=np.array([1.5])))),
+    _case("generate", "wrong-pattern-id", "carries pattern id 0, expected 1",
+          edit=_ckpt("generator_01.ckpt", lambda ts: ts.update(meta_pattern_id=np.array([0.0])))),
+    _case("generate", "other-widths", "holds a generator of other widths", edit=_narrow_generator),
+    _case("generate", "rates-count", "got 2 rates for 3 generators", args=["--rates", "1,2"]),
+    _case("generate", "rates-not-numbers", "--rates must be a CSV of numbers",
+          args=["--rates", "a,b"]),
+    _case("generate", "labels-bad-line", "labels.tsv:1: expected 4 tab-separated fields",
+          edit=lambda out: (out / "labels.tsv").write_text("2001:db8::1\trfc\t0\n")),
+    # discriminate: the checkpoint in --out, the addresses and the gold labels
+    _case("discriminate", "no-checkpoint", "discriminator checkpoint not found", out="absent"),
+    _case("discriminate", "no-checkpoint-empty-out", "discriminator checkpoint not found",
+          out="empty"),
+    _case("discriminate", "addresses-not-found", "addresses file not found",
+          args=["{t}/no.txt"]),
+    _case("discriminate", "addresses-empty", "is empty", args=["{t}/a.txt"],
+          files={"a.txt": "# none\n"}),
+    _case("discriminate", "bad-address-line", "a.txt:2: ", args=["{t}/a.txt"],
+          files={"a.txt": _BAD_ADDRESS}),
+    _case("discriminate", "missing-tensor", "missing tensor conv_w",
+          edit=_ckpt("discriminator.ckpt", lambda ts: ts.pop("conv_w"))),
+    _case("discriminate", "meta-k-inf", "tensor meta_k must hold one finite integer, got inf",
+          edit=_ckpt("discriminator.ckpt", lambda ts: ts.update(meta_k=np.array([np.inf])))),
+    _case("discriminate", "non-finite-checkpoint", "malformed value in discriminate input",
+          edit=_ckpt("discriminator.ckpt", lambda ts: ts["out_w"].fill(np.inf))),
+    _case("discriminate", "gold-not-found", "gold labels file not found",
+          config={"gold_labels_file": "{t}/no.tsv"}),
+    _case("discriminate", "gold-lacks-addresses", "240 addresses missing from gold labels",
+          config={"gold_labels_file": "{t}/g.tsv"}, files={"g.tsv": "2001:db8::1\trfc\t0\tlow\n"}),
+    # evaluate: the spec, the candidates and the seeds
+    _case("evaluate", "no-spec", "config key 'spec_file' is required",
+          args=["{p}/candidates.txt"]),
+    _case("evaluate", "candidates-not-found", "candidates file not found",
+          args=["--spec", "{spec}", "{t}/no.txt"], out="absent"),
+    _case("evaluate", "no-seeds-file", "config key 'seeds_file' is required",
+          config={"seeds_file": None}),
+    _case("evaluate", "spec-lacks-key", "universe spec lacks key families",
+          args=["--spec", "{t}/u.json", "{p}/candidates.txt"], files={"u.json": {"hash_key": 1}}),
+    _case("evaluate", "bad-candidate-line", "c.txt:2: ", args=["--spec", "{spec}", "{t}/c.txt"],
+          files={"c.txt": _BAD_ADDRESS}),
+    # alias-check: the alias file and the addresses
+    _case("alias-check", "no-alias-file", "config key 'alias_file' is required",
+          config={"alias_file": None}),
+    _case("alias-check", "alias-not-found", "alias prefix file not found",
+          config={"alias_file": "{t}/no.txt"}, out="absent"),
+    _case("alias-check", "alias-bad-prefix", "a.txt:1: ", config={"alias_file": "{t}/a.txt"},
+          files={"a.txt": "2001:db8::/129\n"}),
+    _case("alias-check", "addresses-not-found", "addresses file not found",
+          args=["{t}/no.txt"]),
+    _case("alias-check", "bad-address-line", "b.txt:2: ", args=["{t}/b.txt"],
+          files={"b.txt": _BAD_ADDRESS}),
+]
+
+
+@pytest.mark.parametrize("command, says, config, env, args, out_kind, files, edit", EXIT_2_CASES)
+def test_exit_2_leaves_out_unchanged(pipeline, tmp_path, monkeypatch, capsys, command, says,
+                                     config, env, args, out_kind, files, edit):
+    out = tmp_path / "out"
+    if out_kind == "copy":
+        shutil.copytree(pipeline["out"], out)
+    elif out_kind == "empty":
+        out.mkdir()
+
+    def fill(value):
+        if isinstance(value, str):
+            return value.format(p=pipeline["out"], t=tmp_path, spec=pipeline["spec"])
+        return value
+
+    cfg = tiny_config(str(out))
+    for key, value in config.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else fill(value)
+    write_json(tmp_path / "c.json", cfg)
+    for name, body in files.items():
+        if isinstance(body, str):
+            (tmp_path / name).write_text(body)
+        else:
+            write_json(tmp_path / name, body)
+    if edit is not None:
+        edit(out)
+    before = snapshot(out) if out.exists() else None
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    argv = [command, "--config", str(tmp_path / "c.json"), "--out", str(out)]
+    assert main(argv + [fill(a) for a in args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(("config error: ", "invalid input: ", "malformed value in ")), err
+    assert says in err, err
+    assert (snapshot(out) if out.exists() else None) == before

@@ -29,6 +29,7 @@ from sixgan.classify import classify_rfc_corpus
 from sixgan.gan import (
     DiscriminatorModel,
     Generators,
+    NetConfig,
     RewardConfig,
     TrainSchedule,
     _sample_tokens,
@@ -613,8 +614,8 @@ class TestTrain6Gan:
             seeds.append(NybbleSeq(nyb))
         return classify_rfc_corpus(seeds)
 
-    def tiny_kwargs(self):
-        return dict(embed_dim=10, hidden_dim=12, n_filters=2)
+    def tiny_net(self):
+        return NetConfig(embed_dim=10, hidden_dim=12, n_filters=2)
 
     def tiny_schedule(self):
         return TrainSchedule(g_pretrain=4, d_pretrain=2, g_steps=2, d_steps=1,
@@ -624,7 +625,7 @@ class TestTrain6Gan:
         corpus = self.small_corpus()
         cfg = RewardConfig(rollouts=2)
         gens, disc, records = train_6gan(
-            corpus, None, cfg, self.tiny_schedule(), seed=5, **self.tiny_kwargs()
+            corpus, None, cfg, self.tiny_schedule(), self.tiny_net(), seed=5
         )
         k = corpus.k
         assert gens.k == k and disc.k == k
@@ -641,10 +642,8 @@ class TestTrain6Gan:
     def test_deterministic_retrain(self):
         corpus = self.small_corpus()
         cfg = RewardConfig(rollouts=2)
-        out_a = train_6gan(corpus, None, cfg, self.tiny_schedule(), seed=7,
-                           **self.tiny_kwargs())
-        out_b = train_6gan(corpus, None, cfg, self.tiny_schedule(), seed=7,
-                           **self.tiny_kwargs())
+        out_a = train_6gan(corpus, None, cfg, self.tiny_schedule(), self.tiny_net(), seed=7)
+        out_b = train_6gan(corpus, None, cfg, self.tiny_schedule(), self.tiny_net(), seed=7)
         for name, t in out_a[0].params.tensors().items():
             assert np.array_equal(t, out_b[0].params.tensors()[name])
         for name, t in out_a[1].params.tensors().items():
@@ -656,10 +655,8 @@ class TestTrain6Gan:
         cfg = RewardConfig(alpha=0.0, rollouts=2)
         planted = AliasTrie([parse_prefix("2001:db8::/32")])
         empty = AliasTrie([])
-        out_a = train_6gan(corpus, planted, cfg, self.tiny_schedule(), seed=9,
-                           **self.tiny_kwargs())
-        out_b = train_6gan(corpus, empty, cfg, self.tiny_schedule(), seed=9,
-                           **self.tiny_kwargs())
+        out_a = train_6gan(corpus, planted, cfg, self.tiny_schedule(), self.tiny_net(), seed=9)
+        out_b = train_6gan(corpus, empty, cfg, self.tiny_schedule(), self.tiny_net(), seed=9)
         for name, t in out_a[0].params.tensors().items():
             assert np.array_equal(t, out_b[0].params.tensors()[name])
 
@@ -669,14 +666,13 @@ class TestTrain6Gan:
         corpus.class_index.append([])
         with pytest.raises(ValueError, match="class 2"):
             train_6gan(corpus, None, RewardConfig(rollouts=2),
-                       self.tiny_schedule(), seed=0, **self.tiny_kwargs())
+                       self.tiny_schedule(), self.tiny_net(), seed=0)
 
     def test_on_round_called_each_round(self):
         corpus = self.small_corpus()
         calls = []
         train_6gan(corpus, None, RewardConfig(rollouts=2), self.tiny_schedule(),
-                   seed=11, on_round=lambda r, g, d: calls.append(r),
-                   **self.tiny_kwargs())
+                   self.tiny_net(), seed=11, on_round=lambda r, g, d: calls.append(r))
         assert calls == [-1, 0, 1]
 
 
@@ -800,12 +796,12 @@ class TestLockstep:
         cfg = RewardConfig(rollouts=2)
         schedule = TrainSchedule(g_pretrain=4, d_pretrain=2, g_steps=2, d_steps=1,
                                  adversarial_rounds=2, batch_size=8)
-        kwargs = dict(embed_dim=5, hidden_dim=7, n_filters=2, lr_gen=1e-2, lr_disc=1e-3)
+        net = NetConfig(embed_dim=5, hidden_dim=7, n_filters=2, lr_gen=1e-2, lr_disc=1e-3)
         streamed = []
-        gens, disc, records = train_6gan(corpus, trie, cfg, schedule, seed=3,
-                                         on_record=streamed.append, **kwargs)
+        gens, disc, records = train_6gan(corpus, trie, cfg, schedule, net, seed=3,
+                                         on_record=streamed.append)
         want_gens, want_disc, want_records = sequential_train_6gan(corpus, trie, cfg, schedule,
-                                                                   seed=3, **kwargs)
+                                                                   net, seed=3)
         assert records == want_records
         assert streamed == want_records
         assert_same_generators(gens, want_gens)

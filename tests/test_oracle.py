@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from _oracles import scalar_sample_seeds
 
+import sixgan.oracle as oracle_module
 from sixgan.addr import NybblePrefix, NybbleSeq, parse_address, parse_prefix
 from sixgan.classify import RFC_CLASS_NAMES, classify_rfc
 from sixgan.oracle import (
@@ -258,6 +259,30 @@ class TestSamplerMatchesScalarForm:
         assert seeds == scalar_sample_seeds(oracle, 300, rng_b)
         assert {classify_rfc(s).class_name for s in seeds} == set(RFC_CLASS_NAMES)
         assert rng_a.random() == rng_b.random()
+
+    def test_sampled_addresses_are_classified_only_by_sample_shape(self, monkeypatch):
+        # sample_shape has checked each sampled address's label, so probing
+        # it does not classify it again
+        oracle = UniverseOracle(six_pattern_spec(48, hash_key=100))
+        inside, calls = [], {"sample_shape": 0, "elsewhere": 0}
+        real_shape, real_classify = oracle_module.sample_shape, oracle_module.classify_rfc
+
+        def shape(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_shape(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def classify(seq):
+            calls["sample_shape" if inside else "elsewhere"] += 1
+            return real_classify(seq)
+
+        monkeypatch.setattr(oracle_module, "sample_shape", shape)
+        monkeypatch.setattr(oracle_module, "classify_rfc", classify)
+        seeds = sample_seeds(oracle, 300, np.random.default_rng(0))
+        assert calls["elsewhere"] == 0
+        assert calls["sample_shape"] >= len(seeds) == 300
 
     @pytest.mark.parametrize("bound", [2, 4, 16, 256])
     @pytest.mark.parametrize("n", [0, 1, 8, 20])

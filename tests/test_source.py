@@ -1,11 +1,13 @@
 """Source-level rules that hold for every module of the package."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import pathlib
 
 import sixgan
+from sixgan.gan import NetConfig
 
 SRC = pathlib.Path(sixgan.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -81,3 +83,22 @@ def test_benchmark_layers_resolve_in_package():
             missing.append(metric["name"])
     assert bench["per_layer"], "BENCHMARK.json lists no per-layer metrics"
     assert missing == [], f"per-layer metrics naming no function in sixgan: {missing}"
+
+
+def test_network_defaults_written_once():
+    # NetConfig holds the widths' and learning rates' defaults; no function
+    # parameter and no RmsProp(lr=...) call in the package writes one again
+    names = {field.name for field in dataclasses.fields(NetConfig)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                pairs = list(zip(positional[len(positional) - len(node.defaults):], node.defaults))
+                pairs += [(a, d) for a, d in zip(node.kwonlyargs, node.kw_defaults) if d]
+                found += [f"{path.name}:{a.lineno}: {a.arg}" for a, _ in pairs if a.arg in names]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RmsProp":
+                found += [f"{path.name}:{node.lineno}: RmsProp(lr=...)" for kw in node.keywords
+                          if kw.arg == "lr" and isinstance(kw.value, ast.Constant)]
+    assert found == [], f"network defaults written outside NetConfig: {found}"
