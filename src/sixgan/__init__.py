@@ -7,14 +7,19 @@ targets are sampled under an allocated probe budget.
 """
 
 import os
+import sys
 
 # One BLAS thread unless the caller sets another count.  A threaded matrix
 # product can sum in another order and so change output bytes; BLAS reads
-# these variables once, when NumPy loads, so they are set before that.
+# these variables once, when NumPy loads, so they are set before that.  If
+# NumPy loaded first, a variable set here has no effect, and manifests
+# record it as not applied.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_late = "numpy" in sys.modules
+BLAS_VARS_NOT_APPLIED = tuple(v for v in BLAS_THREAD_VARS if _late and v not in os.environ)
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
-del _var
+del _var, _late
 
 from .addr import (
     AddressParseError,

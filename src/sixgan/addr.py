@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import read_lines, write_lines
 
 log = logging.getLogger("sixgan.addr")
 
@@ -282,38 +282,20 @@ class AliasTrie:
         )
 
 
+def token_matrix(seqs: list[NybbleSeq]) -> np.ndarray:
+    """[n, 32] uint8 nybbles of each address, read-only."""
+    return np.frombuffer(b"".join(bytes(s.nybbles) for s in seqs), np.uint8).reshape(-1, SEQ_LEN)
+
+
 def load_seed_file(path: str) -> list[NybbleSeq]:
-    """Read one address per line; '#' comments and blank lines skipped."""
-    seeds: list[NybbleSeq] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                seeds.append(parse_address(body))
-            except AddressParseError as exc:
-                raise AddressParseError(f"{path}:{lineno}: {exc}") from None
-    return seeds
+    """Read one address per line (see fileio.read_lines for comments and errors)."""
+    return read_lines(path, parse_address)
 
 
 def load_alias_file(path: str) -> list[NybblePrefix]:
-    """Read one CIDR prefix per line; same comment rules as seed files."""
-    prefixes: list[NybblePrefix] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                prefixes.append(parse_prefix(body))
-            except AddressParseError as exc:
-                raise AddressParseError(f"{path}:{lineno}: {exc}") from None
-    return prefixes
+    """Read one CIDR prefix per line, as seed files are read."""
+    return read_lines(path, parse_prefix)
 
 
 def write_address_file(path: str, seqs: list[NybbleSeq], header: "str | None" = None) -> None:
-    lines = [f"# {header}\n"] if header else []
-    lines += [format_address(seq) + "\n" for seq in seqs]
-    with atomic_write(path, "w") as fh:
-        fh.write("".join(lines))
+    write_lines(path, map(format_address, seqs), header)

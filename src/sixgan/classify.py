@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addr import NybblePrefix, NybbleSeq, parse_address
-from .fileio import atomic_write
+from .addr import NybblePrefix, NybbleSeq, parse_address, token_matrix
+from .fileio import read_lines, write_lines
 
 log = logging.getLogger("sixgan.classify")
 
@@ -162,8 +162,7 @@ def _entropy16(values: list[int]) -> float:
 
 
 def _fingerprint_vector(group: list[NybbleSeq]) -> tuple[float, ...]:
-    cols = np.array([s.nybbles for s in group])  # [n, 32]
-    return tuple(_entropy16(cols[:, p].tolist()) for p in range(8, 32))
+    return tuple(_entropy16(col.tolist()) for col in token_matrix(group)[:, 8:].T)
 
 
 def entropy_fingerprints(
@@ -348,7 +347,7 @@ def ipv62vec_embed(
         raise ValueError("seed list is empty")
     rng = np.random.default_rng(seed)
     vocab = 32 * 16
-    sentences = 16 * np.arange(32) + np.array([s.nybbles for s in seeds])  # [n, 32] word ids
+    sentences = 16 * np.arange(32) + token_matrix(seeds)  # [n, 32] word ids
 
     counts = np.bincount(sentences.reshape(-1), minlength=vocab).astype(np.float64)
     noise = counts ** 0.75
@@ -521,32 +520,22 @@ def classify_ipv62vec(
 
 def write_labels_file(path: str, corpus: LabeledSeedCorpus) -> None:
     """One line per seed: address<TAB>method<TAB>class_id<TAB>class_name."""
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for seq, lab in zip(corpus.seeds, corpus.labels):
-            fh.write(f"{seq}\t{lab.method}\t{lab.class_id}\t{lab.class_name}\n")
+    write_lines(path, (f"{seq}\t{lab.method}\t{lab.class_id}\t{lab.class_name}"
+                       for seq, lab in zip(corpus.seeds, corpus.labels)))
+
+
+def _label_fields(body: str) -> tuple[NybbleSeq, str, int, str]:
+    parts = body.split("\t")
+    if len(parts) != 4:
+        raise ValueError("expected 4 tab-separated fields")
+    return parse_address(parts[0]), parts[1], int(parts[2]), parts[3]
 
 
 def read_labels_file(path: str) -> LabeledSeedCorpus:
-    seeds: list[NybbleSeq] = []
-    raw_ids: list[int] = []
-    names: dict[int, str] = {}
-    method = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                seeds.append(parse_address(parts[0]))
-                cid = int(parts[2])
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            method = parts[1]
-            raw_ids.append(cid)
-            names[cid] = parts[3]
-    if not seeds:
+    """A labels file, read as every line file is (see fileio.read_lines)."""
+    rows = read_lines(path, _label_fields)
+    if not rows:
         raise ValueError(f"{path}: no labeled seeds found")
-    return LabeledSeedCorpus.build(seeds, method, raw_ids, names)
+    seeds, methods, raw_ids, names = zip(*rows)
+    return LabeledSeedCorpus.build(list(seeds), methods[-1], list(raw_ids),
+                                   dict(zip(raw_ids, names)))

@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, __version__, nn
-from .addr import AliasTrie, load_alias_file, load_seed_file, write_address_file
+from . import BLAS_THREAD_VARS, BLAS_VARS_NOT_APPLIED, __version__, nn
+from .addr import AliasTrie, load_alias_file, load_seed_file, token_matrix, write_address_file
 from .alias import filter_aliased
 from .classify import (
     classify_entropy,
@@ -33,7 +33,7 @@ from .classify import (
     read_labels_file,
     write_labels_file,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, write_lines
 from .gan import (
     DiscriminatorModel,
     Generators,
@@ -227,7 +227,8 @@ def _versions() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"sixgan": __version__, "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
-            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+            **{var: "not applied" if var in BLAS_VARS_NOT_APPLIED else os.environ.get(var)
+               for var in BLAS_THREAD_VARS}}
 
 
 def _write_manifest(cfg: dict, command: str, inputs: list[str], outputs: list[str]) -> str:
@@ -306,10 +307,7 @@ def cmd_synth(cfg: dict, args: argparse.Namespace) -> _Files:
     alias_path = os.path.join(out, "aliased_prefixes.txt")
     universe_path = os.path.join(out, "universe.json")
     write_address_file(seeds_path, seeds, header="active non-aliased seeds")
-    with atomic_write(alias_path, "w", encoding="utf-8") as fh:
-        fh.write("# aliased prefixes\n")
-        for p in spec.aliased_prefixes:
-            fh.write(f"{p}\n")
+    write_lines(alias_path, map(str, spec.aliased_prefixes), header="aliased prefixes")
     spec.save(universe_path)
     print(f"wrote {len(seeds)} seeds to {seeds_path}")
     print(f"wrote {len(spec.aliased_prefixes)} aliased prefixes to {alias_path}")
@@ -440,17 +438,19 @@ def cmd_generate(cfg: dict, args: argparse.Namespace) -> _Files:
         read.append(params)
     streams = np.random.SeedSequence([cfg["seed"], 1]).spawn(k)
     gens = Generators(LstmParams.stack(read), [np.random.default_rng(s) for s in streams])
-    # every generator samples before any file is written
-    parts = [generate_candidates(gens, i, budget, exclude) for i, budget in enumerate(budgets)]
+    # every generator samples before any file is written; each address is
+    # formatted once, and its canonical text is one-to-one with it
+    parts = [list(map(str, generate_candidates(gens, i, budget, exclude)))
+             for i, budget in enumerate(budgets)]
     outputs = []
-    for i, (cands, budget) in enumerate(zip(parts, budgets)):
+    for i, (lines, budget) in enumerate(zip(parts, budgets)):
         part_path = os.path.join(out, f"candidates_pattern_{i:02d}.txt")
-        write_address_file(part_path, cands, header=f"pattern: {i}")
+        write_lines(part_path, lines, header=f"pattern: {i}")
         outputs.append(part_path)
-        print(f"pattern {i}: {len(cands)}/{budget} candidates")
-    merged = list(dict.fromkeys(c for cands in parts for c in cands))  # first occurrences
+        print(f"pattern {i}: {len(lines)}/{budget} candidates")
+    merged = list(dict.fromkeys(line for lines in parts for line in lines))  # first occurrences
     merged_path = os.path.join(out, "candidates.txt")
-    write_address_file(merged_path, merged, header="merged candidates")
+    write_lines(merged_path, merged, header="merged candidates")
     outputs.append(merged_path)
     print(f"{len(merged)} merged candidates in {merged_path}")
     return inputs, outputs
@@ -497,16 +497,14 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
         missing = [a for a in addrs if a.nybbles not in gold_map]
         if missing:
             raise ConfigError(f"{len(missing)} addresses missing from gold labels")
-    tokens = np.array([a.nybbles for a in addrs], dtype=np.int64)
-    probs = disc.class_probs(tokens)
+    probs = disc.class_probs(token_matrix(addrs))
     pred = probs.argmax(axis=1)
     scores_path = os.path.join(out, "scores.tsv")
-    with atomic_write(scores_path, "w", encoding="utf-8") as fh:
-        header = "\t".join(f"class_{c}" for c in range(disc.k + 1))
-        fh.write(f"# address\tpredicted\t{header}\n")
-        for a, p, row in zip(addrs, pred, probs):
-            cols = "\t".join(f"{v:.6f}" for v in row)
-            fh.write(f"{a}\t{int(p)}\t{cols}\n")
+    row_format = "%s\t%d" + "\t%.6f" * (disc.k + 1)
+    classes = "\t".join(f"class_{c}" for c in range(disc.k + 1))
+    rows = zip(addrs, pred, probs)
+    write_lines(scores_path, (row_format % (a, p, *row) for a, p, row in rows),
+                header=f"address\tpredicted\t{classes}")
     outputs = [scores_path]
     if gold_map is not None:
         n_classes = disc.k + 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addr import AliasTrie, NybbleSeq
+from .addr import AliasTrie, NybbleSeq, token_matrix
 from .classify import LabeledSeedCorpus
 from .nn import (
     BOS,
@@ -41,6 +41,13 @@ from .nn import (
 log = logging.getLogger("sixgan.gan")
 
 
+def _check_at_least(config, section: str, **lows) -> None:
+    """Raise ValueError naming the first field of config below its low bound."""
+    for key, low in lows.items():
+        if getattr(config, key) < low:
+            raise ValueError(f"{section}.{key} must be >= {low}, got {getattr(config, key)}")
+
+
 @dataclass
 class RewardConfig:
     alpha: float = 0.9
@@ -48,8 +55,7 @@ class RewardConfig:
     rollouts: int = 15
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.lam < 0 or self.rollouts < 1:
-            raise ValueError("alpha, lambda must be >= 0 and rollouts >= 1")
+        _check_at_least(self, "reward", alpha=0, lam=0, rollouts=1)
 
 
 @dataclass
@@ -62,10 +68,8 @@ class TrainSchedule:
     batch_size: int = 64
 
     def __post_init__(self) -> None:
-        fields = (self.g_pretrain, self.d_pretrain, self.g_steps, self.d_steps,
-                  self.adversarial_rounds, self.batch_size)
-        if any(v < 0 for v in fields) or self.batch_size < 1:
-            raise ValueError("schedule fields must be non-negative, batch_size >= 1")
+        _check_at_least(self, "schedule", g_pretrain=0, d_pretrain=0, g_steps=0, d_steps=0,
+                        adversarial_rounds=0, batch_size=1)
 
 
 @dataclass
@@ -79,9 +83,7 @@ class NetConfig:
     lr_disc: float = 1e-4
 
     def __post_init__(self) -> None:
-        for key in ("embed_dim", "hidden_dim", "n_filters"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"nn.{key} must be >= 1, got {getattr(self, key)}")
+        _check_at_least(self, "nn", embed_dim=1, hidden_dim=1, n_filters=1)
         for key in ("lr_gen", "lr_disc"):
             lr = getattr(self, key)
             if not (math.isfinite(lr) and lr > 0):
@@ -434,8 +436,7 @@ def train_6gan(
     for cid in range(k):
         if not corpus.class_index[cid]:
             raise ValueError(f"seed class {cid} is empty")
-    class_tokens = [np.array([s.nybbles for s in corpus.class_seeds(cid)], dtype=np.int64)
-                    for cid in range(k)]
+    class_tokens = [token_matrix(corpus.class_seeds(cid)) for cid in range(k)]
 
     ss = np.random.SeedSequence(seed)
     streams = [s.spawn(2) for s in ss.spawn(k + 1)]  # (init, runtime) per model

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .addr import NybbleSeq
+from .addr import NybbleSeq, token_matrix
 from .fileio import atomic_write
 from .oracle import ProbeStatus, UniverseOracle
 
@@ -87,11 +87,6 @@ _ROWS = 256
 _COLS = 1024
 
 
-def _tokens(seqs: list[NybbleSeq]) -> np.ndarray:
-    """[n, 32] uint8 nybbles of each address, read-only."""
-    return np.frombuffer(b"".join(bytes(s.nybbles) for s in seqs), np.uint8).reshape(-1, 32)
-
-
 def _onehot_into(buf: np.ndarray, tokens: np.ndarray, value0: np.ndarray) -> np.ndarray:
     """Fill buf's first len(tokens) rows with the [., 512] float32 one-hot of
     each address's (position, value) pairs and return them; value0[i, p] is
@@ -158,7 +153,7 @@ def _seed_cosine_bounds(
     """
     if not candidates or not seeds:
         raise ValueError("pattern_quality requires non-empty candidates and seeds")
-    ta, tb = _tokens(candidates), _tokens(seeds)
+    ta, tb = token_matrix(candidates), token_matrix(seeds)
     lows, highs = np.full(len(ta), np.inf), np.full(len(ta), -np.inf)
     for lo in range(0, len(ta), _ROWS):
         hi = min(lo + _ROWS, len(ta))
@@ -201,7 +196,7 @@ def novelty(candidates: list[NybbleSeq], seeds: list[NybbleSeq]) -> float:
     """100 x mean distance-from-closest-seed under the nybble-set Jaccard."""
     if not candidates or not seeds:
         raise ValueError("novelty requires non-empty candidates and seeds")
-    sims = _nearest_jaccard(_tokens(candidates), _tokens(seeds))
+    sims = _nearest_jaccard(token_matrix(candidates), token_matrix(seeds))
     return float(100.0 / len(candidates) * (1.0 - sims).sum())
 
 
@@ -209,7 +204,7 @@ def diversity(candidates: list[NybbleSeq]) -> float:
     """100 x mean distance from each candidate to its nearest other candidate."""
     if len(candidates) < 2:
         raise ValueError("diversity requires at least 2 candidates")
-    tokens = _tokens(candidates)
+    tokens = token_matrix(candidates)
     sims = _nearest_jaccard(tokens, tokens)
     return float(100.0 / len(candidates) * (1.0 - sims).sum())
 

@@ -184,7 +184,8 @@ class TestPipelineArtifacts:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         versions = {"sixgan": sixgan.__version__, "numpy": np.__version__,
                     "blas": blas["name"], "blas_version": blas["version"],
-                    **{var: os.environ[var] for var in sixgan.BLAS_THREAD_VARS}}
+                    **{var: "not applied" if var in sixgan.BLAS_VARS_NOT_APPLIED
+                       else os.environ[var] for var in sixgan.BLAS_THREAD_VARS}}
         for cmd in ("synth", "classify", "train", "generate",
                     "evaluate", "discriminate", "alias-check"):
             doc = json.loads((out / f"manifest_{cmd}.json").read_text())
@@ -320,6 +321,25 @@ def test_train_bytes_do_not_depend_on_blas_thread_variables(pipeline, tmp_path):
         trees.append(snapshot(out))
     assert trees[0].keys() == trees[1].keys()
     assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
+
+
+@pytest.mark.parametrize("first, threads, recorded", [
+    ("sixgan", None, "1"), ("numpy", None, "not applied"), ("numpy", "2", "2")])
+def test_manifest_thread_settings_follow_import_order(first, threads, recorded):
+    # BLAS reads the thread variables once, when NumPy loads: the ones sixgan
+    # sets apply only if it loads first, and the manifest records which did;
+    # a variable the caller set before the process started applies either way
+    src = pathlib.Path(sixgan.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k not in sixgan.BLAS_THREAD_VARS}
+    if threads is not None:
+        env.update(dict.fromkeys(sixgan.BLAS_THREAD_VARS, threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = f"import {first}, json, sixgan.cli; print(json.dumps(sixgan.cli._versions()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    versions = json.loads(done.stdout)
+    assert {var: versions[var] for var in sixgan.BLAS_THREAD_VARS} == dict.fromkeys(
+        sixgan.BLAS_THREAD_VARS, recorded)
 
 
 def refused_checkpoint(pipeline, tmp_path, capsys, name, tensors):
@@ -889,7 +909,7 @@ class TestExitCodes:
         monkeypatch.setenv("SIXGAN_REWARD_ROLLOUTS", "0")
         capsys.readouterr()
         assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "invalid input: alpha, lambda must be >= 0 and rollouts >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "invalid input: reward.rollouts must be >= 1, got 0\n"
         assert not (tmp_path / "generator_00.ckpt").exists()
 
 
@@ -998,8 +1018,10 @@ EXIT_2_CASES = [
           config={"alias_file": "{t}/no.txt"}),
     _case("train", "alias-bad-prefix", "a.txt:1: ", config={"alias_file": "{t}/a.txt"},
           files={"a.txt": "2001:db8::/129\n"}),
-    _case("train", "rollouts-0", "rollouts >= 1", config={"reward": {"rollouts": 0}}),
-    _case("train", "batch-size-0", "batch_size >= 1", config={"schedule": {"batch_size": 0}}),
+    _case("train", "rollouts-0", "reward.rollouts must be >= 1, got 0",
+          config={"reward": {"rollouts": 0}}),
+    _case("train", "batch-size-0", "schedule.batch_size must be >= 1, got 0",
+          config={"schedule": {"batch_size": 0}}),
     # from the file into a copy of out, and from the environment with the
     # inputs elsewhere and no out at all
     *(_case("train", f"nn-{key}-{value}-file", f"nn.{key} must be ",

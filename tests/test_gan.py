@@ -106,11 +106,11 @@ class TestConfigs:
         assert (cfg.alpha, cfg.lam, cfg.rollouts) == (0.9, 10.0, 15)
 
     def test_reward_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^reward\.alpha must be >= 0, got -0\.1$"):
             RewardConfig(alpha=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^reward\.lam must be >= 0, got -1\.0$"):
             RewardConfig(lam=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^reward\.rollouts must be >= 1, got 0$"):
             RewardConfig(rollouts=0)
 
     def test_schedule_defaults(self):
@@ -119,9 +119,9 @@ class TestConfigs:
         assert s.batch_size == 64
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^schedule\.batch_size must be >= 1, got 0$"):
             TrainSchedule(batch_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^schedule\.g_pretrain must be >= 0, got -1$"):
             TrainSchedule(g_pretrain=-1)
 
     def test_generators_need_one_rng_per_stack_entry(self):

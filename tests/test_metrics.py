@@ -23,7 +23,7 @@ from _oracles import (
     jaccard_matrix,
 )
 from sixgan import metrics
-from sixgan.addr import NybbleSeq, parse_address, parse_prefix
+from sixgan.addr import NybbleSeq, parse_address, parse_prefix, token_matrix
 from sixgan.metrics import (
     CandidateSet,
     EvaluationReport,
@@ -190,7 +190,7 @@ def assert_pattern_qualities_dense(cands, seeds):
 def assert_self_nearest_dense(cands):
     sims = jaccard_matrix(cands, cands)
     np.fill_diagonal(sims, -np.inf)
-    tokens = metrics._tokens(cands)
+    tokens = token_matrix(cands)
     nearest = metrics._nearest_jaccard(tokens, tokens)
     assert nearest.tobytes() == sims.max(axis=1).tobytes()
     return nearest
@@ -290,7 +290,7 @@ class TestBlockedKernels:
         for i, j in [(0, COLS - 1), (ROWS - 1, COLS), (ROWS, 2 * COLS), (n // 2, 0)]:
             cands[i] = seeds[j]  # a seed on either side of each column-tile edge
         sims = jaccard_matrix(cands, seeds).max(axis=1)
-        nearest = metrics._nearest_jaccard(metrics._tokens(cands), metrics._tokens(seeds))
+        nearest = metrics._nearest_jaccard(token_matrix(cands), token_matrix(seeds))
         assert nearest.tobytes() == sims.tobytes()
         assert novelty(cands, seeds) == broadcast_novelty(cands, seeds)
 
