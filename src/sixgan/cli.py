@@ -33,7 +33,7 @@ from .classify import (
     read_labels_file,
     write_labels_file,
 )
-from .fileio import atomic_write, write_lines
+from .fileio import INTEGER, NUMBER, NUMBERS, OBJECT, STRING, read_json, write_json, write_lines
 from .gan import (
     DiscriminatorModel,
     Generators,
@@ -55,6 +55,9 @@ EXIT_DIVERGED = 3
 
 ENV_PREFIX = "SIXGAN_"
 
+# each section's keys, ranges and defaults are those of its dataclass
+_SECTIONS = {"reward": RewardConfig, "schedule": TrainSchedule, "nn": NetConfig}
+
 DEFAULTS: dict = {
     "seed": 0,
     "seeds_file": None,
@@ -70,23 +73,14 @@ DEFAULTS: dict = {
     "n_seeds": 2000,
     "budget": 1000,
     "rates": None,
-    "reward": dataclasses.asdict(RewardConfig()),
-    "schedule": dataclasses.asdict(TrainSchedule()),
-    "nn": dataclasses.asdict(NetConfig()),
+    **{section: dataclasses.asdict(cls()) for section, cls in _SECTIONS.items()},
 }
+_METHODS = ("rfc", "entropy", "ipv62vec")
 
-_SECTIONS = ("reward", "schedule", "nn")
-
-# The type of each key whose default is None (the file keys are strings);
-# such a key also takes null.  Every other key takes its default's type.
-_OPTIONAL = {"k": int, "rates": list}
-_NUMBER = (int, float)
-_TAKES = {  # what a key of each type takes: a float key also takes an integer
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in _NUMBER),
-    str: ("a string", lambda v: type(v) is str),
-    list: ("a list of numbers", lambda v: type(v) is list and all(type(x) in _NUMBER for x in v)),
-}
+# The kind of each key whose default is None (the file keys are strings);
+# such a key also takes null.  Every other key takes its default's kind.
+_OPTIONAL = {"k": INTEGER, "rates": NUMBERS}
+_KIND_OF = {int: INTEGER, float: NUMBER, str: STRING}
 
 # the range of each bounded integer key
 _RANGES = {"n_seeds": (1, math.inf), "budget": (0, math.inf), "k": (1, math.inf),
@@ -104,27 +98,24 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _type_of(key: str, default) -> type:
-    return _OPTIONAL.get(key, str) if default is None else type(default)
+def _kind(key: str, default):
+    return _OPTIONAL.get(key, STRING) if default is None else _KIND_OF[type(default)]
 
 
 def _merge(base: dict, over: dict, defaults: dict = DEFAULTS, path: str = "") -> dict:
-    """base updated from over, each value checked against the type of its default."""
+    """base updated from over, each value checked against the kind of its default."""
     out = copy.deepcopy(base)
     for key, val in over.items():
-        where = f"{path}{key}"
+        name = f"config key {path}{key}"
         if key not in defaults:
-            raise ConfigError(f"unknown config key: {where}")
+            raise ValueError(f"unknown config key: {path}{key}")
         default = defaults[key]
         if isinstance(default, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key {where} must be a section")
-            out[key] = _merge(out[key], val, default, where + ".")
-            continue
-        what, takes = _TAKES[_type_of(key, default)]
-        if not (takes(val) or (val is None and default is None)):
-            raise ConfigError(f"config key {where} must be {what}, got {json.dumps(val)}")
-        out[key] = val
+            out[key] = _merge(out[key], OBJECT.check(val, name), default, f"{path}{key}.")
+        elif val is None and default is None:
+            out[key] = None
+        else:
+            out[key] = _kind(key, default).check(val, name)
     return out
 
 
@@ -147,7 +138,7 @@ def _env_overrides(environ: dict) -> dict:
                 key = key[len(section) + 1:]
                 break
         value = raw
-        if _type_of(key, defaults.get(key)) is not str:
+        if _kind(key, defaults.get(key)) is not STRING:
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError:
@@ -157,43 +148,40 @@ def _env_overrides(environ: dict) -> dict:
 
 
 def resolve_config(args: argparse.Namespace, environ: dict | None = None) -> dict:
-    cfg = copy.deepcopy(DEFAULTS)
-    if args.config:
+    """defaults < config file < SIXGAN_* variables < flags, every value
+    checked, for every command, before any command runs.
+
+    The sections come out as RewardConfig, TrainSchedule and NetConfig,
+    whose construction checks their ranges; every error is a ConfigError
+    naming the key, or the config file.
+    """
+    environ = dict(os.environ) if environ is None else environ
+    # each flag's dest is the key it sets
+    flags = {key: val for key, val in vars(args).items() if key in DEFAULTS and val is not None}
+    if "rates" in flags:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read config file: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
-        cfg = _merge(cfg, doc)
-    cfg = _merge(cfg, _env_overrides(environ if environ is not None else dict(os.environ)))
-    flag_map = {
-        "seed": "seed",
-        "budget": "budget",
-        "method": "method",
-        "k": "k",
-        "spec": "spec_file",
-        "out": "out_dir",
-    }
-    for flag, key in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "rates", None) is not None:
-        try:
-            cfg["rates"] = [float(r) for r in args.rates.split(",")]
+            flags["rates"] = [float(r) for r in flags["rates"].split(",")]
         except ValueError as err:
-            raise ConfigError(f"--rates must be a CSV of numbers: {err}") from err
-    if cfg["method"] not in ("rfc", "entropy", "ipv62vec"):
+            raise ConfigError(f"--rates must be a CSV of numbers: {err}") from None
+    try:
+        cfg = DEFAULTS
+        if args.config:
+            cfg = _merge(cfg, OBJECT.check(read_json(args.config), f"config file {args.config}"))
+        cfg = _merge(_merge(cfg, _env_overrides(environ)), flags)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    if cfg["method"] not in _METHODS:
         raise ConfigError(f"unknown method {cfg['method']!r}")
     for key, (lo, hi) in _RANGES.items():
         val = cfg[key]
         if val is not None and not lo <= val <= hi:
             bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
             raise ConfigError(f"config key {key} must be {bound}, got {val}")
+    try:
+        for section, cls in _SECTIONS.items():
+            cfg[section] = cls(**cfg[section])
+    except ValueError as err:  # '<section>.<key> must be ...'
+        raise ConfigError(f"config key {err}") from None
     return cfg
 
 
@@ -231,19 +219,15 @@ def _versions() -> dict:
                for var in BLAS_THREAD_VARS}}
 
 
-def _write_manifest(cfg: dict, command: str, inputs: list[str], outputs: list[str]) -> str:
-    doc = {
-        "command": command,
-        "config": cfg,
-        "inputs": {os.path.basename(p): _sha256(p) for p in sorted(set(inputs))},
-        "outputs": {os.path.basename(p): _sha256(p) for p in sorted(set(outputs))},
-        "versions": _versions(),
-    }
-    path = os.path.join(cfg["out_dir"], f"manifest_{command}.json")
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _write_manifest(cfg: dict, command: str, inputs: list[str], outputs: list[str]) -> None:
+    """manifest_<command>.json: the config (each section as its fields), the
+    SHA-256 of each input and output file, and _versions()."""
+    def digests(paths):
+        return {os.path.basename(p): _sha256(p) for p in sorted(set(paths))}
+
+    write_json(os.path.join(cfg["out_dir"], f"manifest_{command}.json"),
+               {"command": command, "config": cfg, "inputs": digests(inputs),
+                "outputs": digests(outputs), "versions": _versions()})
 
 
 def _ensure_out(cfg: dict) -> str:
@@ -354,9 +338,6 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
         alias_path = _require_file(cfg["alias_file"], "alias prefix file")
         trie = AliasTrie(load_alias_file(alias_path))
         inputs.append(alias_path)
-    reward = RewardConfig(**cfg["reward"])
-    schedule = TrainSchedule(**cfg["schedule"])
-    net = NetConfig(**cfg["nn"])
     out = _ensure_out(cfg)
 
     last_saved = None  # round of the checkpoints on disk; -1 is after pretraining
@@ -372,7 +353,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
     with open(log_path, "w", encoding="utf-8") as log_fh:  # streamed: kept on exit 3
         try:
             gens, disc, records = train_6gan(
-                corpus, trie, reward, schedule, net, seed=cfg["seed"],
+                corpus, trie, cfg["reward"], cfg["schedule"], cfg["nn"], seed=cfg["seed"],
                 on_round=save_all,
                 on_record=lambda rec: print(
                     json.dumps(rec, sort_keys=True), file=log_fh, flush=True
@@ -387,7 +368,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
             raise DivergenceError(f"{err} ({kept})") from err
     outputs = [log_path, _disc_ckpt(out)]
     outputs += [_generator_ckpt(out, i) for i in range(gens.k)]
-    print(f"trained {corpus.k} generators for {schedule.adversarial_rounds} rounds")
+    print(f"trained {corpus.k} generators for {cfg['schedule'].adversarial_rounds} rounds")
     print(f"checkpoints and {len(records)} log records in {out}")
     return inputs, outputs
 
@@ -492,6 +473,9 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
         gold_path = _require_file(cfg["gold_labels_file"], "gold labels file")
         inputs.append(gold_path)
         gold_corpus = read_labels_file(gold_path)
+        if gold_corpus.k > disc.k + 1:
+            raise ConfigError(f"gold labels file {gold_path} has {gold_corpus.k} classes, "
+                              f"more than the discriminator's {disc.k + 1}")
         gold_map = {s.nybbles: lab.class_id for s, lab in
                     zip(gold_corpus.seeds, gold_corpus.labels)}
         missing = [a for a in addrs if a.nybbles not in gold_map]
@@ -513,12 +497,7 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
             confusion[gold_map[a.nybbles], int(p)] += 1
         accuracy = float(np.trace(confusion)) / len(addrs)
         conf_path = os.path.join(out, "confusion.json")
-        with atomic_write(conf_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"confusion": confusion.tolist(), "accuracy": accuracy},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        write_json(conf_path, {"confusion": confusion.tolist(), "accuracy": accuracy})
         outputs.append(conf_path)
         print(f"accuracy {accuracy:.4f} over {len(addrs)} addresses")
     print(f"scores in {scores_path}")
@@ -550,12 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="master RNG seed")
     common.add_argument("--budget", type=int, help="total candidate budget")
-    common.add_argument("--method", choices=["rfc", "entropy", "ipv62vec"],
+    common.add_argument("--method", choices=_METHODS,
                         help="seed classification method")
     common.add_argument("--k", type=int, help="number of pattern classes")
     common.add_argument("--rates", help="CSV of per-pattern generation rates")
-    common.add_argument("--spec", help="universe spec JSON file")
-    common.add_argument("--out", help="output directory")
+    # each flag's dest is the config key it sets
+    common.add_argument("--spec", dest="spec_file", help="universe spec JSON file")
+    common.add_argument("--out", dest="out_dir", help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="sixgan",

@@ -1,10 +1,14 @@
-"""Line files read and written one way, and whole-file writes that replace
-their target only when complete."""
+"""Line and JSON files read and written one way, whole-file writes that
+replace their target only when complete, and the kinds of JSON value a
+config or spec key takes."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import json
 import os
+import sys
 from collections.abc import Callable, Iterable
 
 
@@ -50,3 +54,50 @@ def write_lines(path: str, lines: Iterable[str], header: str | None = None) -> N
     head = f"# {header}\n" if header else ""
     with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(head + "".join(f"{line}\n" for line in lines))
+
+
+def read_json(path: str):
+    """The JSON document in path; a read or parse error is a ValueError
+    starting 'path: '."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ValueError(f"{path}: cannot read: {err.strerror}") from None
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {err}") from None
+
+
+def write_json(path: str, doc) -> None:
+    """doc as JSON with sorted keys, indent 2 and a final newline, through
+    atomic_write; a dataclass in doc is written as its fields."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
+        fh.write("\n")
+
+
+@dataclasses.dataclass(frozen=True)
+class Kind:
+    """A kind of JSON value a key takes: its name in messages and its test."""
+    what: str
+    test: Callable[[object], bool]
+
+    def check(self, value, name: str):
+        """value, or a ValueError '<name> must be <what>, got <value as JSON>'."""
+        if not self.test(value):
+            raise ValueError(f"{name} must be {self.what}, got {json.dumps(value)}")
+        return value
+
+
+def _list_of(what: str, kind: Kind) -> Kind:
+    return Kind(f"a list of {what}", lambda v: type(v) is list and all(map(kind.test, v)))
+
+
+INTEGER = Kind("an integer", lambda v: type(v) is int)  # not a bool
+# an int compares exactly with a float, so one too large for a float is refused too
+NUMBER = Kind("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+STRING = Kind("a string", lambda v: type(v) is str)
+OBJECT = Kind("a JSON object", lambda v: type(v) is dict)
+NUMBERS = _list_of("finite numbers", NUMBER)
+STRINGS = _list_of("strings", STRING)
+OBJECTS = _list_of("objects", OBJECT)

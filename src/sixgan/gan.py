@@ -42,9 +42,9 @@ log = logging.getLogger("sixgan.gan")
 
 
 def _check_at_least(config, section: str, **lows) -> None:
-    """Raise ValueError naming the first field of config below its low bound."""
+    """Raise ValueError naming the first field of config below its low bound (or NaN)."""
     for key, low in lows.items():
-        if getattr(config, key) < low:
+        if not getattr(config, key) >= low:
             raise ValueError(f"{section}.{key} must be >= {low}, got {getattr(config, key)}")
 
 

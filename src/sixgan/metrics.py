@@ -11,35 +11,28 @@ exact largest-remainder rounding.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .addr import NybbleSeq, token_matrix
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 from .oracle import ProbeStatus, UniverseOracle
 
 
 @dataclass
 class CandidateSet:
     addresses: list[NybbleSeq]
-    pattern_id: int | None = None
 
     def __post_init__(self) -> None:
-        if len({a.nybbles for a in self.addresses}) != len(self.addresses):
+        if len(set(self.addresses)) != len(self.addresses):
             raise ValueError("candidate set contains duplicates")
 
     @classmethod
-    def dedup(cls, addresses: list[NybbleSeq], pattern_id: int | None = None) -> "CandidateSet":
-        seen: set[tuple[int, ...]] = set()
-        unique = []
-        for a in addresses:
-            if a.nybbles not in seen:
-                seen.add(a.nybbles)
-                unique.append(a)
-        return cls(unique, pattern_id)
+    def dedup(cls, addresses: list[NybbleSeq]) -> "CandidateSet":
+        """The first occurrence of each address, in order."""
+        return cls(list(dict.fromkeys(addresses)))
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -60,19 +53,6 @@ class EvaluationReport:
     pattern_quality_max: float | None
     novelty: float | None
     diversity: float | None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    CSV_FIELDS = (
-        "n_candidates", "n_active", "n_aliased", "n_in_seeds", "n_valid",
-        "loss", "hit_rate", "generation_rate", "aliased_pct",
-        "pattern_quality", "pattern_quality_max", "novelty", "diversity",
-    )
-
-    def csv_row(self) -> list:
-        d = asdict(self)
-        return [d[f] if d[f] is not None else "" for f in self.CSV_FIELDS]
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +248,15 @@ def evaluate(
 
 
 def write_report_files(report: EvaluationReport, json_path: str, csv_path: str) -> None:
-    with atomic_write(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    """report.json, and report.csv: the field names in field order, then the
+    values, a None as an empty cell."""
+    write_json(json_path, report)
+    names = [f.name for f in fields(report)]
+    values = [getattr(report, name) for name in names]
     with atomic_write(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(EvaluationReport.CSV_FIELDS)
-        writer.writerow(report.csv_row())
+        writer.writerow(names)
+        writer.writerow(["" if v is None else v for v in values])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ everything, so aliased implies active.
 from __future__ import annotations
 
 import hashlib
-import json
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
 from .classify import RFC_CLASS_NAMES, classify_rfc
-from .fileio import atomic_write
+from .fileio import INTEGER, NUMBER, OBJECT, OBJECTS, STRING, STRINGS, read_json, write_json
 
 SAMPLE_ATTEMPT_LIMIT = 10 ** 6
 
@@ -32,25 +32,24 @@ _LOW_BYTE_EXCLUDED = {0x15, 0x16, 0x17, 0x19}
 _LOW_BYTE_LAST = tuple(v for v in range(1, 0x20) if v not in _LOW_BYTE_EXCLUDED)
 
 
-_STRING = ("a string", lambda v: type(v) is str)
-_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
-# what each universe spec key holds, and a check of its JSON value
-_SPEC_KEYS = {
-    "hash_key": ("an integer in [0, 2^128)", lambda v: type(v) is int and 0 <= v < 2 ** 128),
-    "families": ("a list of objects", lambda v: type(v) is list and all(type(f) is dict for f in v)),
-    "name": _STRING, "pattern": _STRING, "prefixes": _STRINGS, "aliased_prefixes": _STRINGS,
-    "density": ("a number", lambda v: type(v) in (int, float)),
-}
+# the kind of each universe spec key, at the top level and in a family;
+# aliased_prefixes may be left out
+_SPEC_KEYS = {"hash_key": INTEGER, "families": OBJECTS, "aliased_prefixes": STRINGS}
+_FAMILY_KEYS = {"name": STRING, "pattern": STRING, "prefixes": STRINGS, "density": NUMBER}
 
 
-def _spec_value(doc: dict, key: str, where: str = ""):
-    """doc[key] checked against _SPEC_KEYS; an error names where + key."""
-    if key not in doc:
-        raise ValueError(f"universe spec lacks key {where}{key}")
-    what, ok = _SPEC_KEYS[key]
-    if not ok(doc[key]):
-        raise ValueError(f"universe spec key {where}{key} must be {what}, got {json.dumps(doc[key])}")
-    return doc[key]
+def _spec_fields(doc: dict, kinds: dict, where: str = "") -> dict:
+    """doc, its keys checked against kinds; an error names where + the key
+    that is unknown, missing or of another kind."""
+    for key in doc:
+        if key not in kinds:
+            raise ValueError(f"unknown universe spec key: {where}{key}")
+    for key, kind in kinds.items():
+        if key in doc:
+            kind.check(doc[key], f"universe spec key {where}{key}")
+        elif key != "aliased_prefixes":
+            raise ValueError(f"universe spec lacks key {where}{key}")
+    return doc
 
 
 class ProbeStatus(Enum):
@@ -86,16 +85,12 @@ class UniverseSpec:
     aliased_prefixes: tuple[NybblePrefix, ...] = ()
 
     def __post_init__(self) -> None:
-        fams = self.families
-        for i in range(len(fams)):
-            for j in range(i + 1, len(fams)):
-                for p in fams[i].prefixes:
-                    for q in fams[j].prefixes:
-                        if _is_prefix_of(p, q) or _is_prefix_of(q, p):
-                            raise ValueError(
-                                f"family prefixes overlap: {p} ({fams[i].name}) "
-                                f"and {q} ({fams[j].name})"
-                            )
+        if not 0 <= self.hash_key < 2 ** 128:
+            raise ValueError(f"universe spec key hash_key must be in [0, 2^128), got {self.hash_key}")
+        for fa, fb in itertools.combinations(self.families, 2):
+            for p, q in itertools.product(fa.prefixes, fb.prefixes):
+                if _is_prefix_of(p, q) or _is_prefix_of(q, p):
+                    raise ValueError(f"family prefixes overlap: {p} ({fa.name}) and {q} ({fb.name})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,39 +109,27 @@ class UniverseSpec:
 
     @classmethod
     def from_json_dict(cls, doc) -> "UniverseSpec":
-        """The spec of a JSON document; ValueError names a missing or wrong-typed key."""
-        if type(doc) is not dict:
-            raise ValueError(f"universe spec must be a JSON object, got {json.dumps(doc)}")
-        hash_key = _spec_value(doc, "hash_key")
+        """The spec of a JSON document; ValueError names an unknown, missing or wrong-kind key."""
+        doc = _spec_fields(OBJECT.check(doc, "universe spec"), _SPEC_KEYS)
         families = []
-        for i, f in enumerate(_spec_value(doc, "families")):
-            where = f"families[{i}]."
-            families.append(PatternFamily(
-                name=_spec_value(f, "name", where),
-                pattern=_spec_value(f, "pattern", where),
-                prefixes=tuple(parse_prefix(p) for p in _spec_value(f, "prefixes", where)),
-                density=float(_spec_value(f, "density", where)),
-            ))
-        aliased = _spec_value(doc, "aliased_prefixes") if "aliased_prefixes" in doc else []
-        return cls(
-            hash_key=hash_key,
-            families=tuple(families),
-            aliased_prefixes=tuple(parse_prefix(p) for p in aliased),
-        )
+        for i, f in enumerate(doc["families"]):
+            f = _spec_fields(f, _FAMILY_KEYS, f"families[{i}].")
+            prefixes = tuple(parse_prefix(p) for p in f["prefixes"])
+            families.append(PatternFamily(f["name"], f["pattern"], prefixes, float(f["density"])))
+        aliased = tuple(parse_prefix(p) for p in doc.get("aliased_prefixes", []))
+        return cls(doc["hash_key"], tuple(families), aliased)
 
     def save(self, path: str) -> None:
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "UniverseSpec":
         """The spec in a JSON file; every ValueError starts with the path."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            except ValueError as err:
-                raise ValueError(f"{path}: {err}") from None
+        doc = read_json(path)
+        try:
+            return cls.from_json_dict(doc)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 @dataclass

@@ -26,6 +26,7 @@ from sixgan.classify import (
     classify_rfc,
     classify_rfc_corpus,
 )
+from sixgan.fileio import write_json
 from sixgan.gan import (
     NetConfig,
     RewardConfig,
@@ -368,7 +369,7 @@ def test_10_determinism_and_persistence(tmp_path):
         save_checkpoint(str(d / "discriminator.ckpt"), disc.params.tensors())
         cands = generate_candidates(gens, 0, 200, {s.nybbles for s in seeds})
         report = evaluate(CandidateSet(cands), seeds, oracle)
-        (d / "report.json").write_text(report.to_json())
+        write_json(str(d / "report.json"), report)
         (d / "log.jsonl").write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
         artifacts.append(d)

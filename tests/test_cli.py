@@ -537,17 +537,36 @@ class TestDefaults:
         assert (DiscriminatorModel.__dataclass_fields__["opt"].default_factory().lr
                 == NetConfig.lr_disc)
 
-    def test_readme_lists_every_key_with_its_default(self):
+    @staticmethod
+    def readme_key_table():
+        """(key, default) of each row of the table in README "Configuration"."""
         readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
         section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
-        section = section.split("\n## ")[0]
-        rows = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]*?) \|", section, re.M))
+        lines = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("|")]
+        assert lines[:2] == ["| key | default | meaning |", "|---|---|---|"]
+        return [tuple(cell.strip() for cell in line.split("|")[1:3]) for line in lines[2:]]
+
+    @staticmethod
+    def flat_defaults():
+        """cli.DEFAULTS with each section's keys written as section.key."""
         flat = {}
         for key, val in cli.DEFAULTS.items():
             if isinstance(val, dict):
                 flat.update({f"{key}.{sub}": v for sub, v in val.items()})
             else:
                 flat[key] = val
+        return flat
+
+    def test_readme_key_table_is_exactly_the_config_keys(self):
+        # every row names one key, once: a key added, renamed or dropped on
+        # either side fails here
+        keys = [key for key, _ in self.readme_key_table()]
+        assert all(re.fullmatch(r"`[a-z_]+(\.[a-z_]+)?`", key) for key in keys), keys
+        assert sorted(key.strip("`") for key in keys) == sorted(self.flat_defaults())
+
+    def test_readme_lists_every_key_with_its_default(self):
+        rows = {key.strip("`"): default for key, default in self.readme_key_table()}
+        flat = self.flat_defaults()
         assert set(rows) == set(flat)
         for key, val in flat.items():
             if type(val) in (int, float):
@@ -587,7 +606,8 @@ class TestExitCodes:
         cfg = write_json(tmp_path / "c.json", [1, 2])
         capsys.readouterr()
         assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: config file {cfg} must hold a JSON object\n"
+        assert capsys.readouterr().err == (
+            f"config error: config file {cfg} must be a JSON object, got [1, 2]\n")
 
     def test_unknown_nested_key(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"schedule": {"warmup": 5}})
@@ -838,17 +858,17 @@ class TestExitCodes:
         pytest.param({}, "universe spec lacks key hash_key", id="empty"),
         pytest.param({"hash_key": 1}, "universe spec lacks key families", id="no-families"),
         pytest.param({**UNIVERSE, "hash_key": None},
-                     "universe spec key hash_key must be an integer in [0, 2^128), got null",
+                     "universe spec key hash_key must be an integer, got null",
                      id="null-hash-key"),
         pytest.param({**UNIVERSE, "hash_key": -1},
-                     "universe spec key hash_key must be an integer in [0, 2^128), got -1",
+                     "universe spec key hash_key must be in [0, 2^128), got -1",
                      id="negative-hash-key"),
         pytest.param({**UNIVERSE, "families": [{"name": "low", "pattern": "Low-byte",
                                                 "prefixes": ["2001:db8:1::/48"]}]},
                      "universe spec lacks key families[0].density", id="no-density"),
         pytest.param({**UNIVERSE, "families": [UNIVERSE["families"][0],
                                                {**UNIVERSE["families"][1], "density": "0.6"}]},
-                     'universe spec key families[1].density must be a number, got "0.6"',
+                     'universe spec key families[1].density must be a finite number, got "0.6"',
                      id="string-density"),
         pytest.param({**UNIVERSE, "families": {"low": 1}},
                      'universe spec key families must be a list of objects, got {"low": 1}',
@@ -909,7 +929,8 @@ class TestExitCodes:
         monkeypatch.setenv("SIXGAN_REWARD_ROLLOUTS", "0")
         capsys.readouterr()
         assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "invalid input: reward.rollouts must be >= 1, got 0\n"
+        assert capsys.readouterr().err == (
+            "config error: config key reward.rollouts must be >= 1, got 0\n")
         assert not (tmp_path / "generator_00.ckpt").exists()
 
 
@@ -940,6 +961,14 @@ def _narrow_generator(out):
                     {**narrow.tensors(), "meta_pattern_id": np.array([1.0])})
 
 
+def _six_class_gold(out):
+    """g.tsv in out: every seed of labels.tsv, in six classes, more than
+    the trained discriminator's k + 1 = 4."""
+    addrs = [line.split("\t")[0] for line in (out / "labels.tsv").read_text().splitlines()
+             if line and not line.startswith("#")]
+    (out / "g.tsv").write_text("".join(f"{a}\trfc\t{i % 6}\tc{i % 6}\n" for i, a in enumerate(addrs)))
+
+
 def _case(command, name, says, config=None, env=None, args=None, out="copy", files=None,
           edit=None):
     """One exit-2 case.  --out is a copy of the trained out ("copy"), an
@@ -957,6 +986,11 @@ _BAD_ADDRESS = "2001:db8::1\nnot-an-address\n"
 _NO_FAMILIES = {**UNIVERSE, "families": []}
 _OVERLAP = {**UNIVERSE, "families": [UNIVERSE["families"][0],
                                      {**UNIVERSE["families"][1], "prefixes": ["2001:db8:1::/64"]}]}
+_MISSPELT = {"hash_key": 1234, "families": UNIVERSE["families"],
+             "aliased_prefixs": UNIVERSE["aliased_prefixes"]}
+_MISSPELT_IN_FAMILY = {**UNIVERSE, "families": [
+    UNIVERSE["families"][0],
+    {"name": "ieee", "pattern": "IEEE-derived", "prefix": ["2001:db8:2::/48"], "density": 0.6}]}
 _INPUTS_IN_P = {"labels_file": "{p}/labels.tsv", "alias_file": "{p}/aliased_prefixes.txt"}
 _NN_CASES = [("embed_dim", 0), ("hidden_dim", 0), ("n_filters", 0), ("lr_gen", 0), ("lr_gen", -1),
              ("lr_disc", 0), ("lr_disc", -1)]
@@ -970,10 +1004,40 @@ EXIT_2_CASES = [
         _case(command, "out-of-range", "config key budget must be >= 0, got -1",
               env={"SIXGAN_BUDGET": "-1"}, out="absent"),
         _case(command, "unknown-method", "unknown method 'x'", env={"SIXGAN_METHOD": "x"}),
-        _case(command, "config-not-object", "must hold a JSON object", files={"c.json": [1, 2]}),
-        _case(command, "config-not-json", "config file is not valid JSON",
-              files={"c.json": "{"}, out="absent"),
+        _case(command, "config-not-object", "must be a JSON object", files={"c.json": [1, 2]}),
+        _case(command, "config-not-json", "c.json: not valid JSON", files={"c.json": "{"},
+              out="absent"),
     )),
+    # the reward and schedule sections, checked by every command: here two
+    # that do not train, with a value from the file and from the environment
+    *(_case(command, f"{section}-{key}-0-{source}",
+            f"config key {section}.{key} must be >= 1, got 0",
+            config={section: {key: 0}} if source == "file" else None,
+            env={f"SIXGAN_{section}_{key}".upper(): "0"} if source == "env" else None)
+      for command in ("synth", "generate")
+      for section, key in (("schedule", "batch_size"), ("reward", "rollouts"))
+      for source in ("file", "env")),
+    # a number is finite wherever it comes from
+    _case("train", "alpha-nan-file", "config key reward.alpha must be a finite number, got NaN",
+          config={"reward": {"alpha": float("nan")}}),
+    _case("train", "lam-infinity-env",
+          "config key reward.lam must be a finite number, got Infinity",
+          env={"SIXGAN_REWARD_LAM": "Infinity"}),
+    _case("generate", "rates-infinity-env",
+          "config key rates must be a list of finite numbers, got [1, Infinity, 1]",
+          env={"SIXGAN_RATES": "[1, Infinity, 1]"}),
+    _case("generate", "rates-inf-flag",
+          "config key rates must be a list of finite numbers, got [1.0, Infinity, 1.0]",
+          args=["--rates", "1,inf,1"]),
+    _case("generate", "rates-nan-file",
+          "config key rates must be a list of finite numbers, got [1, NaN, 1]",
+          config={"rates": [1, float("nan"), 1]}),
+    # synth and evaluate: a spec key that is not one, at the top level and in a family
+    *(_case(command, f"spec-{name}", f"unknown universe spec key: {key}",
+            args=["--spec", "{t}/u.json", *_ARGS[command][2:]], files={"u.json": spec})
+      for command in ("synth", "evaluate")
+      for name, key, spec in (("unknown-key", "aliased_prefixs", _MISSPELT),
+                              ("unknown-family-key", "families[1].prefix", _MISSPELT_IN_FAMILY))),
     # synth: the universe spec
     _case("synth", "no-spec", "config key 'spec_file' is required", args=[]),
     _case("synth", "spec-not-found", "universe spec not found", args=["--spec", "{t}/no.json"],
@@ -982,7 +1046,7 @@ EXIT_2_CASES = [
           args=["--spec", "{t}/u.json"], files={"u.json": [1, 2]}),
     _case("synth", "spec-lacks-key", "universe spec lacks key families",
           args=["--spec", "{t}/u.json"], files={"u.json": {"hash_key": 1}}, out="absent"),
-    _case("synth", "spec-density-string", "families[0].density must be a number",
+    _case("synth", "spec-density-string", "families[0].density must be a finite number",
           args=["--spec", "{t}/u.json"],
           files={"u.json": {**UNIVERSE, "families": [{**UNIVERSE["families"][0],
                                                       "density": "0.6"}]}}),
@@ -1029,8 +1093,8 @@ EXIT_2_CASES = [
     *(_case("train", f"nn-{key}-{value}-env", f"nn.{key} must be ", config=_INPUTS_IN_P,
             env={f"SIXGAN_NN_{key.upper()}": str(value)}, out="absent")
       for key, value in _NN_CASES),
-    *(_case("train", f"nn-lr_gen-{raw}-env", f"nn.lr_gen must be a finite number > 0, got {got}",
-            env={"SIXGAN_NN_LR_GEN": raw}) for raw, got in (("NaN", "nan"), ("1e999", "inf"))),
+    *(_case("train", f"nn-lr_gen-{raw}-env", f"nn.lr_gen must be a finite number, got {got}",
+            env={"SIXGAN_NN_LR_GEN": raw}) for raw, got in (("NaN", "NaN"), ("1e999", "Infinity"))),
     # generate: the checkpoints in --out, the rates and the budget
     _case("generate", "no-checkpoints", "no generator checkpoints", out="absent"),
     _case("generate", "no-checkpoints-empty-out", "no generator checkpoints", out="empty"),
@@ -1075,6 +1139,8 @@ EXIT_2_CASES = [
           edit=_ckpt("discriminator.ckpt", lambda ts: ts["out_w"].fill(np.inf))),
     _case("discriminate", "gold-not-found", "gold labels file not found",
           config={"gold_labels_file": "{t}/no.tsv"}),
+    _case("discriminate", "gold-more-classes", "g.tsv has 6 classes, more than the discriminator's 4",
+          config={"gold_labels_file": "{t}/out/g.tsv"}, edit=_six_class_gold),
     _case("discriminate", "gold-lacks-addresses", "240 addresses missing from gold labels",
           config={"gold_labels_file": "{t}/g.tsv"}, files={"g.tsv": "2001:db8::1\trfc\t0\tlow\n"}),
     # evaluate: the spec, the candidates and the seeds

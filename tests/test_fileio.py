@@ -1,5 +1,10 @@
 """Line files: one comment rule and error form for every reader, and what
-each writer writes reads back to the same records."""
+each writer writes reads back to the same records.  JSON files: one reader
+whose errors name the file, one writer, and one message form for a value
+of the wrong kind."""
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +19,17 @@ from sixgan.addr import (
     write_address_file,
 )
 from sixgan.classify import classify_rfc_corpus, read_labels_file, write_labels_file
-from sixgan.fileio import read_lines, write_lines
+from sixgan.fileio import (
+    INTEGER,
+    NUMBER,
+    NUMBERS,
+    OBJECTS,
+    STRINGS,
+    read_json,
+    read_lines,
+    write_json,
+    write_lines,
+)
 
 READERS = [
     pytest.param(load_seed_file, len, "2001:db8::1", "2001:zz8::1", AddressParseError,
@@ -81,3 +96,50 @@ def test_token_matrix_rows_are_the_nybbles():
     assert tokens.dtype == np.uint8 and tokens.shape == (2, 32)
     assert tokens.tolist() == [list(s.nybbles) for s in seqs]
     assert not tokens.flags.writeable
+
+
+@pytest.mark.parametrize("body, why", [
+    (b"{", "not valid JSON: Expecting property name enclosed in double quotes"),
+    (b"[1, 2] 3", "not valid JSON: Extra data"),
+    (b'"\xff"', "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+])
+def test_read_json_errors_name_the_file(tmp_path, body, why):
+    path = tmp_path / "doc.json"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    assert str(err.value).startswith(f"{path}: {why}")
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ValueError, match=f"^{missing}: cannot read: No such file or directory$"):
+        read_json(str(missing))
+
+
+@dataclasses.dataclass
+class _Pair:
+    b: float
+    a: int | None
+
+
+def test_write_json_layout_and_dataclasses(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(str(path), {"z": [1, 2], "pair": _Pair(b=0.5, a=None)})
+    assert path.read_text() == json.dumps(
+        {"pair": {"a": None, "b": 0.5}, "z": [1, 2]}, indent=2, sort_keys=True) + "\n"
+    assert read_json(str(path)) == {"pair": {"a": None, "b": 0.5}, "z": [1, 2]}
+
+
+@pytest.mark.parametrize("kind, good, bad, message", [
+    (INTEGER, 3, True, "must be an integer, got true"),
+    (INTEGER, -3, 2.0, "must be an integer, got 2.0"),
+    (NUMBER, 2, float("nan"), "must be a finite number, got NaN"),
+    (NUMBER, 2.5, float("-inf"), "must be a finite number, got -Infinity"),
+    (NUMBER, 1.7976931348623157e308, 10 ** 400, f"must be a finite number, got {10 ** 400}"),
+    (NUMBERS, [], [1, float("inf")], "must be a list of finite numbers, got [1, Infinity]"),
+    (STRINGS, ["a"], "a", 'must be a list of strings, got "a"'),
+    (OBJECTS, [{}], [{}, []], "must be a list of objects, got [{}, []]"),
+])
+def test_kinds_share_one_message_form(kind, good, bad, message):
+    assert kind.check(good, "key x") == good
+    with pytest.raises(ValueError) as err:
+        kind.check(bad, "key x")
+    assert str(err.value) == f"key x {message}"

@@ -112,6 +112,9 @@ class TestConfigs:
             RewardConfig(lam=-1.0)
         with pytest.raises(ValueError, match=r"^reward\.rollouts must be >= 1, got 0$"):
             RewardConfig(rollouts=0)
+        # NaN compares false with every bound, so it is refused too
+        with pytest.raises(ValueError, match=r"^reward\.alpha must be >= 0, got nan$"):
+            RewardConfig(alpha=float("nan"))
 
     def test_schedule_defaults(self):
         s = TrainSchedule()

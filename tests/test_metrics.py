@@ -26,7 +26,6 @@ from sixgan import metrics
 from sixgan.addr import NybbleSeq, parse_address, parse_prefix, token_matrix
 from sixgan.metrics import (
     CandidateSet,
-    EvaluationReport,
     allocate_budget,
     diversity,
     evaluate,
@@ -55,9 +54,8 @@ class TestCandidateSet:
 
     def test_dedup_keeps_first_occurrence(self):
         a, b = NybbleSeq((1,) * 32), NybbleSeq((2,) * 32)
-        cs = CandidateSet.dedup([a, b, a, b, a], pattern_id=3)
+        cs = CandidateSet.dedup([a, b, a, b, a])
         assert cs.addresses == [a, b]
-        assert cs.pattern_id == 3
         assert len(cs) == 2
 
 
@@ -410,7 +408,11 @@ class TestEvaluate:
         assert doc["hit_rate"] == pytest.approx(1.0)
         with open(cp, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(EvaluationReport.CSV_FIELDS)
+        assert rows[0] == [
+            "n_candidates", "n_active", "n_aliased", "n_in_seeds", "n_valid",
+            "loss", "hit_rate", "generation_rate", "aliased_pct",
+            "pattern_quality", "pattern_quality_max", "novelty", "diversity",
+        ]
         assert len(rows) == 2
         assert rows[1][0] == "2"
 

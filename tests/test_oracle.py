@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,34 @@ class TestSpecSerialization:
         # aliased_prefixes key may be absent entirely
         del doc["aliased_prefixes"]
         assert UniverseSpec.from_json_dict(doc) == spec
+
+    @pytest.mark.parametrize("where", ["top", "family"])
+    def test_unknown_key_is_refused(self, where):
+        # a misspelt key would otherwise drop what it holds, such as every
+        # aliased prefix
+        doc = one_family_spec(aliased=("2001:db8:f::/48",)).to_json_dict()
+        if where == "top":
+            doc["aliased_prefixs"] = doc.pop("aliased_prefixes")
+            key = "aliased_prefixs"
+        else:
+            doc["families"][0]["densty"] = doc["families"][0].pop("density")
+            key = "families[0].densty"
+        with pytest.raises(ValueError, match=rf"^unknown universe spec key: {re.escape(key)}$"):
+            UniverseSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize("text, why", [
+        ('{"hash_key": 1,', "not valid JSON: Expecting property name enclosed in double quotes"),
+        ('{"hash_key": NaN, "families": []}', "universe spec key hash_key must be an integer, got NaN"),
+        ('{"hash_key": 1, "families": [{"name": "a", "pattern": "Low-byte", '
+         '"prefixes": ["2001:db8::/48"], "density": Infinity}]}',
+         "universe spec key families[0].density must be a finite number, got Infinity"),
+    ])
+    def test_load_errors_name_the_file(self, tmp_path, text, why):
+        path = tmp_path / "universe.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            UniverseSpec.load(str(path))
+        assert str(err.value).startswith(f"{path}: {why}")
 
 
 class TestProbe:

@@ -56,6 +56,25 @@ def test_package_exports_exactly_what_it_imports():
     assert missing == [], f"__all__ names that do not resolve: {missing}"
 
 
+def test_json_files_read_and_written_only_in_fileio():
+    # fileio.read_json names the file in its errors and fileio.write_json
+    # fixes the layout; no other module reads or writes a JSON file itself
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "dump") \
+                    and getattr(node.value, "id", None) == "json":
+                calls.setdefault(path.name, []).append(f"{node.lineno}: json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls.setdefault(path.name, []).extend(
+                    f"{node.lineno}: from json import {alias.name}" for alias in node.names
+                    if alias.name in ("load", "dump"))
+    assert sorted(c.split(": ")[1] for c in calls.pop("fileio.py", [])) == ["json.dump",
+                                                                          "json.load"]
+    assert calls == {}, f"JSON read or written outside fileio.py: {calls}"
+
+
 def test_benchmark_layers_resolve_in_package():
     # the benchmark wraps each per-layer metric's function by name, the way
     # bench/tracing.py finds it; a refactor that drops or renames one fails
