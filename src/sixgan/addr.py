@@ -81,7 +81,7 @@ class NybblePrefix:
     def __len__(self) -> int:
         return len(self.nybbles)
 
-    def matches(self, seq: NybbleSeq) -> bool:
+    def matches(self, seq: NybbleSeq | NybblePrefix) -> bool:
         return seq.nybbles[: len(self.nybbles)] == self.nybbles
 
     def __str__(self) -> str:

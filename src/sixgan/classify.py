@@ -41,7 +41,7 @@ RFC_CLASS_NAMES = (
     "Randomized",
 )
 
-DEFAULT_PORTS = frozenset({21, 22, 23, 25, 53, 80, 110, 123, 143, 443, 993, 995, 8080})
+PORTS = frozenset({21, 22, 23, 25, 53, 80, 110, 123, 143, 443, 993, 995, 8080})
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ _EUI64_MARKER = (0xF, 0xF, 0xF, 0xE)
 _GROUPS = struct.Struct(">4H")
 
 
-def classify_rfc(seq: NybbleSeq, port_list: frozenset[int] = DEFAULT_PORTS) -> PatternLabel:
+def classify_rfc(seq: NybbleSeq) -> PatternLabel:
     """Structural pattern of an address, first matching rule wins.
 
     Precedence: IEEE-derived, Embedded-port, Embedded-IPv4, Low-byte,
@@ -121,7 +121,7 @@ def classify_rfc(seq: NybbleSeq, port_list: frozenset[int] = DEFAULT_PORTS) -> P
     # (2) service port in the last group, rest of the IID zero
     if not any(ib[:7]):
         group_hex = f"{g3:x}"
-        if g3 in port_list or (group_hex.isdigit() and int(group_hex) in port_list):
+        if g3 in PORTS or (group_hex.isdigit() and int(group_hex) in PORTS):
             return _EMBEDDED_PORT
 
     # (3a) IPv4 in the low 32 bits as raw hex (a byte >= 0x20 is nonzero)
@@ -143,9 +143,8 @@ def classify_rfc(seq: NybbleSeq, port_list: frozenset[int] = DEFAULT_PORTS) -> P
     return _RANDOMIZED
 
 
-def classify_rfc_corpus(seeds: list[NybbleSeq],
-                        port_list: frozenset[int] = DEFAULT_PORTS) -> LabeledSeedCorpus:
-    raw = [classify_rfc(s, port_list).class_id for s in seeds]
+def classify_rfc_corpus(seeds: list[NybbleSeq]) -> LabeledSeedCorpus:
+    raw = [classify_rfc(s).class_id for s in seeds]
     names = dict(enumerate(RFC_CLASS_NAMES))
     return LabeledSeedCorpus.build(seeds, METHOD_RFC, raw, names)
 
@@ -197,13 +196,11 @@ def entropy_fingerprints(
     return fingerprints, small
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
+KMEANS_MAX_ITER = 100  # Lloyd iterations at most
+KMEANS_TOL = 1e-6  # stop once no centroid moves this far
+
+
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding.
 
     Deterministic given seed.  Empty clusters are re-seeded with the point
@@ -229,7 +226,7 @@ def kmeans(
 
     prev_sse = np.inf
     assign = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = dists.argmin(axis=1)
         for j in range(k):
@@ -246,11 +243,10 @@ def kmeans(
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         prev_sse = sse
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = dists.argmin(axis=1)
-    return assign, centroids
+    return dists.argmin(axis=1), centroids
 
 
 def classify_entropy(
@@ -399,6 +395,8 @@ def ipv62vec_embed(
 
 
 _D2_BLOCK = 4  # rows per block of the squared-distance matrix
+MIN_PTS = 5  # DBSCAN's neighbours (self included) of a core point
+EPS_BISECTION_STEPS = 30  # eps bisections to hit a requested class count
 
 
 def _sq_dists(vectors: np.ndarray) -> np.ndarray:
@@ -457,38 +455,28 @@ def dbscan(
     return labels, assigned, core
 
 
-def _default_eps(d2: np.ndarray, min_pts: int) -> float:
-    """Median distance to the min_pts-th neighbour, from squared distances."""
-    kth = np.sort(np.sqrt(d2), axis=1)[:, min(min_pts, d2.shape[0] - 1)]
-    return float(np.median(kth)) or 1e-6
-
-
-def classify_ipv62vec(
-    seeds: list[NybbleSeq],
-    target_k: int | None = None,
-    seed: int = 0,
-    dim: int = 100,
-    min_pts: int = 5,
-    bisection_steps: int = 30,
-) -> LabeledSeedCorpus:
+def classify_ipv62vec(seeds: list[NybbleSeq], target_k: int | None = None, seed: int = 0,
+                      dim: int = 100) -> LabeledSeedCorpus:
     """Embed seeds, density-cluster them, optionally hunting a class count.
 
-    With target_k set, eps is bisected (min_pts fixed) until the cluster
+    With target_k set, eps is bisected (MIN_PTS fixed) until the cluster
     count matches or the step budget runs out; the closest achieved count
     wins, with a warning on a miss.
     """
     vectors = ipv62vec_embed(seeds, dim=dim, seed=seed)
     d2 = _sq_dists(vectors)
     if target_k is None:
-        raw, assigned, core = dbscan(d2, _default_eps(d2, min_pts), min_pts)
+        # eps: the median distance to the MIN_PTS-th neighbour
+        kth = np.sort(np.sqrt(d2), axis=1)[:, min(MIN_PTS, d2.shape[0] - 1)]
+        raw, assigned, core = dbscan(d2, float(np.median(kth)) or 1e-6, MIN_PTS)
     else:
         lo = 1e-9
         hi = float(np.sqrt(d2.max())) + 1e-9
         best = None
         best_gap = None
-        for _ in range(bisection_steps):
+        for _ in range(EPS_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            raw, assigned, core = dbscan(d2, mid, min_pts)
+            raw, assigned, core = dbscan(d2, mid, MIN_PTS)
             count = int(raw.max()) + 1
             gap = abs(count - target_k)
             if best is None or gap < best_gap:

@@ -31,11 +31,10 @@ from .nn import (
     conv_tables,
     ensure_finite,
     lstm_backward,
-    lstm_forward,
     lstm_init_state,
+    lstm_nll,
     lstm_nll_grads,
     lstm_step_batch,
-    softmax,
 )
 
 log = logging.getLogger("sixgan.gan")
@@ -341,10 +340,9 @@ def generator_pg_step(
     q = q_d + cfg.alpha * q_a
     _check_range("Q_AD", q, 1.0 + cfg.alpha * cfg.lam)
 
-    bos = np.full(tokens.shape[:-1] + (1,), BOS, dtype=tokens.dtype)
-    logits, cache = lstm_forward(gens.params, np.concatenate([bos, tokens[..., :-1]], axis=-1))
-    dlogits = pg_logit_grad(softmax(logits, out=logits), tokens, q)
-    del logits
+    _, cache, probs = lstm_nll(gens.params, tokens)
+    dlogits = pg_logit_grad(probs, tokens, q)
+    del probs
     grads = lstm_backward(gens.params, cache, dlogits)
     # the BPTT cache is most of what is live here; the update's temporaries
     # are each as large as w_gates, so free the cache before they exist

@@ -17,19 +17,17 @@ from enum import Enum
 import numpy as np
 
 from .addr import AliasTrie, NybblePrefix, NybbleSeq, parse_prefix
-from .classify import RFC_CLASS_NAMES, classify_rfc
+from .classify import PORTS, RFC_CLASS_NAMES, classify_rfc
 from .fileio import INTEGER, NUMBER, OBJECT, OBJECTS, STRING, STRINGS, read_json, write_json
 
 SAMPLE_ATTEMPT_LIMIT = 10 ** 6
+SHAPE_TRIES = 100  # draws of one shape before sample_shape gives up
 
-# last-group encodings that survive the classifier's port rule
-_PORT_GROUPS = (
-    0x15, 0x16, 0x17, 0x19, 0x35, 0x50, 0x6E, 0x7B, 0x8F,  # port as hex value
-    0x21, 0x22, 0x23, 0x25, 0x53, 0x80,  # port digits read as hex
-)
-# low-byte values that would collide with the port rule when in the last group
-_LOW_BYTE_EXCLUDED = {0x15, 0x16, 0x17, 0x19}
-_LOW_BYTE_LAST = tuple(v for v in range(1, 0x20) if v not in _LOW_BYTE_EXCLUDED)
+# last-group bytes the port rule accepts: ports as hex values, then ports'
+# decimal digits read as hex; the order feeds rng.choice, so it fixes the seeds
+_PORT_GROUPS = (tuple(sorted(p for p in PORTS if p < 0x100))
+                + tuple(sorted(v for v in (int(str(p), 16) for p in PORTS) if v < 0x100)))
+_LOW_BYTE_LAST = tuple(v for v in range(1, 0x20) if v not in _PORT_GROUPS)
 
 
 # the kind of each universe spec key, at the top level and in a family;
@@ -66,16 +64,12 @@ class PatternFamily:
     density: float
 
     def __post_init__(self) -> None:
-        if self.pattern not in RFC_CLASS_NAMES:
-            raise ValueError(f"unknown pattern {self.pattern!r}")
+        if self.pattern not in RFC_CLASS_NAMES:  # each message starts with the field
+            raise ValueError(f"pattern must be one of {', '.join(RFC_CLASS_NAMES)}, got {self.pattern!r}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if not self.prefixes:
-            raise ValueError(f"family {self.name!r} has no prefixes")
-
-
-def _is_prefix_of(a: NybblePrefix, b: NybblePrefix) -> bool:
-    return len(a) <= len(b) and b.nybbles[: len(a)] == a.nybbles
+            raise ValueError("prefixes must not be empty")
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class UniverseSpec:
             raise ValueError(f"universe spec key hash_key must be in [0, 2^128), got {self.hash_key}")
         for fa, fb in itertools.combinations(self.families, 2):
             for p, q in itertools.product(fa.prefixes, fb.prefixes):
-                if _is_prefix_of(p, q) or _is_prefix_of(q, p):
+                if p.matches(q) or q.matches(p):
                     raise ValueError(f"family prefixes overlap: {p} ({fa.name}) and {q} ({fb.name})")
 
     def to_json_dict(self) -> dict:
@@ -115,7 +109,10 @@ class UniverseSpec:
         for i, f in enumerate(doc["families"]):
             f = _spec_fields(f, _FAMILY_KEYS, f"families[{i}].")
             prefixes = tuple(parse_prefix(p) for p in f["prefixes"])
-            families.append(PatternFamily(f["name"], f["pattern"], prefixes, float(f["density"])))
+            try:
+                families.append(PatternFamily(f["name"], f["pattern"], prefixes, float(f["density"])))
+            except ValueError as err:  # '<field> must be ...'
+                raise ValueError(f"universe spec key families[{i}].{err}") from None
         aliased = tuple(parse_prefix(p) for p in doc.get("aliased_prefixes", []))
         return cls(doc["hash_key"], tuple(families), aliased)
 
@@ -219,12 +216,7 @@ def _sample_iid(pattern: str, rng: np.random.Generator) -> list[int]:
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def sample_shape(
-    pattern: str,
-    prefix: NybblePrefix,
-    rng: np.random.Generator,
-    max_tries: int = 100,
-) -> NybbleSeq:
+def sample_shape(pattern: str, prefix: NybblePrefix, rng: np.random.Generator) -> NybbleSeq:
     """A random address under prefix whose structural label equals pattern.
 
     Subnet nybbles between the prefix and the interface identifier are
@@ -235,7 +227,7 @@ def sample_shape(
     if len(base) > 16:
         raise ValueError("family prefixes must leave the interface identifier free")
     n_subnet = 16 - len(base)
-    for _ in range(max_tries):
+    for _ in range(SHAPE_TRIES):
         # the 16 IID nybbles drawn here are dropped for the shaped IID; the
         # draws keep the generator stream, and so the seeds, as they were
         drawn = rng.integers(16, size=n_subnet + 16).tolist()

@@ -52,8 +52,8 @@ import numpy as np
 
 from sixgan.addr import AddressParseError, NybbleSeq
 from sixgan.classify import (
-    DEFAULT_PORTS,
     METHOD_RFC,
+    PORTS,
     RFC_CLASS_NAMES,
     PatternLabel,
 )
@@ -76,7 +76,7 @@ from sixgan.nn import (
     sigmoid,
     softmax,
 )
-from sixgan.oracle import _LOW_BYTE_EXCLUDED, _PORT_GROUPS
+from sixgan.oracle import _PORT_GROUPS
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def _list_iid_groups(seq: NybbleSeq) -> list[int]:
     ]
 
 
-def list_classify_rfc(seq: NybbleSeq, port_list=DEFAULT_PORTS) -> PatternLabel:
+def list_classify_rfc(seq: NybbleSeq) -> PatternLabel:
     iid = seq.iid
     ibytes = _list_iid_bytes(seq)
     groups = _list_iid_groups(seq)
@@ -455,7 +455,7 @@ def list_classify_rfc(seq: NybbleSeq, port_list=DEFAULT_PORTS) -> PatternLabel:
     if all(b == 0 for b in ibytes[:7]):
         group_hex = f"{groups[3]:x}"
         as_decimal = int(group_hex) if group_hex.isdigit() else None
-        if groups[3] in port_list or as_decimal in port_list:
+        if groups[3] in PORTS or as_decimal in PORTS:
             return label("Embedded-port")
     low4 = ibytes[4:8]
     if all(b == 0 for b in ibytes[:4]) and any(b != 0 for b in low4) and max(low4) >= 0x20:
@@ -505,7 +505,7 @@ def _scalar_sample_iid(pattern: str, nyb: list, rng) -> None:
             nyb[p] = 0
         slot = int(rng.integers(2))
         if slot == 1:
-            choices = [v for v in range(1, 0x20) if v not in _LOW_BYTE_EXCLUDED]
+            choices = [v for v in range(1, 0x20) if v not in _PORT_GROUPS]
             v = int(rng.choice(choices))
             nyb[30], nyb[31] = v >> 4, v & 0xF
         else:

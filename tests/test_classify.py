@@ -107,12 +107,6 @@ class TestClassifyRfc:
     def test_all_zero_iid_is_randomized(self):
         assert rfc_name("2001:db8::") == "Randomized"
 
-    def test_custom_port_list(self):
-        label = classify_rfc(parse_address("2001:db8::99"), port_list=frozenset({0x99}))
-        assert label.class_name == "Embedded-port"
-        # default list sends the same shape to the low-32 embedding rule
-        assert rfc_name("2001:db8::99") == "Embedded-IPv4"
-
     def test_total_and_deterministic(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -162,13 +156,11 @@ def structured_iids(draw):
 class TestClassifyRfcMatchesListForm:
     """The byte-level classifier against the earlier list-and-Counter form."""
 
-    @given(prefix=st.integers(0, 2 ** 64 - 1), iid=structured_iids(),
-           ports=st.one_of(st.just(None), st.frozensets(st.integers(0, 300), max_size=6)))
+    @given(prefix=st.integers(0, 2 ** 64 - 1), iid=structured_iids())
     @settings(max_examples=1000, deadline=None)
-    def test_structured_iids(self, prefix, iid, ports):
+    def test_structured_iids(self, prefix, iid):
         seq = seq_from_hex(f"{prefix:016x}{iid}")
-        kwargs = {} if ports is None else {"port_list": ports}
-        assert classify_rfc(seq, **kwargs) == list_classify_rfc(seq, **kwargs)
+        assert classify_rfc(seq) == list_classify_rfc(seq)
 
     def test_random_and_sampled_addresses(self):
         rng = np.random.default_rng(12)

@@ -1038,6 +1038,15 @@ EXIT_2_CASES = [
       for command in ("synth", "evaluate")
       for name, key, spec in (("unknown-key", "aliased_prefixs", _MISSPELT),
                               ("unknown-family-key", "families[1].prefix", _MISSPELT_IN_FAMILY))),
+    # synth and evaluate: a family value out of range, named by its key
+    *(_case(command, f"spec-family-{key}", f"universe spec key families[0].{says}",
+            args=["--spec", "{t}/u.json", *_ARGS[command][2:]],
+            files={"u.json": {**UNIVERSE, "families": [{**UNIVERSE["families"][0], key: value},
+                                                       *UNIVERSE["families"][1:]]}})
+      for command in ("synth", "evaluate")
+      for key, value, says in (("density", 1.6, "density must be in (0, 1], got 1.6"),
+                               ("pattern", "Low-bite", "pattern must be one of "),
+                               ("prefixes", [], "prefixes must not be empty"))),
     # synth: the universe spec
     _case("synth", "no-spec", "config key 'spec_file' is required", args=[]),
     _case("synth", "spec-not-found", "universe spec not found", args=["--spec", "{t}/no.json"],

@@ -12,6 +12,8 @@ import sixgan.oracle as oracle_module
 from sixgan.addr import NybblePrefix, NybbleSeq, parse_address, parse_prefix
 from sixgan.classify import RFC_CLASS_NAMES, classify_rfc
 from sixgan.oracle import (
+    _LOW_BYTE_LAST,
+    _PORT_GROUPS,
     PatternFamily,
     ProbeStatus,
     UniverseOracle,
@@ -40,31 +42,31 @@ def one_family_spec(density=1.0, aliased=(), hash_key=7, pattern="Low-byte"):
 
 
 class TestSpecValidation:
+    # each family error starts with the field's name
     def test_unknown_pattern_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pattern must be one of Embedded-IPv4, .*, "
+                                             "got 'Fancy'$"):
             family(pattern="Fancy")
 
     def test_density_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^density must be in \(0, 1\], got 0.0$"):
             family(density=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^density must be"):
             family(density=1.5)
         family(density=1.0)
 
     def test_empty_prefixes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^prefixes must not be empty$"):
             PatternFamily(name="x", pattern="Low-byte", prefixes=(), density=0.5)
 
     def test_overlapping_family_prefixes_rejected(self):
-        # the spec itself refuses them, so a spec built directly is checked too
-        with pytest.raises(ValueError, match="overlap"):
-            UniverseSpec(
-                hash_key=1,
-                families=(
-                    family(prefix="2001:db8::/32", name="outer"),
-                    family(prefix="2001:db8:1::/48", name="inner", pattern="IEEE-derived"),
-                ),
-            )
+        # the spec itself refuses them, so a spec built directly is checked
+        # too, with the shorter prefix in the first family or the second
+        families = (family(prefix="2001:db8::/32", name="outer"),
+                    family(prefix="2001:db8:1::/48", name="inner", pattern="IEEE-derived"))
+        for order in (families, families[::-1]):
+            with pytest.raises(ValueError, match="overlap"):
+                UniverseSpec(hash_key=1, families=order)
 
     def test_disjoint_families_accepted(self):
         spec = UniverseSpec(
@@ -118,6 +120,18 @@ class TestSpecSerialization:
             key = "families[0].densty"
         with pytest.raises(ValueError, match=rf"^unknown universe spec key: {re.escape(key)}$"):
             UniverseSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("pattern", "Low-bite", "pattern must be one of Embedded-IPv4, "),
+        ("density", 1.6, "density must be in (0, 1], got 1.6"),
+        ("prefixes", [], "prefixes must not be empty"),
+    ])
+    def test_family_errors_name_their_key(self, field, value, why):
+        doc = one_family_spec().to_json_dict()
+        doc["families"][0][field] = value
+        with pytest.raises(ValueError) as err:
+            UniverseSpec.from_json_dict(doc)
+        assert str(err.value).startswith(f"universe spec key families[0].{why}")
 
     @pytest.mark.parametrize("text, why", [
         ('{"hash_key": 1,', "not valid JSON: Expecting property name enclosed in double quotes"),
@@ -214,6 +228,19 @@ class TestSamplers:
             seq = sample_shape(pattern, prefix, rng)
             assert classify_rfc(seq).class_name == pattern
             assert seq.nybbles[:8] == prefix.nybbles
+
+    def test_port_groups_and_low_bytes_follow_the_port_rule(self):
+        # the last-group bytes the sampler draws, derived from classify.PORTS
+        def last_group(value):
+            return classify_rfc(parse_address(f"2001:db8::{value:x}")).class_name
+
+        assert {last_group(v) for v in _PORT_GROUPS} == {"Embedded-port"}
+        assert {last_group(v) for v in _LOW_BYTE_LAST} == {"Low-byte"}
+        # their order feeds rng.choice, so an edit of PORTS that would move
+        # the seeds fails here by name
+        assert _PORT_GROUPS == (0x15, 0x16, 0x17, 0x19, 0x35, 0x50, 0x6E, 0x7B, 0x8F,
+                                0x21, 0x22, 0x23, 0x25, 0x53, 0x80)
+        assert _LOW_BYTE_LAST == tuple(range(0x01, 0x15)) + (0x18,) + tuple(range(0x1A, 0x20))
 
     def test_prefix_must_leave_iid_free(self):
         rng = np.random.default_rng(6)
