@@ -33,34 +33,55 @@ class AddressParseError(ValueError):
     """Raised for malformed address or prefix text."""
 
 
-def _all_nybbles(values: tuple[int, ...]) -> bool:
-    """Whether every value is an integer in [0, 15]: bytes() takes integers
+def _is_nybble(value) -> bool:
+    """Whether value is an integer in [0, 15]: bytes() takes integers
     (NumPy's too) and refuses floats, even integral ones."""
     try:
-        return not bytes(values).translate(None, _NYBBLE_RANGE)
+        return bytes((value,)) < b"\x10"
     except (TypeError, ValueError):
         return False
 
 
-def _check_nybbles(nybbles: tuple[int, ...]) -> None:
-    if not _all_nybbles(nybbles):
-        bad = next(v for v in nybbles if not _all_nybbles((v,)))
+def _as_nybbles(values, low: int, what: str) -> bytes:
+    """values as bytes, one per nybble: ValueError unless they are low to
+    SEQ_LEN integers in [0, 15].
+
+    Only bytes is taken whole: bytes() of an int is that many zero bytes
+    and of another buffer its raw memory (an int64 array's, say), so any
+    other sequence is read value by value.
+    """
+    try:
+        n = len(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence of nybbles, got {values!r}") from None
+    if not low <= n <= SEQ_LEN:
+        count = SEQ_LEN if low == SEQ_LEN else f"{low} to {SEQ_LEN}"
+        raise ValueError(f"{what} must have {count} nybbles, got {n}")
+    try:
+        out = values if type(values) is bytes else bytes(iter(values))
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.translate(None, _NYBBLE_RANGE):
+        bad = next(v for v in values if not _is_nybble(v))
         raise ValueError(f"nybble value must be an integer in [0, 15], got {bad!r}")
+    return out
 
 
 @dataclass(frozen=True, slots=True)
 class NybbleSeq:
-    """One IPv6 address as exactly 32 nybble values in [0, 15]."""
+    """One IPv6 address as exactly 32 nybble values in [0, 15].
 
-    nybbles: tuple[int, ...]
+    Built from any sequence of integers; nybbles holds them as 32 bytes,
+    one per nybble, the key every set, trie and hash of addresses uses.
+    """
+
+    nybbles: bytes
 
     def __post_init__(self) -> None:
-        if len(self.nybbles) != SEQ_LEN:
-            raise ValueError(f"address must have {SEQ_LEN} nybbles, got {len(self.nybbles)}")
-        _check_nybbles(self.nybbles)
+        object.__setattr__(self, "nybbles", _as_nybbles(self.nybbles, SEQ_LEN, "address"))
 
     @property
-    def iid(self) -> tuple[int, ...]:
+    def iid(self) -> bytes:
         return self.nybbles[IID_START:]
 
     def __str__(self) -> str:
@@ -69,23 +90,22 @@ class NybbleSeq:
 
 @dataclass(frozen=True, slots=True)
 class NybblePrefix:
-    """A leading run of 1..32 nybbles, as used for aliased-prefix matching."""
+    """A leading run of 1..32 nybbles, as used for aliased-prefix matching;
+    nybbles holds them as bytes, one per nybble, like NybbleSeq's."""
 
-    nybbles: tuple[int, ...]
+    nybbles: bytes
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.nybbles) <= SEQ_LEN:
-            raise ValueError(f"prefix length must be in [1, {SEQ_LEN}], got {len(self.nybbles)}")
-        _check_nybbles(self.nybbles)
+        object.__setattr__(self, "nybbles", _as_nybbles(self.nybbles, 1, "prefix"))
 
     def __len__(self) -> int:
         return len(self.nybbles)
 
     def matches(self, seq: NybbleSeq | NybblePrefix) -> bool:
-        return seq.nybbles[: len(self.nybbles)] == self.nybbles
+        return seq.nybbles.startswith(self.nybbles)
 
     def __str__(self) -> str:
-        padded = self.nybbles + (0,) * (SEQ_LEN - len(self.nybbles))
+        padded = self.nybbles + bytes(SEQ_LEN - len(self.nybbles))
         return f"{format_address(NybbleSeq(padded))}/{4 * len(self.nybbles)}"
 
 
@@ -176,7 +196,7 @@ def parse_address(text: str) -> NybbleSeq:
         if len(groups) != 8:
             raise _bad(text, len(s) - 1, f"expected 8 groups, got {len(groups)}")
     digits = "".join([g.zfill(4) for g in groups])
-    return NybbleSeq(tuple(digits.encode().translate(_NYBBLE_BYTES)))
+    return NybbleSeq(digits.encode().translate(_NYBBLE_BYTES))
 
 
 def _compressed_formats() -> dict[tuple[bool, ...], tuple[str, int, int]]:
@@ -214,7 +234,7 @@ def format_address(seq: NybbleSeq) -> str:
     ties); a single zero group is never compressed.
     """
     # one hex digit per nybble, then the eight 16-bit groups
-    groups = _GROUPS.unpack(bytes.fromhex(bytes(seq.nybbles).hex()[1::2]))
+    groups = _GROUPS.unpack(bytes.fromhex(seq.nybbles.hex()[1::2]))
     fmt, start, end = _FORMATS[tuple(map(operator.not_, groups))]
     return fmt % (groups[:start] + groups[end:])
 
@@ -257,7 +277,7 @@ class AliasTrie:
     __slots__ = ("_by_len",)
 
     def __init__(self, prefixes: Iterable[NybblePrefix] = ()):
-        by_len: dict[int, set[tuple[int, ...]]] = {}
+        by_len: dict[int, set[bytes]] = {}
         for p in prefixes:
             by_len.setdefault(len(p), set()).add(p.nybbles)
         self._by_len = sorted(by_len.items(), reverse=True)
@@ -265,7 +285,7 @@ class AliasTrie:
     def __len__(self) -> int:
         return sum(len(keys) for _, keys in self._by_len)
 
-    def _match(self, nybbles: tuple[int, ...]) -> int | None:
+    def _match(self, nybbles: bytes) -> int | None:
         for length, keys in self._by_len:
             if nybbles[:length] in keys:
                 return length
@@ -277,14 +297,19 @@ class AliasTrie:
 
     def match_batch(self, tokens: np.ndarray) -> np.ndarray:
         """match() for each row of [n, 32] nybble tokens, with 0 for None."""
-        return np.array(
-            [self._match(row) or 0 for row in map(tuple, tokens.tolist())], dtype=np.int64
-        )
+        return np.array([self._match(row) or 0 for row in token_rows(tokens)], dtype=np.int64)
 
 
 def token_matrix(seqs: list[NybbleSeq]) -> np.ndarray:
     """[n, 32] uint8 nybbles of each address, read-only."""
-    return np.frombuffer(b"".join(bytes(s.nybbles) for s in seqs), np.uint8).reshape(-1, SEQ_LEN)
+    return np.frombuffer(b"".join([s.nybbles for s in seqs]), np.uint8).reshape(-1, SEQ_LEN)
+
+
+def token_rows(tokens: np.ndarray) -> list[bytes]:
+    """Each row of [n, 32] nybble tokens of any integer dtype as the bytes
+    NybbleSeq.nybbles holds: token_matrix's inverse, sliced from one byte string."""
+    flat = tokens.astype(np.uint8).tobytes()
+    return [flat[i:i + SEQ_LEN] for i in range(0, len(flat), SEQ_LEN)]
 
 
 def load_seed_file(path: str) -> list[NybbleSeq]:

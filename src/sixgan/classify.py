@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .addr import NybblePrefix, NybbleSeq, parse_address, token_matrix
-from .fileio import read_lines, write_lines
+from .fileio import numbered_lines, write_lines
 
 log = logging.getLogger("sixgan.classify")
 
@@ -98,7 +98,7 @@ class EntropyFingerprint:
 # one shared label per rule; PatternLabel is frozen
 (_EMBEDDED_IPV4, _EMBEDDED_PORT, _IEEE_DERIVED, _LOW_BYTE, _PATTERN_BYTES, _RANDOMIZED) = (
     PatternLabel(METHOD_RFC, i, name) for i, name in enumerate(RFC_CLASS_NAMES))
-_EUI64_MARKER = (0xF, 0xF, 0xF, 0xE)
+_EUI64_MARKER = b"\x0f\x0f\x0f\x0e"
 _GROUPS = struct.Struct(">4H")
 
 
@@ -115,7 +115,7 @@ def classify_rfc(seq: NybbleSeq) -> PatternLabel:
         return _IEEE_DERIVED
 
     # the IID's 8 bytes: the low hex digit of each nybble byte, read as hex
-    ib = bytes.fromhex(bytes(iid).hex()[1::2])
+    ib = bytes.fromhex(iid.hex()[1::2])
     g0, g1, g2, g3 = _GROUPS.unpack(ib)
 
     # (2) service port in the last group, rest of the IID zero
@@ -164,11 +164,15 @@ def _fingerprint_vector(group: list[NybbleSeq]) -> tuple[float, ...]:
     return tuple(_entropy16(col.tolist()) for col in token_matrix(group)[:, 8:].T)
 
 
+FP_PREFIX_LEN = 8  # nybbles of prefix an entropy group shares
+MIN_GROUP = 10  # seeds a prefix group needs to become a fingerprint
+
+
 def entropy_fingerprints(
     seeds: list[NybbleSeq],
-    fp_prefix_len: int = 8,
-    min_group: int = 10,
-) -> tuple[list[EntropyFingerprint], dict[tuple[int, ...], list[int]]]:
+    fp_prefix_len: int = FP_PREFIX_LEN,
+    min_group: int = MIN_GROUP,
+) -> tuple[list[EntropyFingerprint], dict[bytes, list[int]]]:
     """Per-prefix nybble-entropy profiles.
 
     Groups seeds by their first fp_prefix_len nybbles; prefix groups with
@@ -179,11 +183,11 @@ def entropy_fingerprints(
     """
     if not seeds:
         raise ValueError("seed list is empty")
-    by_prefix: dict[tuple[int, ...], list[int]] = defaultdict(list)
+    by_prefix: dict[bytes, list[int]] = defaultdict(list)
     for i, s in enumerate(seeds):
         by_prefix[s.nybbles[:fp_prefix_len]].append(i)
     fingerprints = []
-    small: dict[tuple[int, ...], list[int]] = {}
+    small: dict[bytes, list[int]] = {}
     for nybs, idxs in sorted(by_prefix.items()):
         if len(idxs) >= min_group:
             fingerprints.append(EntropyFingerprint(
@@ -252,9 +256,9 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarra
 def classify_entropy(
     seeds: list[NybbleSeq],
     k: int,
-    fp_prefix_len: int = 8,
+    fp_prefix_len: int = FP_PREFIX_LEN,
     seed: int = 0,
-    min_group: int = 10,
+    min_group: int = MIN_GROUP,
 ) -> LabeledSeedCorpus:
     """Cluster prefix fingerprints; every address inherits its prefix's class.
 
@@ -316,11 +320,12 @@ def _guided_searchsorted(cdf: np.ndarray):
 
 
 _MEAN_BLOCK = 64  # sentences per gather of the final average, so it is never [n, 32, dim]
+DIM = 100  # width of the ipv62vec word and address vectors
 
 
 def ipv62vec_embed(
     seeds: list[NybbleSeq],
-    dim: int = 100,
+    dim: int = DIM,
     window: int = 5,
     negatives: int = 5,
     epochs: int = 5,
@@ -456,7 +461,7 @@ def dbscan(
 
 
 def classify_ipv62vec(seeds: list[NybbleSeq], target_k: int | None = None, seed: int = 0,
-                      dim: int = 100) -> LabeledSeedCorpus:
+                      dim: int = DIM) -> LabeledSeedCorpus:
     """Embed seeds, density-cluster them, optionally hunting a class count.
 
     With target_k set, eps is bisected (MIN_PTS fixed) until the cluster
@@ -519,11 +524,33 @@ def _label_fields(body: str) -> tuple[NybbleSeq, str, int, str]:
     return parse_address(parts[0]), parts[1], int(parts[2]), parts[3]
 
 
+def _same_as_first(first: dict, key, value: str, lineno: int, what: str) -> None:
+    """Record value as key's on its first line; a later line that gives
+    another value is a ValueError naming that first line."""
+    seen, line = first.setdefault(key, (value, lineno))
+    if value != seen:
+        raise ValueError(f"{what} {value!r} here but {seen!r} on line {line}")
+
+
 def read_labels_file(path: str) -> LabeledSeedCorpus:
-    """A labels file, read as every line file is (see fileio.read_lines)."""
-    rows = read_lines(path, _label_fields)
-    if not rows:
+    """A labels file, read as every line file is (see fileio.read_lines).
+
+    Every line gives the first line's method, and each class id the name
+    of its first line; a line that gives another is an error.
+    """
+    seeds, raw_ids = [], []
+    methods: dict = {}  # None -> (the method, its first line)
+    names: dict = {}  # class id -> (its name, its first line)
+    for lineno, body in numbered_lines(path):
+        try:
+            seq, method, cid, name = _label_fields(body)
+            _same_as_first(methods, None, method, lineno, "the method is")
+            _same_as_first(names, cid, name, lineno, f"class {cid} is named")
+        except ValueError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        seeds.append(seq)
+        raw_ids.append(cid)
+    if not seeds:
         raise ValueError(f"{path}: no labeled seeds found")
-    seeds, methods, raw_ids, names = zip(*rows)
-    return LabeledSeedCorpus.build(list(seeds), methods[-1], list(raw_ids),
-                                   dict(zip(raw_ids, names)))
+    return LabeledSeedCorpus.build(seeds, methods[None][0], raw_ids,
+                                   {cid: name for cid, (name, _) in names.items()})

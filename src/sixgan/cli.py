@@ -27,6 +27,8 @@ from . import BLAS_THREAD_VARS, BLAS_VARS_NOT_APPLIED, __version__, nn
 from .addr import AliasTrie, load_alias_file, load_seed_file, token_matrix, write_address_file
 from .alias import filter_aliased
 from .classify import (
+    FP_PREFIX_LEN,
+    MIN_GROUP,
     classify_entropy,
     classify_ipv62vec,
     classify_rfc_corpus,
@@ -68,8 +70,8 @@ DEFAULTS: dict = {
     "out_dir": ".",
     "method": "rfc",
     "k": None,
-    "fp_prefix_len": 8,
-    "min_group": 10,
+    "fp_prefix_len": FP_PREFIX_LEN,
+    "min_group": MIN_GROUP,
     "n_seeds": 2000,
     "budget": 1000,
     "rates": None,
@@ -373,7 +375,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> _Files:
     return inputs, outputs
 
 
-def _load_exclude(cfg: dict) -> tuple[set[tuple[int, ...]], list[str]]:
+def _load_exclude(cfg: dict) -> tuple[set[bytes], list[str]]:
     labels_path = _labels_path(cfg)
     if os.path.isfile(labels_path):
         corpus = read_labels_file(labels_path)

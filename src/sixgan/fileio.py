@@ -9,7 +9,7 @@ import dataclasses
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 
 @contextlib.contextmanager
@@ -32,20 +32,25 @@ def atomic_write(path, mode: str = "w", **kwargs):
         raise
 
 
-def read_lines(path: str, parse: Callable[[str], object]) -> list:
-    """parse(body) for each line left non-blank once '#' and what follows
-    it are cut and whitespace is stripped; a ValueError from parse is
-    raised again as the same class, prefixed 'path:lineno: '."""
-    records = []
+def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(lineno, body) for each line left non-blank once '#' and what
+    follows it are cut and whitespace is stripped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                records.append(parse(body))
-            except ValueError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            if body:
+                yield lineno, body
+
+
+def read_lines(path: str, parse: Callable[[str], object]) -> list:
+    """parse(body) for each of numbered_lines(path); a ValueError from
+    parse is raised again as the same class, prefixed 'path:lineno: '."""
+    records = []
+    for lineno, body in numbered_lines(path):
+        try:
+            records.append(parse(body))
+        except ValueError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return records
 
 

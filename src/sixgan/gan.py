@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .addr import AliasTrie, NybbleSeq, token_matrix
+from .addr import AliasTrie, NybbleSeq, token_matrix, token_rows
 from .classify import LabeledSeedCorpus
 from .nn import (
     BOS,
@@ -495,9 +495,10 @@ def generate_candidates(
     gens: Generators,
     j: int,
     budget: int,
-    exclude: set[tuple[int, ...]] | None = None,
+    exclude: set[bytes] | None = None,
 ) -> list[NybbleSeq]:
-    """Up to budget unique addresses from generator j not present in exclude.
+    """Up to budget unique addresses from generator j whose nybbles are not
+    in exclude, a set of NybbleSeq.nybbles keys.
 
     Sampling stops after 50x budget attempts; a shortfall is logged and
     the partial set returned.
@@ -505,13 +506,15 @@ def generate_candidates(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     exclude = exclude or set()
+    if not all(type(key) is bytes for key in exclude):  # a tuple would exclude nothing
+        raise TypeError("exclude takes NybbleSeq.nybbles keys, which are bytes")
     out: list[NybbleSeq] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     attempts = 0
     while len(out) < budget and attempts < 50 * budget:
         chunk = min(max(budget - len(out), 1), 4096)
         attempts += chunk
-        for key in map(tuple, gens.sample(j, chunk).tolist()):
+        for key in token_rows(gens.sample(j, chunk)):
             if key in seen or key in exclude:
                 continue
             seen.add(key)

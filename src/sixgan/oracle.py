@@ -140,7 +140,7 @@ class UniverseOracle:
         self._aliases = AliasTrie(self.spec.aliased_prefixes)
 
     def _hash_unit(self, seq: NybbleSeq) -> float:
-        h = hashlib.blake2b(bytes(seq.nybbles), key=self._key, digest_size=8)
+        h = hashlib.blake2b(seq.nybbles, key=self._key, digest_size=8)
         return int.from_bytes(h.digest(), "little") / 2.0 ** 64
 
     def probe(self, seq: NybbleSeq, family: PatternFamily | None = None) -> ProbeStatus:
@@ -223,15 +223,14 @@ def sample_shape(pattern: str, prefix: NybblePrefix, rng: np.random.Generator) -
     uniform.  Resamples until the rule classifier agrees, so emitted seeds
     are classifiable by construction.
     """
-    base = list(prefix.nybbles)
-    if len(base) > 16:
+    if len(prefix) > 16:
         raise ValueError("family prefixes must leave the interface identifier free")
-    n_subnet = 16 - len(base)
+    n_subnet = 16 - len(prefix)
     for _ in range(SHAPE_TRIES):
         # the 16 IID nybbles drawn here are dropped for the shaped IID; the
         # draws keep the generator stream, and so the seeds, as they were
         drawn = rng.integers(16, size=n_subnet + 16).tolist()
-        seq = NybbleSeq(tuple(base + drawn[:n_subnet] + _sample_iid(pattern, rng)))
+        seq = NybbleSeq(prefix.nybbles + bytes(drawn[:n_subnet] + _sample_iid(pattern, rng)))
         if classify_rfc(seq).class_name == pattern:
             return seq
     raise RuntimeError(f"could not realize pattern {pattern!r} under {prefix}")
@@ -252,7 +251,7 @@ def sample_seeds(
     if not families:
         raise ValueError("universe spec families is empty: no family to sample seeds from")
     seeds: list[NybbleSeq] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     attempts = 0
     while len(seeds) < n:
         if attempts >= SAMPLE_ATTEMPT_LIMIT:

@@ -178,7 +178,7 @@ def bf_hit_and_generation(cands, seeds, probe):
 
 
 def _nybble_matrix(seqs) -> np.ndarray:
-    return np.array([s.nybbles for s in seqs], dtype=np.float64)
+    return np.array([list(s.nybbles) for s in seqs], dtype=np.float64)
 
 
 def jaccard_matrix(cands, seeds) -> np.ndarray:
@@ -443,7 +443,7 @@ def _list_iid_groups(seq: NybbleSeq) -> list[int]:
 
 
 def list_classify_rfc(seq: NybbleSeq) -> PatternLabel:
-    iid = seq.iid
+    iid = tuple(seq.iid)
     ibytes = _list_iid_bytes(seq)
     groups = _list_iid_groups(seq)
 
@@ -1066,7 +1066,7 @@ def sequential_train_6gan(corpus, trie, cfg, schedule, net, seed):
     generator trained alone: all of generator 0's pretraining steps, then
     generator 1's, and likewise for each round's policy-gradient steps."""
     k = corpus.k
-    class_tokens = [np.array([s.nybbles for s in corpus.class_seeds(cid)], dtype=np.int64)
+    class_tokens = [np.array([list(s.nybbles) for s in corpus.class_seeds(cid)], dtype=np.int64)
                     for cid in range(k)]
     streams = [s.spawn(2) for s in np.random.SeedSequence(seed).spawn(k + 1)]
     gens = [SingleGenerator(
@@ -1296,7 +1296,7 @@ def reward_discriminator(d, pattern_id: int, partial: tuple, action: int, rollou
     else:
         if not rollouts:
             raise ValueError("rollouts required before the final position")
-        tokens = np.array([r.nybbles for r in rollouts], dtype=np.int64)
+        tokens = np.array([list(r.nybbles) for r in rollouts], dtype=np.int64)
     probs = d.class_probs(tokens)
     q_d = float((1.0 - probs[:, pattern_id]).mean())
     assert -_BOUND_EPS <= q_d <= 1.0 + _BOUND_EPS, f"Q_D out of range: {q_d}"

@@ -20,7 +20,7 @@ from _oracles import (
     grad_check,
     plant_entropy_corpus,
 )
-from sixgan.addr import AliasTrie, NybbleSeq, parse_address, parse_prefix
+from sixgan.addr import AliasTrie, NybbleSeq, parse_address, parse_prefix, token_matrix
 from sixgan.classify import (
     classify_entropy,
     classify_rfc,
@@ -226,7 +226,7 @@ def test_06_discriminator_pattern_discrimination():
                              adversarial_rounds=20, batch_size=32)
     net = NetConfig(embed_dim=32, hidden_dim=48, n_filters=12, lr_disc=1e-3)
     _, disc, _ = train_6gan(corpus, None, RewardConfig(rollouts=4), schedule, net, seed=0)
-    tokens = np.array([s.nybbles for s in held])
+    tokens = token_matrix(held)
     acc = float((disc.class_probs(tokens).argmax(axis=1) == gold).mean())
     elapsed = time.perf_counter() - t0
     ok = acc >= 0.95 and elapsed < 600

@@ -4,6 +4,7 @@ import ipaddress
 import logging
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,28 @@ class TestNybbleSeq:
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
             NybblePrefix((3, bad))
 
+    # bytes(32) would be 32 zero bytes; 1.5, 1.0 and 16 are refused above
+    @pytest.mark.parametrize("values", [32, (0,) * 31, (0,) * 33],
+                             ids=["bare-int", "31-values", "33-values"])
+    def test_count_and_bare_int_refused(self, values):
+        with pytest.raises(ValueError):
+            NybbleSeq(values)
+
+    @pytest.mark.parametrize("values", [8, (), (0,) * 33], ids=["bare-int", "0-values", "33-values"])
+    def test_prefix_count_and_bare_int_refused(self, values):
+        with pytest.raises(ValueError):
+            NybblePrefix(values)
+
+    def test_nybbles_are_bytes_whatever_the_sequence(self):
+        # an int64 array is read value by value, not as its raw memory
+        want = bytes(range(16)) * 2
+        for values in (tuple(want), list(want), want, np.frombuffer(want, np.uint8),
+                       np.array(list(want), dtype=np.int64)):
+            seq = NybbleSeq(values)
+            assert type(seq.nybbles) is bytes and seq.nybbles == want
+            prefix = NybblePrefix(values[:3])
+            assert type(prefix.nybbles) is bytes and prefix.nybbles == want[:3]
+
     def test_numpy_integers_accepted(self):
         values = tuple(np.arange(32, dtype=np.int64) % 16)
         assert NybbleSeq(values) == seq_from_hex("0123456789abcdef" * 2)
@@ -305,7 +328,7 @@ class TestNybbleSeq:
 
     def test_iid_is_low_half(self):
         seq = seq_from_hex("20010db8000000000123456789abcdef")
-        assert seq.iid == tuple(int(c, 16) for c in "0123456789abcdef")
+        assert seq.iid == bytes(int(c, 16) for c in "0123456789abcdef")
 
     def test_hex_round_trip(self):
         s = "20010db809000000021e67fffe314cdf"
@@ -315,16 +338,16 @@ class TestNybbleSeq:
 class TestParsePrefix:
     def test_basic_cidr(self):
         pfx = parse_prefix("2001:db8::/32")
-        assert pfx.nybbles == (2, 0, 0, 1, 0, 0xD, 0xB, 8)
+        assert pfx.nybbles == bytes((2, 0, 0, 1, 0, 0xD, 0xB, 8))
         assert len(pfx) == 8
 
     def test_single_nybble(self):
-        assert parse_prefix("::/4").nybbles == (0,)
+        assert parse_prefix("::/4").nybbles == bytes((0,))
 
     def test_unaligned_length_rounds_down(self, caplog):
         with caplog.at_level(logging.WARNING, logger="sixgan.addr"):
             pfx = parse_prefix("2001:db8::/30")
-        assert pfx.nybbles == (2, 0, 0, 1, 0, 0xD, 0xB)
+        assert pfx.nybbles == bytes((2, 0, 0, 1, 0, 0xD, 0xB))
         assert any("rounded down" in r.message for r in caplog.records)
 
     def test_length_bounds(self):
@@ -371,7 +394,7 @@ class TestAliasTrie:
         inserted = [parse_prefix("2001:db8::/32"), parse_prefix("fe80::/12")]
         trie = AliasTrie(inserted)
         for p in inserted:
-            padded = NybbleSeq(p.nybbles + (0,) * (32 - len(p)))
+            padded = NybbleSeq(p.nybbles + bytes(32 - len(p)))
             assert trie.match(padded) == len(p)
         assert len(trie) == 2
 
@@ -395,16 +418,17 @@ class TestAliasTrie:
             )
             assert trie.match(seq) == want
             wants.append(want or 0)
-        lengths = trie.match_batch(np.array(seqs, dtype=np.int64))
-        assert lengths.dtype == np.int64
-        assert lengths.tolist() == wants
+        for dtype in (np.uint8, np.int64):
+            lengths = trie.match_batch(np.array(seqs, dtype=dtype))
+            assert lengths.dtype == np.int64
+            assert lengths.tolist() == wants
 
     def test_match_monotone_in_shared_prefix(self):
         trie = AliasTrie([parse_prefix("2001:db8::/32")])
         base = parse_address("2001:db8::1")
         matched = trie.match(base)
         assert matched == 8
-        other = NybbleSeq(base.nybbles[:matched] + (0xF,) * (32 - matched))
+        other = NybbleSeq(base.nybbles[:matched] + bytes((0xF,) * (32 - matched)))
         assert trie.match(other) == matched
 
 
@@ -414,6 +438,22 @@ class TestFiles:
         path.write_text("# header\n\n2001:db8::80\n  ::1  \n# tail\n")
         seeds = load_seed_file(str(path))
         assert [str(s) for s in seeds] == ["2001:db8::80", "::1"]
+
+    def test_parsed_addresses_hold_under_160_bytes_each(self, tmp_path):
+        # an address is one 32-byte string in a slotted object, about 114 B
+        # once parsed; a tuple of 32 ints made it about 345 B
+        rows = np.random.default_rng(0).integers(0, 16, size=(20_000, 32), dtype=np.uint8)
+        path = tmp_path / "addresses.txt"
+        write_address_file(str(path), [NybbleSeq(row.tobytes()) for row in rows])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seqs = load_seed_file(str(path))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(seqs) == 20_000
+        assert held / len(seqs) < 160, f"{held / len(seqs):.0f} B per address"
 
     def test_alias_file_parses_cidrs(self, tmp_path):
         path = tmp_path / "alias.txt"

@@ -258,7 +258,7 @@ class TestEntropyFingerprints:
         fps, small_groups = entropy_fingerprints(big + small, min_group=10)
         assert len(fps) == 1
         assert fps[0].members == tuple(range(15))
-        assert (9,) * 8 in small_groups
+        assert bytes((9,) * 8) in small_groups
 
     def test_entropies_in_unit_range(self):
         seeds, _ = plant_entropy_corpus(25, seed=6)
@@ -374,7 +374,7 @@ class TestIpv62Vec:
     def test_neighboring_addresses_more_similar_than_cross_pattern(self):
         seeds, truth = plant_value_band_corpus(30, seed=4, n_patterns=2)
         base = seeds[0]
-        near = NybbleSeq(base.nybbles[:31] + ((base.nybbles[31] + 1) % 5,))
+        near = NybbleSeq(base.nybbles[:31] + bytes(((base.nybbles[31] + 1) % 5,)))
         other = next(s for s, t in zip(seeds, truth) if t == 1)
         vecs = ipv62vec_embed([base, near, other] + seeds, dim=24, epochs=4, seed=0)
         unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -383,7 +383,7 @@ class TestIpv62Vec:
 
 def noise_cdf(seeds):
     """The negative-sampling CDF over all 512 words, as ipv62vec_embed builds it."""
-    words = 16 * np.arange(32) + np.array([s.nybbles for s in seeds])
+    words = 16 * np.arange(32) + np.array([list(s.nybbles) for s in seeds])
     noise = np.bincount(words.reshape(-1), minlength=512) ** 0.75
     cdf = np.cumsum(noise / noise.sum())
     cdf[-1] = 1.0

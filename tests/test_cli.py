@@ -294,6 +294,42 @@ def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+# the walkthrough's commands with the entropy labels, whose prefix groups
+# are held in dicts keyed by address bytes
+_HASH_SEED_COMMANDS = [
+    ["synth", "--spec", "universe.json"],
+    ["classify", "--method", "entropy", "--k", "3"],
+    ["train"],
+    ["generate"],
+    ["alias-check", "out/candidates.txt"],
+    ["evaluate", "--spec", "universe.json", "out/candidates.txt"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # an address's set and dict key is bytes, whose hash differs from one
+    # process to the next, so no output may follow such a set's order
+    src = pathlib.Path(sixgan.__file__).resolve().parent.parent
+    code = ("import json, sys\nfrom sixgan.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv + ['--config', 'config.json', '--out', 'out']):\n"
+            "        sys.exit(f'{argv[0]} failed')\n")
+    trees = []
+    for hash_seed in ("0", "1"):
+        run = tmp_path / hash_seed
+        run.mkdir()
+        write_json(run / "universe.json", UNIVERSE)
+        write_json(run / "config.json", tiny_config("out", {"fp_prefix_len": 12}))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code, json.dumps(_HASH_SEED_COMMANDS)], cwd=run,
+                       env=env, check=True, capture_output=True)
+        trees.append(snapshot(run / "out"))
+    assert {"labels.tsv", "candidates.txt", "kept.txt", "report.json"} <= trees[0].keys()
+    assert trees[0].keys() == trees[1].keys()
+    assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
+
+
 def test_train_bytes_do_not_depend_on_blas_thread_variables(pipeline, tmp_path):
     # a threaded BLAS can sum a product in another order; unless the caller
     # sets a thread count, sixgan sets one thread before NumPy loads, so
@@ -983,6 +1019,9 @@ def _case(command, name, says, config=None, env=None, args=None, out="copy", fil
 
 
 _BAD_ADDRESS = "2001:db8::1\nnot-an-address\n"
+# class 0 with a second name, then a second method
+_TWO_NAMES = "::1\trfc\t0\tLow-byte\n::2\trfc\t0\tIEEE-derived\n::3\tentropy\t1\tcluster-1\n"
+_TWO_METHODS = "::1\trfc\t0\tLow-byte\n# another method\n::3\tentropy\t1\tcluster-1\n"
 _NO_FAMILIES = {**UNIVERSE, "families": []}
 _OVERLAP = {**UNIVERSE, "families": [UNIVERSE["families"][0],
                                      {**UNIVERSE["families"][1], "prefixes": ["2001:db8:1::/64"]}]}
@@ -1087,6 +1126,11 @@ EXIT_2_CASES = [
           config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": "2001:zz8::1\trfc\t0\tlow\n"}),
     _case("train", "labels-bad-class-id", "l.tsv:1: invalid literal",
           config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": "2001:db8::1\trfc\tx\tlow\n"}),
+    _case("train", "labels-two-names",
+          "l.tsv:2: class 0 is named 'IEEE-derived' here but 'Low-byte' on line 1",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": _TWO_NAMES}),
+    _case("train", "labels-two-methods", "l.tsv:3: the method is 'entropy' here but 'rfc' on line 1",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": _TWO_METHODS}),
     _case("train", "alias-not-found", "alias prefix file not found",
           config={"alias_file": "{t}/no.txt"}),
     _case("train", "alias-bad-prefix", "a.txt:1: ", config={"alias_file": "{t}/a.txt"},
@@ -1152,6 +1196,9 @@ EXIT_2_CASES = [
           config={"gold_labels_file": "{t}/out/g.tsv"}, edit=_six_class_gold),
     _case("discriminate", "gold-lacks-addresses", "240 addresses missing from gold labels",
           config={"gold_labels_file": "{t}/g.tsv"}, files={"g.tsv": "2001:db8::1\trfc\t0\tlow\n"}),
+    _case("discriminate", "gold-two-names",
+          "g.tsv:2: class 0 is named 'IEEE-derived' here but 'Low-byte' on line 1",
+          config={"gold_labels_file": "{t}/g.tsv"}, files={"g.tsv": _TWO_NAMES}),
     # evaluate: the spec, the candidates and the seeds
     _case("evaluate", "no-spec", "config key 'spec_file' is required",
           args=["{p}/candidates.txt"]),

@@ -16,6 +16,7 @@ from sixgan.addr import (
     parse_address,
     parse_prefix,
     token_matrix,
+    token_rows,
     write_address_file,
 )
 from sixgan.classify import classify_rfc_corpus, read_labels_file, write_labels_file
@@ -96,6 +97,8 @@ def test_token_matrix_rows_are_the_nybbles():
     assert tokens.dtype == np.uint8 and tokens.shape == (2, 32)
     assert tokens.tolist() == [list(s.nybbles) for s in seqs]
     assert not tokens.flags.writeable
+    # and back, from tokens of any integer dtype
+    assert token_rows(tokens) == token_rows(tokens.astype(np.int64)) == [s.nybbles for s in seqs]
 
 
 @pytest.mark.parametrize("body, why", [

@@ -175,7 +175,7 @@ class TestSampling:
         tokens = constant_prefix_tokens(128, np.random.default_rng(5))
         pretrain_generator(g, [tokens], steps=200, batch_size=32)
         seqs = sample_sequences(g, 200)
-        hits = sum(1 for s in seqs if s.nybbles[:8] == PREFIX_A)
+        hits = sum(1 for s in seqs if s.nybbles[:8] == bytes(PREFIX_A))
         assert hits >= 180
 
 
@@ -185,7 +185,7 @@ class TestMcRollout:
         full = tuple(np.random.default_rng(7).integers(0, 16, size=32).tolist())
         rollouts = mc_rollout(g, full, 5)
         assert len(rollouts) == 5
-        assert all(r.nybbles == full for r in rollouts)
+        assert all(r.nybbles == bytes(full) for r in rollouts)
 
     def test_prefix_preserved(self):
         (g,) = single_generators(make_generators(seed=8))
@@ -193,7 +193,7 @@ class TestMcRollout:
         rollouts = mc_rollout(g, partial, 15)
         assert len(rollouts) == 15
         for r in rollouts:
-            assert r.nybbles[:5] == partial
+            assert r.nybbles[:5] == bytes(partial)
             assert len(r.nybbles) == 32
 
 
@@ -697,9 +697,16 @@ class TestGenerateCandidates:
         g = make_generators(seed=33)
         rng = copy.deepcopy(g.rngs[0])
         tokens, _, _ = _sample_tokens(g.params, [rng], 40)
-        rows = [tuple(int(v) for v in row) for row in tokens[0]]
+        rows = [bytes(row.tolist()) for row in tokens[0]]
         assert len(set(rows)) == 40
         assert [s.nybbles for s in generate_candidates(g, 0, 40)] == rows
+
+    def test_exclude_of_tuples_refused(self):
+        # keys are NybbleSeq.nybbles, bytes; a tuple key would exclude nothing
+        g = make_generators(seed=31)
+        first = generate_candidates(g, 0, 5)
+        with pytest.raises(TypeError, match="exclude"):
+            generate_candidates(g, 0, 5, {tuple(s.nybbles) for s in first})
 
     def test_shortfall_warns(self, caplog):
         g = make_generators(seed=32, embed=16, hidden=20, lr=2e-2)

@@ -235,7 +235,7 @@ class TestBlockedKernels:
         rng = np.random.default_rng(1000 + n)
         prefix = tuple(rng.integers(0, 16, size=16).tolist())
         base = shared_prefix_seqs(rng, prefix, 1)[0]
-        one_off = NybbleSeq(base.nybbles[:31] + (1 - base.nybbles[31],))
+        one_off = NybbleSeq(base.nybbles[:31] + bytes((1 - base.nybbles[31],)))
         cands = [base, one_off] + shared_prefix_seqs(rng, prefix, n - 2)
         seeds = shared_prefix_seqs(rng, prefix, 5) + [cands[-1]]
         assert novelty(cands, seeds) == broadcast_novelty(cands, seeds)

@@ -298,7 +298,7 @@ def six_pattern_spec(prefix_len: int, hash_key: int) -> UniverseSpec:
     )
     # one nybble longer than the Randomized family's prefix: a sixteenth of
     # its samples are aliased
-    aliased = (NybblePrefix(fams[-1].prefixes[0].nybbles + (0,)),)
+    aliased = (NybblePrefix(fams[-1].prefixes[0].nybbles + bytes(1)),)
     return UniverseSpec(hash_key=hash_key, families=fams, aliased_prefixes=aliased)
 
 

@@ -7,6 +7,7 @@ import json
 import pathlib
 
 import sixgan
+from sixgan import classify, cli
 from sixgan.gan import NetConfig
 
 SRC = pathlib.Path(sixgan.__file__).parent
@@ -121,3 +122,28 @@ def test_network_defaults_written_once():
                 found += [f"{path.name}:{node.lineno}: RmsProp(lr=...)" for kw in node.keywords
                           if kw.arg == "lr" and isinstance(kw.value, ast.Constant)]
     assert found == [], f"network defaults written outside NetConfig: {found}"
+
+
+def test_classify_defaults_written_once():
+    # classify.FP_PREFIX_LEN, MIN_GROUP and DIM hold those defaults: no
+    # parameter default and no dict entry in the package writes one as a
+    # number, and cli's defaults are the same constants
+    names = {"fp_prefix_len", "min_group", "dim"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            pairs = []
+            if isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                pairs = [(a.arg, d) for a, d in zip(positional[len(positional) - len(node.defaults):],
+                                                    node.defaults)]
+                pairs += [(a.arg, d) for a, d in zip(node.kwonlyargs, node.kw_defaults) if d]
+            elif isinstance(node, ast.Dict):
+                pairs = [(k.value, v) for k, v in zip(node.keys, node.values)
+                         if isinstance(k, ast.Constant)]
+            found += [f"{path.name}:{d.lineno}: {name}" for name, d in pairs
+                      if name in names and isinstance(d, ast.Constant)]
+    assert found == [], f"classify defaults written outside classify's constants: {found}"
+    assert (cli.DEFAULTS["fp_prefix_len"], cli.DEFAULTS["min_group"]) == (
+        classify.FP_PREFIX_LEN, classify.MIN_GROUP)
