@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import logging
 import operator
-import re
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
+from string import hexdigits
 
 import numpy as np
 
@@ -26,7 +26,6 @@ SEQ_LEN = 32  # nybbles per address
 IID_START = 16  # nybble index where the interface identifier begins
 
 _NYBBLE_RANGE = bytes(range(16))
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class AddressParseError(ValueError):
@@ -109,66 +108,46 @@ class NybblePrefix:
         return f"{format_address(NybbleSeq(padded))}/{4 * len(self.nybbles)}"
 
 
-# A '::'-free run of groups: 1-4 hex digits each, the last one optionally a
-# dotted quad (captured octets; whether it may stand there is the caller's).
-_CHUNK = re.compile(
-    r"(?:[0-9A-Fa-f]{1,4}:)*"
-    r"(?:[0-9A-Fa-f]{1,4}|([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3}))"
-)
 # hex digit -> its value as a byte
-_NYBBLE_BYTES = bytes.maketrans(b"0123456789abcdefABCDEF", bytes(range(16)) + bytes(range(10, 16)))
+_NYBBLE_BYTES = bytes.maketrans(hexdigits.encode(), bytes(range(16)) + bytes(range(10, 16)))
 
 
 def _bad(text: str, pos: int, why: str) -> AddressParseError:
     return AddressParseError(f"{text!r}: {why} at position {pos}")
 
 
-def _chunk_error(text: str, chunk: str, offset: int, final: bool) -> AddressParseError:
-    """The error for a chunk that _chunk_groups refused: the first bad group's.
+def _chunk_groups(text: str, chunk: str, offset: int, final: bool) -> list[str]:
+    """The hex groups of a '::'-free chunk, a dotted quad as two of them.
 
-    Checks the groups left to right, each at its position in the stripped
-    text; `final` says whether the chunk ends the address, the one place a
-    dotted quad may stand (RFC 4291 section 2.2).
+    Walks the groups left to right and raises the first bad one's error at
+    its position in the stripped text; `final` says whether the chunk ends
+    the address, the one place a dotted quad may stand (RFC 4291 section 2.2).
     """
-    parts = chunk.split(":")
-    pos = offset
-    for idx, part in enumerate(parts):
-        if "." in part:
-            if not final or idx != len(parts) - 1:
-                return _bad(text, pos, "embedded IPv4 must be the final group")
-            octets = part.split(".")
+    groups = chunk.split(":")
+    for idx, group in enumerate(groups):
+        if 0 < len(group) <= 4 and not group.strip(hexdigits):
+            continue
+        pos = offset + sum(len(g) + 1 for g in groups[:idx])
+        if "." in group:
+            if not final or idx != len(groups) - 1:
+                raise _bad(text, pos, "embedded IPv4 must be the final group")
+            octets = group.split(".")
             if len(octets) != 4:
-                return _bad(text, pos, f"embedded IPv4 needs 4 octets, got {len(octets)}")
+                raise _bad(text, pos, f"embedded IPv4 needs 4 octets, got {len(octets)}")
             for octet in octets:
                 if not (octet.isascii() and octet.isdigit()) or len(octet) > 3:
-                    return _bad(text, pos, f"invalid IPv4 octet {octet!r}")
+                    raise _bad(text, pos, f"invalid IPv4 octet {octet!r}")
                 if int(octet) > 255:
-                    return _bad(text, pos, f"IPv4 octet {octet} exceeds 255")
+                    raise _bad(text, pos, f"IPv4 octet {octet} exceeds 255")
                 pos += len(octet) + 1
-        elif not part:
-            return _bad(text, pos, "empty group")
-        elif len(part) > 4:
-            return _bad(text, pos + 4, f"group {part!r} longer than 4 digits")
-        else:
-            for i, c in enumerate(part):
-                if c not in _HEX_DIGITS:
-                    return _bad(text, pos + i, f"invalid character {c!r}")
-            pos += len(part) + 1
-    # not reached: _CHUNK and the checks above accept the same groups
-    return _bad(text, offset, "malformed groups")
-
-
-def _chunk_groups(text: str, chunk: str, offset: int, final: bool) -> list[str]:
-    """The hex groups of a '::'-free chunk, a dotted quad as two of them."""
-    m = _CHUNK.fullmatch(chunk)
-    if m is None:
-        raise _chunk_error(text, chunk, offset, final)
-    groups = chunk.split(":")
-    if m.lastindex:
-        a, b, c, d = map(int, m.groups())
-        if not final or max(a, b, c, d) > 255:
-            raise _chunk_error(text, chunk, offset, final)
-        groups[-1:] = [f"{a:02x}{b:02x}", f"{c:02x}{d:02x}"]
+            a, b, c, d = map(int, octets)
+            return groups[:-1] + [f"{a:02x}{b:02x}", f"{c:02x}{d:02x}"]
+        if not group:
+            raise _bad(text, pos, "empty group")
+        if len(group) > 4:
+            raise _bad(text, pos + 4, f"group {group!r} longer than 4 digits")
+        bad = len(group) - len(group.lstrip(hexdigits))
+        raise _bad(text, pos + bad, f"invalid character {group[bad]!r}")
     return groups
 
 

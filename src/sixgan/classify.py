@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import struct
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,18 +400,15 @@ def ipv62vec_embed(
     return vectors
 
 
-_D2_BLOCK = 4  # rows per block of the squared-distance matrix
 MIN_PTS = 5  # DBSCAN's neighbours (self included) of a core point
 EPS_BISECTION_STEPS = 30  # eps bisections to hit a requested class count
 
 
 def _sq_dists(vectors: np.ndarray) -> np.ndarray:
-    """[n, n] squared Euclidean distances, filled _D2_BLOCK rows at a time."""
-    n = len(vectors)
-    d2 = np.empty((n, n))
-    for lo in range(0, n, _D2_BLOCK):
-        block = vectors[lo:lo + _D2_BLOCK]
-        d2[lo:lo + _D2_BLOCK] = ((block[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
+    """[n, n] squared Euclidean distances, filled one row at a time."""
+    d2 = np.empty((len(vectors), len(vectors)))
+    for i, v in enumerate(vectors):
+        d2[i] = ((vectors - v) ** 2).sum(axis=1)
     return d2
 
 
@@ -532,13 +530,13 @@ def _same_as_first(first: dict, key, value: str, lineno: int, what: str) -> None
         raise ValueError(f"{what} {value!r} here but {seen!r} on line {line}")
 
 
-def read_labels_file(path: str) -> LabeledSeedCorpus:
-    """A labels file, read as every line file is (see fileio.read_lines).
+def labeled_lines(path: str) -> Iterator[tuple[int, NybbleSeq, str, int, str]]:
+    """(line number, address, method, class id, class name) of each line of
+    a labels file, read as every line file is (see fileio.read_lines).
 
     Every line gives the first line's method, and each class id the name
     of its first line; a line that gives another is an error.
     """
-    seeds, raw_ids = [], []
     methods: dict = {}  # None -> (the method, its first line)
     names: dict = {}  # class id -> (its name, its first line)
     for lineno, body in numbered_lines(path):
@@ -548,9 +546,22 @@ def read_labels_file(path: str) -> LabeledSeedCorpus:
             _same_as_first(names, cid, name, lineno, f"class {cid} is named")
         except ValueError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        yield lineno, seq, method, cid, name
+
+
+def read_labels_file(path: str) -> LabeledSeedCorpus:
+    """A labels file (see labeled_lines) as a corpus.  Its k class ids must
+    be 0..k-1, as classify writes them, so that a class id in the file is
+    the class id of the generator and discriminator trained on it."""
+    seeds, ids, names = [], [], {}
+    for _, seq, method, cid, name in labeled_lines(path):
         seeds.append(seq)
-        raw_ids.append(cid)
+        ids.append(cid)
+        names[cid] = name
     if not seeds:
         raise ValueError(f"{path}: no labeled seeds found")
-    return LabeledSeedCorpus.build(seeds, methods[None][0], raw_ids,
-                                   {cid: name for cid, (name, _) in names.items()})
+    wrong = next((cid for i, cid in enumerate(sorted(names)) if cid != i), None)
+    if wrong is not None:
+        raise ValueError(f"{path}: class id {wrong} is not in 0..{len(names) - 1}: "
+                         f"the ids of k classes must be 0..k-1")
+    return LabeledSeedCorpus.build(seeds, method, ids, names)

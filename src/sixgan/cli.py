@@ -32,6 +32,7 @@ from .classify import (
     classify_entropy,
     classify_ipv62vec,
     classify_rfc_corpus,
+    labeled_lines,
     read_labels_file,
     write_labels_file,
 )
@@ -401,7 +402,7 @@ def cmd_generate(cfg: dict, args: argparse.Namespace) -> _Files:
             f"{k} generator checkpoints in {out} are not numbered 00..{k - 1:02d}: "
             f"missing {', '.join(missing)}"
         )
-    rates = cfg.get("rates") or [1.0] * k
+    rates = [1.0] * k if cfg["rates"] is None else cfg["rates"]
     if len(rates) != k:
         raise ConfigError(f"got {len(rates)} rates for {k} generators")
     try:
@@ -474,12 +475,12 @@ def cmd_discriminate(cfg: dict, args: argparse.Namespace) -> _Files:
     if cfg.get("gold_labels_file"):
         gold_path = _require_file(cfg["gold_labels_file"], "gold labels file")
         inputs.append(gold_path)
-        gold_corpus = read_labels_file(gold_path)
-        if gold_corpus.k > disc.k + 1:
-            raise ConfigError(f"gold labels file {gold_path} has {gold_corpus.k} classes, "
-                              f"more than the discriminator's {disc.k + 1}")
-        gold_map = {s.nybbles: lab.class_id for s, lab in
-                    zip(gold_corpus.seeds, gold_corpus.labels)}
+        gold_map = {}  # class ids as written: a confusion row is a class id
+        for lineno, seq, _, cid, _ in labeled_lines(gold_path):
+            if not 0 <= cid <= disc.k:
+                raise ValueError(f"{gold_path}:{lineno}: class id {cid} is not one of "
+                                 f"the discriminator's classes 0..{disc.k}")
+            gold_map[seq.nybbles] = cid
         missing = [a for a in addrs if a.nybbles not in gold_map]
         if missing:
             raise ConfigError(f"{len(missing)} addresses missing from gold labels")

@@ -246,7 +246,8 @@ def sample_seeds(
     n: int,
     rng: np.random.Generator,
 ) -> list[NybbleSeq]:
-    """n distinct active non-aliased addresses by rejection sampling."""
+    """n distinct active non-aliased addresses by rejection sampling; a
+    ValueError once SAMPLE_ATTEMPT_LIMIT draws have not found them."""
     families = oracle.spec.families
     if not families:
         raise ValueError("universe spec families is empty: no family to sample seeds from")
@@ -255,9 +256,10 @@ def sample_seeds(
     attempts = 0
     while len(seeds) < n:
         if attempts >= SAMPLE_ATTEMPT_LIMIT:
-            raise RuntimeError(
-                f"gave up after {SAMPLE_ATTEMPT_LIMIT} attempts with "
-                f"{len(seeds)}/{n} seeds; raise the family densities"
+            raise ValueError(
+                f"gave up after {SAMPLE_ATTEMPT_LIMIT} attempts with {len(seeds)}/{n} seeds: "
+                f"the families' densities or distinct active addresses are too low for "
+                f"n_seeds; raise the densities or lower n_seeds"
             )
         attempts += 1
         fam = families[int(rng.integers(len(families)))]

@@ -18,6 +18,7 @@ from _oracles import bank_tensors, row_scatter_ipv62vec_embed
 import sixgan
 import sixgan.classify as classify
 import sixgan.cli as cli
+import sixgan.oracle as oracle
 from sixgan.addr import load_alias_file, load_seed_file, parse_prefix
 from sixgan.classify import read_labels_file
 from sixgan.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
@@ -169,6 +170,27 @@ class TestPipelineArtifacts:
         assert len(matrix) == 4 and all(len(row) == 4 for row in matrix)
         assert sum(sum(row) for row in matrix) == 240
 
+    def test_gold_class_ids_are_taken_as_written(self, pipeline, tmp_path, monkeypatch):
+        # gold labels that lack class 1, given by environment variable: the
+        # class 2 seeds stay in confusion row 2
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline["out"] / "discriminator.ckpt", out / "discriminator.ckpt")
+        rows = [line.split("\t") for line in (pipeline["out"] / "labels.tsv").read_text().splitlines()]
+        subset = [row for row in rows if row[2] != "1"]
+        assert {row[2] for row in subset} == {"0", "2"}
+        (tmp_path / "gold.tsv").write_text("".join("\t".join(row) + "\n" for row in subset))
+        (tmp_path / "a.txt").write_text("".join(row[0] + "\n" for row in subset))
+        monkeypatch.setenv("SIXGAN_GOLD_LABELS_FILE", str(tmp_path / "gold.tsv"))
+        assert main(["discriminate", "--out", str(out), str(tmp_path / "a.txt")]) == EXIT_OK
+        scores = (out / "scores.tsv").read_text().splitlines()[1:]
+        want = np.zeros((4, 4), dtype=int)
+        for row, line in zip(subset, scores, strict=True):
+            want[int(row[2]), int(line.split("\t")[1])] += 1
+        doc = json.loads((out / "confusion.json").read_text())
+        assert doc["confusion"] == want.tolist()
+        assert doc["accuracy"] == np.trace(want) / len(subset)
+
     def test_alias_check_partition(self, pipeline):
         out = pipeline["out"]
         kept = load_seed_file(str(out / "kept.txt"))
@@ -195,7 +217,7 @@ class TestPipelineArtifacts:
             for digest in {**doc["inputs"], **doc["outputs"]}.values():
                 assert len(digest) == 64 and int(digest, 16) >= 0
         synth = json.loads((out / "manifest_synth.json").read_text())
-        expected = hashlib.sha256(open(spec, "rb").read()).hexdigest()
+        expected = hashlib.sha256(pathlib.Path(spec).read_bytes()).hexdigest()
         assert synth["inputs"][os.path.basename(spec)] == expected
         assert os.path.basename(str(out / "seeds.txt")) in synth["outputs"]
 
@@ -1005,24 +1027,38 @@ def _six_class_gold(out):
     (out / "g.tsv").write_text("".join(f"{a}\trfc\t{i % 6}\tc{i % 6}\n" for i, a in enumerate(addrs)))
 
 
+def _gold_id_7(out):
+    """g.tsv in out: labels.tsv with its last seed in class 7, so four class
+    ids, no more than the discriminator's k + 1 = 4, but one out of range."""
+    lines = (out / "labels.tsv").read_text().splitlines(True)
+    address = lines[-1].split("\t")[0]
+    (out / "g.tsv").write_text("".join(lines[:-1]) + f"{address}\tRfcBased\t7\tc7\n")
+
+
 def _case(command, name, says, config=None, env=None, args=None, out="copy", files=None,
-          edit=None):
+          edit=None, patch=None):
     """One exit-2 case.  --out is a copy of the trained out ("copy"), an
     empty directory ("empty") or no directory ("absent").  The config is
     tiny_config with config's keys over it (a section's key by key); files
     are written under the case's directory (text, or JSON for anything
     else) after the config, and edit(out) changes the copy before the run.
+    patch, a (module, name, value) triple, is set for the run.
     The one line printed must contain says."""
     return pytest.param(command, says, config or {}, env or {},
                         _ARGS[command] if args is None else args, out, files or {}, edit,
-                        id=f"{command}-{name}")
+                        patch, id=f"{command}-{name}")
 
 
 _BAD_ADDRESS = "2001:db8::1\nnot-an-address\n"
 # class 0 with a second name, then a second method
 _TWO_NAMES = "::1\trfc\t0\tLow-byte\n::2\trfc\t0\tIEEE-derived\n::3\tentropy\t1\tcluster-1\n"
 _TWO_METHODS = "::1\trfc\t0\tLow-byte\n# another method\n::3\tentropy\t1\tcluster-1\n"
+# class ids 0 and 2: a gap where class 1 would be
+_GAP = "::1\trfc\t0\tLow-byte\n::2\trfc\t2\tRandomized\n"
 _NO_FAMILIES = {**UNIVERSE, "families": []}
+# one family with few distinct active addresses under its one /64
+_PORTS_ONLY = {**UNIVERSE, "families": [{"name": "port", "pattern": "Embedded-port",
+                                         "prefixes": ["2001:db8:0:1::/64"], "density": 0.5}]}
 _OVERLAP = {**UNIVERSE, "families": [UNIVERSE["families"][0],
                                      {**UNIVERSE["families"][1], "prefixes": ["2001:db8:1::/64"]}]}
 _MISSPELT = {"hash_key": 1234, "families": UNIVERSE["families"],
@@ -1104,6 +1140,11 @@ EXIT_2_CASES = [
           files={"u.json": _OVERLAP}),
     _case("synth", "n-seeds-0", "config key n_seeds must be >= 1, got 0",
           env={"SIXGAN_N_SEEDS": "0"}),
+    _case("synth", "gives-up",
+          "gave up after 2000 attempts with 6/240 seeds: the families' densities or distinct "
+          "active addresses are too low for n_seeds; raise the densities or lower n_seeds",
+          args=["--spec", "{t}/u.json"], files={"u.json": _PORTS_ONLY},
+          patch=(oracle, "SAMPLE_ATTEMPT_LIMIT", 2000)),
     # classify: the seeds file
     _case("classify", "no-seeds-file", "config key 'seeds_file' is required",
           config={"seeds_file": None}),
@@ -1131,6 +1172,11 @@ EXIT_2_CASES = [
           config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": _TWO_NAMES}),
     _case("train", "labels-two-methods", "l.tsv:3: the method is 'entropy' here but 'rfc' on line 1",
           config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": _TWO_METHODS}),
+    _case("train", "labels-class-id-gap",
+          "l.tsv: class id 2 is not in 0..1: the ids of k classes must be 0..k-1",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": _GAP}),
+    _case("train", "labels-class-id-negative", "l.tsv: class id -1 is not in 0..1",
+          config={"labels_file": "{t}/l.tsv"}, files={"l.tsv": _GAP.replace("\t2\t", "\t-1\t")}),
     _case("train", "alias-not-found", "alias prefix file not found",
           config={"alias_file": "{t}/no.txt"}),
     _case("train", "alias-bad-prefix", "a.txt:1: ", config={"alias_file": "{t}/a.txt"},
@@ -1170,6 +1216,7 @@ EXIT_2_CASES = [
           edit=_ckpt("generator_01.ckpt", lambda ts: ts.update(meta_pattern_id=np.array([0.0])))),
     _case("generate", "other-widths", "holds a generator of other widths", edit=_narrow_generator),
     _case("generate", "rates-count", "got 2 rates for 3 generators", args=["--rates", "1,2"]),
+    _case("generate", "rates-empty", "got 0 rates for 3 generators", env={"SIXGAN_RATES": "[]"}),
     _case("generate", "rates-not-numbers", "--rates must be a CSV of numbers",
           args=["--rates", "a,b"]),
     _case("generate", "labels-bad-line", "labels.tsv:1: expected 4 tab-separated fields",
@@ -1192,8 +1239,12 @@ EXIT_2_CASES = [
           edit=_ckpt("discriminator.ckpt", lambda ts: ts["out_w"].fill(np.inf))),
     _case("discriminate", "gold-not-found", "gold labels file not found",
           config={"gold_labels_file": "{t}/no.tsv"}),
-    _case("discriminate", "gold-more-classes", "g.tsv has 6 classes, more than the discriminator's 4",
+    _case("discriminate", "gold-more-classes",
+          "g.tsv:5: class id 4 is not one of the discriminator's classes 0..3",
           config={"gold_labels_file": "{t}/out/g.tsv"}, edit=_six_class_gold),
+    _case("discriminate", "gold-id-out-of-range",
+          "g.tsv:240: class id 7 is not one of the discriminator's classes 0..3",
+          config={"gold_labels_file": "{t}/out/g.tsv"}, edit=_gold_id_7),
     _case("discriminate", "gold-lacks-addresses", "240 addresses missing from gold labels",
           config={"gold_labels_file": "{t}/g.tsv"}, files={"g.tsv": "2001:db8::1\trfc\t0\tlow\n"}),
     _case("discriminate", "gold-two-names",
@@ -1224,9 +1275,10 @@ EXIT_2_CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, says, config, env, args, out_kind, files, edit", EXIT_2_CASES)
+@pytest.mark.parametrize("command, says, config, env, args, out_kind, files, edit, patch",
+                         EXIT_2_CASES)
 def test_exit_2_leaves_out_unchanged(pipeline, tmp_path, monkeypatch, capsys, command, says,
-                                     config, env, args, out_kind, files, edit):
+                                     config, env, args, out_kind, files, edit, patch):
     out = tmp_path / "out"
     if out_kind == "copy":
         shutil.copytree(pipeline["out"], out)
@@ -1252,6 +1304,8 @@ def test_exit_2_leaves_out_unchanged(pipeline, tmp_path, monkeypatch, capsys, co
     before = snapshot(out) if out.exists() else None
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
     capsys.readouterr()
     argv = [command, "--config", str(tmp_path / "c.json"), "--out", str(out)]
     assert main(argv + [fill(a) for a in args]) == EXIT_CONFIG
